@@ -4,7 +4,6 @@ from .errors import (
     ConvergenceFailure,
     NNLSStall,
     NotPSD,
-    NotPositiveDefinite,
     RootFindingFailure,
     SolverError,
     Unsolvable,
@@ -31,7 +30,6 @@ __all__ = [
     "MomentSpec",
     "NNLSStall",
     "NotPSD",
-    "NotPositiveDefinite",
     "Report",
     "RootFindingFailure",
     "SolverConfig",

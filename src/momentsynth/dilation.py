@@ -3,9 +3,10 @@
 The scaled shift tuple is a strict joint contraction, so its mixed
 forward/adjoint power values against the cyclic vector form a positive
 definite function on the integer lattice.  Those values are the Fourier
-coefficients of every measure this package synthesizes; the checks here
-certify their positive semidefinite Toeplitz sections without calling an
-eigensolver.
+coefficients of every measure this package synthesizes.  They have a
+closed form in the prescribed moments, so the table is filled without
+applying a single matrix.  The checks here certify positive semidefinite
+Toeplitz sections of the table without calling an eigensolver.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import SignedIndex, box
-from .operators import OperatorTuple, _box_vectors
+from .operators import OperatorTuple
 
 
 def _is_canonical(k: SignedIndex) -> bool:
@@ -62,24 +63,33 @@ class FourierTable:
 def fourier_table(ops: OperatorTuple, radius: int) -> FourierTable:
     """Tabulate the contraction's power values over a symmetric index box.
 
-    Only the canonical half (first nonzero entry positive, plus zero) is
-    evaluated; the other half is filled by conjugation.  Each canonical
-    value is a single inner product between two precomputed forward-power
-    images of the cyclic vector.
+    The value at k is c_k = s_(k+) * conj(s_(k-)) / (s0 * scale**|k|_1),
+    where k+ = max(k, 0) and k- = max(-k, 0) entry by entry, s_0 is the
+    mass and s_j = 0 when j leaves the box.  This holds because the
+    forward power j of the tuple maps the cyclic vector to the orthonormal
+    image of construction vector j inside the box and to 0 outside it, and
+    because k+ and k- have disjoint supports.  Only the canonical half
+    (first nonzero entry positive, plus zero) is evaluated; the other half
+    is filled by conjugation.
     """
     if radius < ops.degree:
         raise ValueError(f"table radius {radius} below box degree {ops.degree}")
-    vecs = _box_vectors(ops, radius)
+    espec, mass = ops.espec, ops.mass
+    # s_j / scale**|j| per box index, with the real mass at the zero index;
+    # dividing each factor separately keeps the product of two large
+    # moments from overflowing
+    powers = np.array([sum(k) for k in espec.box])
+    scaled = espec.values / ops.scale ** powers
+    scaled[0] = mass
+    reduced = dict(zip(espec.box, map(complex, scaled)))
     zero = (0,) * ops.n
-    entries: dict[SignedIndex, complex] = {
-        zero: complex(np.vdot(ops.cyclic, ops.cyclic).real)
-    }
+    entries: dict[SignedIndex, complex] = {zero: complex(mass)}
     for k in itertools.product(range(-radius, radius + 1), repeat=ops.n):
         if k == zero or not _is_canonical(k):
             continue
         plus = tuple(max(e, 0) for e in k)
         minus = tuple(max(-e, 0) for e in k)
-        value = complex(np.vdot(vecs[minus], vecs[plus]))
+        value = reduced.get(plus, 0j) * reduced.get(minus, 0j).conjugate() / mass
         entries[k] = value
         entries[_negate(k)] = value.conjugate()
     return FourierTable(ops.n, radius, ops.scale, entries)

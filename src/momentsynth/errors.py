@@ -9,10 +9,6 @@ class Unsolvable(SolverError):
     """The prescribed moments admit no nonnegative representing measure."""
 
 
-class NotPositiveDefinite(SolverError):
-    """A matrix that must be positive definite failed its factorization."""
-
-
 class NotPSD(SolverError):
     """Trigonometric moment data failed the positive-semidefiniteness check."""
 

@@ -1,11 +1,16 @@
 """Construction of the commuting matrix tuple that realizes the moments.
 
-For an embedded spec with mass s0 > 0 there is an explicit family of
-vectors, one per box index, whose inner products against the first vector
-reproduce the prescribed values.  Coordinate shifts act on that family as
-a commuting tuple of matrices.  This module builds those matrices in an
-orthonormal basis, scales them into a strict joint contraction, and
-evaluates mixed forward/adjoint power products against the cyclic vector.
+For an embedded spec with mass s0 > 0 the construction vectors are
+explicit: with a = sqrt(s0), a*e0 for the zero index and
+e_j + (s_j/a)*e0 for the j-th box index.  Placed side by side they form
+the matrix L^T, which is the identity except for row 0, (a, s_j/a, ...);
+its inverse is the identity except for row 0, (1/a, -s_j/s0, ...).  So
+the map taking the vectors to an orthonormal basis is known in closed
+form, and nothing is factored or inverted numerically.  Coordinate shifts
+act on the family as a commuting tuple of matrices.  This module builds
+those matrices in an orthonormal basis, scales them into a strict joint
+contraction, and evaluates mixed forward/adjoint power products against
+the cyclic vector.
 
 The inner product is linear in the first slot and conjugate-linear in the
 second throughout.
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
 from .lattice import EmbeddedSpec, MultiIndex, SignedIndex, band, box, shift
 
 _EPS = float(np.finfo(float).eps)
@@ -27,79 +31,21 @@ _EPS = float(np.finfo(float).eps)
 _NORM_FLOOR = 1e-12
 
 
-def gram(espec: EmbeddedSpec) -> np.ndarray:
-    """Gram matrix of the construction vectors, one per box index.
-
-    With a = sqrt(s0), the vectors are a*e0 for the zero index and
-    e_j + (s_j/a)*e0 for the j-th box index.  Entry [j, l] is the inner
-    product of vector j against vector l (linear in j, conjugated in l).
-
-    Raises ValueError when the mass s0 is not real positive.
-    """
-    s0 = espec.mass
-    if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)):
-        raise ValueError(f"mass must be real, got {s0}")
-    mass = s0.real
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    tail = np.asarray(espec.values[1:], dtype=complex)
-    p = len(espec.box)
-    G = np.empty((p, p), dtype=complex)
-    G[0, 0] = mass
-    G[1:, 0] = tail
-    G[0, 1:] = tail.conj()
-    G[1:, 1:] = np.outer(tail, tail.conj()) / mass + np.eye(p - 1)
-    return G
-
-
-@dataclass(frozen=True, eq=False)
-class GramFactor:
-    """Lower-triangular Cholesky factor certifying a positive definite Gram."""
-
-    dim: int
-    lower: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.lower, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "lower", m)
-
-    @property
-    def pivots(self) -> np.ndarray:
-        return self.lower.diagonal().real
-
-
-def orthonormal_factor(G: np.ndarray) -> GramFactor:
-    """Cholesky-factor a Hermitian Gram matrix.
-
-    Success certifies linear independence of the construction vectors;
-    failure raises NotPositiveDefinite (cannot happen for a valid embedded
-    spec with positive mass).
-    """
-    G = np.asarray(G, dtype=complex)
-    try:
-        lower = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Gram matrix is not positive definite: {exc}") from exc
-    return GramFactor(G.shape[0], lower)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorTuple:
     """Commuting matrices in orthonormal coordinates, plus their scaling.
 
-    `matrices` act as coordinate shifts on the construction vectors; the
-    contraction used downstream is matrices[j] / scale.  `cyclic` is the
-    coordinate vector whose self inner product equals the prescribed mass.
+    `matrices` act as coordinate shifts on the construction vectors of
+    `espec`, the embedded spec they were built from; the contraction used
+    downstream is matrices[j] / scale.  `cyclic` is the coordinate vector
+    whose self inner product equals the prescribed mass.
     """
 
-    n: int
-    dim: int
+    espec: EmbeddedSpec
     matrices: tuple[np.ndarray, ...]
     cyclic: np.ndarray
     norm_bound: float
     scale: float
-    degree: int
 
     def __post_init__(self) -> None:
         mats = []
@@ -112,6 +58,19 @@ class OperatorTuple:
         vec.setflags(write=False)
         object.__setattr__(self, "cyclic", vec)
 
+    @property
+    def n(self) -> int:
+        return self.espec.n
+
+    @property
+    def degree(self) -> int:
+        return self.espec.degree
+
+    @property
+    def mass(self) -> float:
+        """The prescribed mass s0, checked real and positive by build_tuple."""
+        return self.espec.mass.real
+
     def contraction(self, coord: int) -> np.ndarray:
         """The scaled matrix for coordinate `coord` (numbered from 1)."""
         return self.matrices[coord - 1] / self.scale
@@ -122,23 +81,36 @@ def build_tuple(espec: EmbeddedSpec, margin: float = 1.1) -> OperatorTuple:
 
     In the basis of construction vectors, coordinate j sends a basis
     vector to the one with the j-th exponent incremented (when that stays
-    inside the box) and to zero otherwise.  Conjugating by the transpose
-    of the Gram Cholesky factor moves this to orthonormal coordinates:
-    with the inner product linear in the first slot, the coordinate
-    isometry is alpha -> L^T alpha, not the adjoint map.
+    inside the box) and to zero otherwise.  Conjugating by L^T, the
+    matrix of construction vectors, moves this to orthonormal
+    coordinates: with the inner product linear in the first slot, the
+    coordinate isometry is alpha -> L^T alpha (a transpose, not the
+    adjoint map).
 
     The scale is margin * sqrt(n) * max over coordinates of the Frobenius
     norm, nudged up a few ulps so the squared contraction norms sum to
     strictly less than 1/margin**2 in floating point as well.
+
+    Raises ValueError when the mass s0 is not real positive.
     """
     if margin <= 1.0:
         raise ValueError("margin must exceed 1")
-    G = gram(espec)
-    factor = orthonormal_factor(G)
+    s0 = espec.mass
+    if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)):
+        raise ValueError(f"mass must be real, got {s0}")
+    mass = s0.real
+    if mass <= 0.0:
+        raise ValueError(f"mass must be positive, got {mass}")
     n, degree = espec.n, espec.degree
     p = len(espec.box)
-    Lt = factor.lower.T
-    Lt_inv = np.linalg.inv(Lt)
+    a = np.sqrt(mass)
+    tail = espec.values[1:]
+    Lt = np.eye(p, dtype=complex)
+    Lt[0, 0] = a
+    Lt[0, 1:] = tail / a
+    Lt_inv = np.eye(p, dtype=complex)
+    Lt_inv[0, 0] = 1.0 / a
+    Lt_inv[0, 1:] = -tail / mass
 
     matrices = []
     for coord in range(1, n + 1):
@@ -151,7 +123,7 @@ def build_tuple(espec: EmbeddedSpec, margin: float = 1.1) -> OperatorTuple:
     norm_bound = max(float(np.linalg.norm(m)) for m in matrices)
     scale = margin * np.sqrt(n) * max(norm_bound, _NORM_FLOOR)
     scale *= 1.0 + 4.0 * _EPS
-    return OperatorTuple(n, p, tuple(matrices), cyclic, norm_bound, float(scale), degree)
+    return OperatorTuple(espec, tuple(matrices), cyclic, norm_bound, float(scale))
 
 
 def _split_signs(k: SignedIndex) -> tuple[MultiIndex, MultiIndex]:

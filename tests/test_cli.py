@@ -34,6 +34,16 @@ def test_solve_unsolvable_exit_2(tmp_path, capsys):
     assert "unsolvable" in capsys.readouterr().err
 
 
+def test_solve_convergence_failure_exit_3(tmp_path, capsys):
+    problem = tmp_path / "wide.json"
+    _write_problem(problem, MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)))
+    # an exception escaping main would be a traceback and fail the test
+    code = main(["solve", str(problem), str(tmp_path / "out.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("convergence failure:")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_solve_parse_error_exit_1(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("not json", encoding="utf-8")

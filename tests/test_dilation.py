@@ -43,11 +43,13 @@ def test_hermitian_symmetry(rng):
 
 
 def test_table_matches_apply_power(rng):
-    for _ in range(5):
-        spec = random_box_spec(rng, n=2, degree=2)
+    # radius degree + 1 reaches indices whose power images leave the box
+    specs = [random_box_spec(rng, n=n) for n in (1, 2, 3) for _ in range(3)]
+    specs.append(random_box_spec(rng, n=1, degree=16))
+    for spec in specs:
         es = embed(spec)
         ops = build_tuple(es)
-        table = fourier_table(ops, es.degree)
+        table = fourier_table(ops, es.degree + 1)
         for k, v in table.entries.items():
             assert v == pytest.approx(apply_power(ops, k), abs=1e-13)
 

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_box_spec
-from momentsynth.errors import NotPositiveDefinite
 from momentsynth.lattice import MomentSpec, embed
-from momentsynth.operators import (
-    apply_power,
-    build_tuple,
-    gram,
-    moment_identity,
-    orthonormal_factor,
-)
+from momentsynth.operators import _box_vectors, apply_power, build_tuple, moment_identity
 
 
 def _embed(n, indices, values):
@@ -37,66 +30,28 @@ def sequence_space_gram(values):
     return G
 
 
-def test_gram_diagonal_case():
-    G = gram(_embed(1, ((0,), (1,)), (4, 0)))
-    assert np.allclose(G, [[4, 0], [0, 1]])
-
-
-def test_gram_real_case():
-    G = gram(_embed(1, ((0,), (1,)), (1, 2)))
-    assert np.allclose(G, [[1, 2], [2, 5]])
-
-
-def test_gram_complex_case():
-    G = gram(_embed(1, ((0,), (1,)), (1, 1j)))
-    assert np.allclose(G, [[1, -1j], [1j, 2]])
-
-
 def test_gram_matches_sequence_space_oracle(rng):
+    # full realization: every pair of box power images, not only row 0
     for _ in range(20):
         spec = random_box_spec(rng)
         es = embed(spec)
-        G = gram(es)
-        assert np.allclose(G, sequence_space_gram(es.values), atol=1e-12)
-        assert np.allclose(G, G.conj().T, atol=1e-13)
+        ops = build_tuple(es)
+        vecs = _box_vectors(ops, es.degree)
+        oracle = sequence_space_gram(es.values)
+        realized = np.array([
+            [ops.scale ** (sum(j) + sum(l)) * np.vdot(vecs[l], vecs[j]) for l in es.box]
+            for j in es.box
+        ])
+        assert np.max(np.abs(realized - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 def test_gram_rejects_bad_mass():
     with pytest.raises(ValueError):
-        gram(_embed(1, ((0,), (1,)), (-1, 0)))
+        build_tuple(_embed(1, ((0,), (1,)), (-1, 0)))
     es = embed(MomentSpec(1, ((0,), (1,)), (1, 0)))
     bad = type(es)(es.n, es.degree, es.box, np.array([1j, 0.0]))
     with pytest.raises(ValueError):
-        gram(bad)
-
-
-def test_factor_diagonal():
-    f = orthonormal_factor(np.diag([4.0, 1.0]).astype(complex))
-    assert np.allclose(f.lower, np.diag([2.0, 1.0]))
-
-
-def test_factor_identity():
-    f = orthonormal_factor(np.eye(3, dtype=complex))
-    assert np.allclose(f.lower, np.eye(3))
-
-
-def test_factor_hand_cholesky():
-    f = orthonormal_factor(np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex))
-    assert np.allclose(f.lower, [[1, 0], [2, 1]])
-
-
-def test_factor_reconstructs_and_positive_pivots(rng):
-    for _ in range(20):
-        spec = random_box_spec(rng)
-        G = gram(embed(spec))
-        f = orthonormal_factor(G)
-        assert np.allclose(f.lower @ f.lower.conj().T, G, rtol=1e-12, atol=1e-12)
-        assert np.all(f.pivots > 0)
-
-
-def test_factor_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        orthonormal_factor(np.diag([1.0, -1.0]).astype(complex))
+        build_tuple(bad)
 
 
 def test_build_tuple_trivial_instance():

@@ -210,6 +210,15 @@ def test_synthesize_unsolvable():
         synthesize(MomentSpec(1, ((0,),), (-2,)))
 
 
+def test_synthesize_wide_dynamic_range_fails_cleanly():
+    # Solvable by a single atom, but beyond what the moment pre-scaling
+    # handles today; it must end in the documented failure, not escape as
+    # a factorization error.
+    spec = MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j))
+    with pytest.raises(ConvergenceFailure):
+        synthesize(spec)
+
+
 def test_synthesize_one_variable_example():
     spec = MomentSpec(1, ((0,), (1,)), (1, 0.5))
     measure = synthesize(spec)
