@@ -1,7 +1,8 @@
 """Command-line front end: solve, verify, random, batch.
 
-Exit codes: 0 success, 1 parse or IO error, 2 unsolvable input,
-3 synthesis convergence failure, 4 verification residual above tolerance.
+Exit codes: 0 success, 1 parse, IO or invalid-option error, 2 unsolvable
+input, 3 synthesis convergence failure, 4 verification residual above
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .documents import (
     write_doc,
 )
 from .errors import ConvergenceFailure, Unsolvable
+from .lattice import embed
 from .synthesis import SolverConfig, synthesize
 from .verify import random_instance, report
 
@@ -43,6 +45,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         spec = problem_from_doc(read_doc(Path(args.input)))
         config = _config_from_args(args)
+        if config.box_degree is not None:
+            embed(spec, config.box_degree)  # rejects a box too small for the spec
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -125,14 +129,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     worst = 0
     for problem in problems:
         solve_args = argparse.Namespace(
+            **vars(args),
             input=str(problem),
             output=str(problem.with_suffix(".solution.json")),
-            tol=args.tol,
-            grid=args.grid,
-            margin=args.margin,
-            box_degree=args.box_degree,
-            seed=args.seed,
-            no_normalize=args.no_normalize,
         )
         code = _cmd_solve(solve_args)
         print(f"{problem.name}: exit {code}")

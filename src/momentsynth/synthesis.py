@@ -35,9 +35,12 @@ class SolverConfig:
 
     Fields left at None resolve per instance: `tol` to 1e-8 for one
     variable and 1e-6 otherwise, `m` to the box degree, `weight_prune` to
-    1e-12 times the prescribed mass, `normalize` to on for two or more
-    variables.  Different settings yield different, equally valid
-    measures; nothing canonicalizes the output.
+    1e-12 times the prescribed mass.  `normalize` picks the moment
+    pre-scalings that synthesis tries in turn: None tries all three for
+    every n (unscaled first for one variable, magnitude-scaled first
+    beyond), True only the two scaled ones, False only the unscaled one.
+    Different settings yield different, equally valid measures; nothing
+    canonicalizes the output.
     """
 
     tol: float | None = None
@@ -63,6 +66,10 @@ class SolverConfig:
             raise ValueError("m must be at least 1")
         if self.weight_prune is not None and self.weight_prune < 0.0:
             raise ValueError("weight_prune must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.box_degree is not None and self.box_degree < 1:
+            raise ValueError("box_degree must be at least 1")
 
     def resolved_tol(self, n: int) -> float:
         if self.tol is not None:
@@ -243,7 +250,7 @@ def cf_atoms_1d(
     if mass <= prune:
         return AtomicMeasure.empty(1)
 
-    uniform = max(min_eigenvalue(T, resolution=1e-14 * max(1.0, mass)), 0.0)
+    uniform = max(min_eigenvalue(T), 0.0)
     T_atomic = T - uniform * np.eye(m + 1)
 
     atom_angles = np.zeros(0)
@@ -322,13 +329,16 @@ def _stack_targets(karr: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+# the most atoms grid_nnls inserts greedily beyond two variables
+GREEDY_ROUNDS = 64
+
+
 def grid_nnls(
     table: FourierTable,
     grid: int,
     *,
     weight_prune: float | None = None,
     seed: int = 0,
-    greedy_rounds: int = 64,
 ) -> AtomicMeasure:
     """Coarse torus measure from nonnegative least squares over candidates.
 
@@ -360,7 +370,7 @@ def grid_nnls(
         weights = _nnls(A, b)
         resid = b - A @ weights
         floor = 1e-12 * max(1.0, float(np.linalg.norm(b)))
-        for _ in range(greedy_rounds):
+        for _ in range(GREEDY_ROUNDS):
             if float(np.linalg.norm(resid)) <= floor:
                 break
             pool = rng.uniform(0.0, 2.0 * np.pi, size=(grid, n))
@@ -531,9 +541,10 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     zero measure), builds the commuting contraction tuple and its Fourier
     table, then synthesizes torus atoms: the exact Toeplitz splitting for
     one variable, candidate-grid nonnegative least squares plus refinement
-    beyond.  When a stage misses the residual target the candidate grid is
-    doubled, twice, and the moment pre-scaling is re-tried in its other
-    parametrizations before giving up.
+    beyond.  Each moment pre-scaling (see SolverConfig.normalize) tries
+    the Toeplitz split (one variable only), then the grid at `grid` and
+    at `2 * grid` points, each followed by refinement; the first candidate
+    whose residual meets the target is returned.
 
     The returned measure's moments match the spec within
     tol * max(1, largest prescribed magnitude).
@@ -570,47 +581,34 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         if f not in factors:
             factors.append(f)
 
+    def finish(unit: AtomicMeasure, atom_radius: float) -> AtomicMeasure | None:
+        atoms = atom_radius * np.exp(1j * np.angle(unit.atoms))
+        candidate = AtomicMeasure(n, atoms, unit.weights, scale=atom_radius)
+        if report(spec, candidate).max_residual <= tol * scale:
+            return candidate
+        return None
+
     failure: SolverError | None = None
     for factor in factors:
         ops = build_tuple(_rescaled(espec, factor), margin=cfg.margin)
         radius = cfg.m if cfg.m is not None else ops.degree
         table = fourier_table(ops, radius)
         atom_radius = ops.scale * factor
-
-        def finish(unit: AtomicMeasure) -> AtomicMeasure | None:
-            atoms = atom_radius * np.exp(1j * np.angle(unit.atoms))
-            candidate = AtomicMeasure(n, atoms, unit.weights, scale=atom_radius)
-            if report(spec, candidate).max_residual <= tol * scale:
-                return candidate
-            return None
-
-        stages = []
-        if n == 1:
-            def cf_stage(t=table, r=radius) -> AtomicMeasure:
-                line = [t.value((j,)) for j in range(r + 1)]
-                return cf_atoms_1d(line, tol=1e-8 * max(1.0, t.mass), weight_prune=prune)
-
-            stages.append(cf_stage)
-        for points in (cfg.grid, 2 * cfg.grid, 4 * cfg.grid):
-            stages.append(
-                lambda g=points, t=table: grid_nnls(t, g, weight_prune=prune, seed=cfg.seed)
-            )
-
-        for stage in stages:
+        # None stands for the Toeplitz split, the rest are grid sizes
+        for points in ([None] if n == 1 else []) + [cfg.grid, 2 * cfg.grid]:
             try:
-                unit = stage()
+                if points is None:
+                    line = [table.value((j,)) for j in range(radius + 1)]
+                    unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
+                else:
+                    unit = grid_nnls(table, points, weight_prune=prune, seed=cfg.seed)
+                done = finish(unit, atom_radius)
+                if done is None:
+                    unit = refine(unit, table, target_cfg, weight_base=atom_radius)
+                    done = finish(unit, atom_radius)
             except SolverError as exc:
                 failure = exc
                 continue
-            done = finish(unit)
-            if done is not None:
-                return done
-            try:
-                unit = refine(unit, table, target_cfg, weight_base=atom_radius)
-            except SolverError as exc:
-                failure = exc
-                continue
-            done = finish(unit)
             if done is not None:
                 return done
             failure = ConvergenceFailure("refined measure still misses the residual target")

@@ -51,6 +51,24 @@ def test_solve_parse_error_exit_1(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json"), str(tmp_path / "out.json")]) == 1
 
 
+def test_solve_out_of_range_flags_exit_1(tmp_path, capsys):
+    # each of these ended in a traceback before
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "3", "--atoms", "2", "--seed", "1"])
+    wide = tmp_path / "wide.json"
+    main(["random", str(wide), "--n", "3", "--d", "1", "--atoms", "2", "--seed", "1"])
+    capsys.readouterr()
+    for source, flags in (
+        (problem, ["--box-degree", "1"]),
+        (problem, ["--box-degree", "0"]),
+        (wide, ["--seed", "-1"]),
+    ):
+        out = tmp_path / "out.json"
+        assert main(["solve", str(source), str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
 def test_random_solve_verify_pipeline(tmp_path):
     problem = tmp_path / "prob.json"
     assert main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "3", "--seed", "5"]) == 0
@@ -62,6 +80,19 @@ def test_random_solve_verify_pipeline(tmp_path):
 
     truth = tmp_path / "prob.measure.json"
     assert main(["verify", str(problem), str(truth)]) == 0
+
+
+def test_solve_then_verify_agree_at_degree_13(tmp_path):
+    # double-precision moments of this answer read over the allowance, so
+    # solve, its report and verify must all judge it the same way
+    spec, _ = random_instance(1, 13, 4, 4)
+    problem = tmp_path / "prob.json"
+    _write_problem(problem, spec)
+    solution = tmp_path / "sol.json"
+    assert main(["solve", str(problem), str(solution)]) == 0
+    assert main(["verify", str(problem), str(solution)]) == 0
+    report_doc = read_doc(tmp_path / "sol.report")
+    assert report_doc["max_residual"] <= 1e-8 * max(1.0, max(abs(v) for v in spec.values))
 
 
 def test_random_outputs_byte_stable(tmp_path):
@@ -131,10 +162,11 @@ def test_batch_mode(tmp_path):
             "--n", "1", "--d", "2", "--atoms", "2", "--seed", str(seed),
         ])
     # ground-truth companions must be skipped by the batch runner
-    assert main(["batch", str(tmp_path)]) == 0
+    assert main(["batch", str(tmp_path), "--grid", "32"]) == 0
     for seed in (1, 2):
         assert (tmp_path / f"case{seed}.solution.json").exists()
-        assert (tmp_path / f"case{seed}.solution.report").exists()
+        report_doc = read_doc(tmp_path / f"case{seed}.solution.report")
+        assert report_doc["config"]["grid"] == 32
 
 
 def test_batch_rejects_missing_directory(tmp_path):

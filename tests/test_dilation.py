@@ -101,7 +101,7 @@ def test_pd_section_positive_on_random_instances(rng):
         ops = build_tuple(es)
         table = fourier_table(ops, es.degree)
         M = pd_section(table, es.degree)
-        assert min_eigenvalue(M, resolution=1e-10) >= -1e-8 * spec.mass.real
+        assert min_eigenvalue(M) >= -1e-8 * spec.mass.real
 
 
 def test_psd_check_identity():
@@ -138,6 +138,14 @@ def test_min_eigenvalue_matches_eigensolver(rng):
         base = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         M = base + base.conj().T
         exact = float(np.linalg.eigvalsh(M).min())
-        est = min_eigenvalue(M, resolution=1e-10)
+        est = min_eigenvalue(M)
         assert est == pytest.approx(exact, abs=1e-8)
         assert est <= exact + 1e-10
+        # independent of the eigensolver: the Cholesky test brackets it
+        shifted = M - est * np.eye(size)
+        assert psd_check(shifted, 1e-8)[0]
+        assert not psd_check(shifted, -1e-6 * max(1.0, abs(est)))[0]
+
+
+def test_min_eigenvalue_empty():
+    assert min_eigenvalue(np.zeros((0, 0))) == 0.0

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import momentsynth.synthesis as synthesis
 from conftest import random_box_spec
 from momentsynth.dilation import FourierTable
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
@@ -32,6 +33,38 @@ def circle_table(n, radius, angles, weights, uniform=0.0):
             value = complex(value.real + uniform)
         entries[k] = value
     return FourierTable(n, radius, 1.0, entries)
+
+
+def extended_relative_residual(spec, measure):
+    """max |moment - prescribed| / max(1, max |prescribed|), with the
+    measure's moments summed in extended precision here rather than by
+    the package's own verifier."""
+    atoms = np.asarray(measure.atoms).astype(np.clongdouble)
+    weights = np.asarray(measure.weights).astype(np.longdouble)
+    worst = 0.0
+    for k, value in zip(spec.indices, spec.values):
+        mono = np.ones(len(weights), dtype=np.clongdouble)
+        for j, e in enumerate(k):
+            mono *= atoms[:, j] ** e
+        worst = max(worst, float(abs(mono @ weights - np.clongdouble(value))))
+    return worst / max(1.0, max(abs(v) for v in spec.values))
+
+
+def scaled_spec(spec, factor):
+    return MomentSpec(spec.n, spec.indices, tuple(v * factor for v in spec.values))
+
+
+def spy(monkeypatch, name):
+    """Record the positional arguments of every call to a synthesis stage."""
+    calls = []
+    original = getattr(synthesis, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, name, wrapper)
+    return calls
 
 
 def table_residual(measure, table):
@@ -294,6 +327,58 @@ def test_synthesize_respects_box_degree_override():
     assert first == pytest.approx(0.5, abs=1e-8)
 
 
+def test_synthesize_degree_13_meets_contract_in_extended_precision():
+    # double-precision moments of degree 13 on a torus of radius about 4
+    # are as inexact as the contract itself, so acceptance must not use them
+    solved = 0
+    for seed in range(40):
+        spec, _ = random_instance(1, 13, 4, seed)
+        try:
+            measure = synthesize(spec)
+        except ConvergenceFailure:
+            continue
+        assert extended_relative_residual(spec, measure) <= 1e-8, seed
+        solved += 1
+    # as many as double-precision acceptance solved within the contract
+    assert solved >= 22
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # wins on the doubled grid of the first pre-scaling
+        random_instance(3, 2, 2, 674418157, radius=0.8544370464638581)[0],
+        # wins on the second pre-scaling
+        scaled_spec(
+            random_instance(2, 2, 3, 468350122, radius=0.4188368971922585)[0],
+            561.6401249734669,
+        ),
+        # wins on the third pre-scaling
+        scaled_spec(
+            random_instance(1, 4, 4, 263167733, radius=24.038088336133328)[0],
+            685.7122838804714,
+        ),
+    ],
+    ids=["n3-doubled-grid", "n2-second-prescale", "n1-third-prescale"],
+)
+def test_synthesize_fallback_attempts_solve(spec, monkeypatch):
+    splits = spy(monkeypatch, "cf_atoms_1d")
+    grids = spy(monkeypatch, "grid_nnls")
+    measure = synthesize(spec)
+    assert len(splits) + len(grids) > 1  # the first attempt alone does not solve it
+    tol = SolverConfig().resolved_tol(spec.n)
+    assert extended_relative_residual(spec, measure) <= tol
+
+
+def test_synthesize_ladder_stops_at_doubled_grid(monkeypatch):
+    grids = spy(monkeypatch, "grid_nnls")
+    spec, _ = random_instance(1, 16, 4, 3)
+    with pytest.raises(ConvergenceFailure):
+        synthesize(spec)
+    grid = SolverConfig().grid
+    assert {args[1] for args in grids} == {grid, 2 * grid}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
@@ -303,5 +388,9 @@ def test_config_validation():
         SolverConfig(margin=1.0)
     with pytest.raises(ValueError):
         SolverConfig(weight_prune=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(seed=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(box_degree=0)
     assert SolverConfig().resolved_tol(1) == 1e-8
     assert SolverConfig().resolved_tol(2) == 1e-6

@@ -64,6 +64,19 @@ def test_moments_linearity(rng):
     assert np.allclose(got, expect)
 
 
+@pytest.mark.parametrize("n, count", [(1, 5000), (3, 3000)])
+def test_moments_match_direct_sums(rng, n, count):
+    # unordered, gapped exponents over enough atoms to span several blocks
+    atoms = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    measure = AtomicMeasure(n, 1.1 * atoms / np.abs(atoms), rng.random(count))
+    indices = [tuple(int(e) for e in k) for k in rng.integers(0, 40, size=(12, n))]
+    z = measure.atoms.astype(np.clongdouble)
+    for k, got in zip(indices, measure_moments(measure, indices)):
+        mono = np.prod([z[:, j] ** e for j, e in enumerate(k)], axis=0)
+        expect = complex(mono @ measure.weights.astype(np.longdouble))
+        assert abs(got - expect) <= 1e-15 * measure.total_mass * 1.1 ** sum(k)
+
+
 def test_moments_dimension_mismatch():
     with pytest.raises(ValueError):
         measure_moments(AtomicMeasure.empty(2), [(1,)])
