@@ -31,7 +31,6 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         tol=args.tol,
         grid=args.grid,
         margin=args.margin,
-        seed=args.seed,
         normalize=False if args.no_normalize else None,
         box_degree=args.box_degree,
     )
@@ -142,10 +141,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="residual target (scaled by the largest moment magnitude)")
-    parser.add_argument("--grid", type=int, default=64, help="candidate angles per dimension")
+    parser.add_argument("--grid", type=int, default=64, help="candidate angles per dimension (two variables)")
     parser.add_argument("--margin", type=float, default=1.1, help="contraction scale margin (must exceed 1)")
     parser.add_argument("--box-degree", type=int, default=None, help="embed into a box of this degree instead of the minimal one")
-    parser.add_argument("--seed", type=int, default=0, help="seed for candidate sampling beyond two variables")
     parser.add_argument("--no-normalize", action="store_true", help="disable moment magnitude pre-scaling")
 
 
@@ -186,7 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, but 2 is the
+        # documented code for an unsolvable problem
+        return 0 if exc.code == 0 else 1
     return args.func(args)
 
 

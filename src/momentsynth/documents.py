@@ -101,7 +101,6 @@ def report_to_doc(rep: Report) -> dict:
             "margin": cfg.margin,
             "m": cfg.m,
             "weight_prune": cfg.weight_prune,
-            "seed": cfg.seed,
             "normalize": cfg.normalize,
             "box_degree": cfg.box_degree,
         }

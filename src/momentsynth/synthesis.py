@@ -8,9 +8,12 @@ and whose monomial moments reproduce the prescribed values.
 One complex variable admits an exact route: the Toeplitz section of the
 Fourier data splits into a Vandermonde part (atoms from the roots of a
 null-vector polynomial) plus a multiple of the identity (mass spread over
-equispaced atoms).  Higher dimensions use nonnegative least squares on a
+equispaced atoms).  Two variables use nonnegative least squares on a
 product grid of candidate angles followed by a damped Gauss-Newton
-refinement of angles and weights.
+refinement of angles and weights.  Every dimension has an exact fallback:
+the Fourier table is positive definite and vanishes beyond its radius R,
+so one FFT gives nonnegative weights on the (2R+1)**n product grid that
+reproduce the whole table.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ class SolverConfig:
     pre-scalings that synthesis tries in turn: None tries all three for
     every n (unscaled first for one variable, magnitude-scaled first
     beyond), True only the two scaled ones, False only the unscaled one.
-    Different settings yield different, equally valid measures; nothing
-    canonicalizes the output.
+    `grid` is the number of candidate angles per dimension for the two
+    variable least-squares stage.  Different settings yield different,
+    equally valid measures; nothing canonicalizes the output.
     """
 
     tol: float | None = None
@@ -49,7 +53,6 @@ class SolverConfig:
     margin: float = 1.1
     m: int | None = None
     weight_prune: float | None = None
-    seed: int = 0
     normalize: bool | None = None
     box_degree: int | None = None
 
@@ -66,8 +69,6 @@ class SolverConfig:
             raise ValueError("m must be at least 1")
         if self.weight_prune is not None and self.weight_prune < 0.0:
             raise ValueError("weight_prune must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.box_degree is not None and self.box_degree < 1:
             raise ValueError("box_degree must be at least 1")
 
@@ -329,25 +330,18 @@ def _stack_targets(karr: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-# the most atoms grid_nnls inserts greedily beyond two variables
-GREEDY_ROUNDS = 64
-
-
 def grid_nnls(
     table: FourierTable,
     grid: int,
     *,
     weight_prune: float | None = None,
-    seed: int = 0,
 ) -> AtomicMeasure:
-    """Coarse torus measure from nonnegative least squares over candidates.
+    """Coarse torus measure from nonnegative least squares over a grid.
 
-    For one or two variables the candidates are the full product grid of
-    `grid` equispaced angles per dimension; beyond that the full grid is
-    intractable, so `grid` seeded random angle vectors are used and atoms
-    are inserted greedily (best correlation with the running residual,
-    then a fresh nonnegative fit).  Weights below the prune threshold are
-    dropped.
+    The candidates are the full product grid of `grid` equispaced angles
+    per dimension, so the design matrix has grid**n columns; synthesis
+    calls this for two variables only.  Weights below the prune threshold
+    are dropped.
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
@@ -357,30 +351,32 @@ def grid_nnls(
     targets = _table_targets(table, karr)
     if float(np.max(np.abs(targets))) <= prune:
         return AtomicMeasure.empty(n)
-    b = _stack_targets(karr, targets)
+    line = 2.0 * np.pi * np.arange(grid) / grid
+    angles = np.array(list(itertools.product(line, repeat=n)))
+    weights = _nnls(_design(karr, angles), _stack_targets(karr, targets))
+    keep = weights > prune
+    return _unit_measure(angles[keep], weights[keep], n)
 
-    if n <= 2:
-        line = 2.0 * np.pi * np.arange(grid) / grid
-        angles = np.array(list(itertools.product(line, repeat=n)))
-        weights = _nnls(_design(karr, angles), b)
-    else:
-        rng = np.random.default_rng(seed)
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(grid, n))
-        A = _design(karr, angles)
-        weights = _nnls(A, b)
-        resid = b - A @ weights
-        floor = 1e-12 * max(1.0, float(np.linalg.norm(b)))
-        for _ in range(GREEDY_ROUNDS):
-            if float(np.linalg.norm(resid)) <= floor:
-                break
-            pool = rng.uniform(0.0, 2.0 * np.pi, size=(grid, n))
-            gain = np.abs(_design(karr, pool).T @ resid)
-            best = pool[int(np.argmax(gain))]
-            angles = np.vstack([angles, best])
-            A = np.hstack([A, _design(karr, best[None, :])])
-            weights = _nnls(A, b)
-            resid = b - A @ weights
 
+def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -> AtomicMeasure:
+    """Exact torus measure on the (2R+1)**n product grid, R the table radius.
+
+    The table is positive definite on the whole lattice and zero beyond its
+    radius, so sum_k c_k e^(-ik.theta) is a nonnegative trigonometric
+    polynomial.  Its samples at theta = 2 pi g / (2R+1), divided by
+    (2R+1)**n, are atom weights whose moments reproduce every table entry:
+    no two frequencies within the radius alias on that grid.  One FFT
+    (numpy's fftn, whose kernel is e^(-ik.theta)) computes them all.
+    Weights below the prune threshold (rounding can leave some slightly
+    negative) are dropped.
+    """
+    n, size = table.n, 2 * table.radius + 1
+    prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, table.mass)
+    coeffs = np.zeros((size,) * n, dtype=complex)
+    # negative indices wrap around, which is the periodic layout fftn expects
+    coeffs[tuple(np.array(list(table.entries)).T)] = list(table.entries.values())
+    weights = np.fft.fftn(coeffs).real.reshape(-1) / size**n
+    angles = (2.0 * np.pi / size) * np.indices((size,) * n).reshape(n, -1).T
     keep = weights > prune
     return _unit_measure(angles[keep], weights[keep], n)
 
@@ -539,12 +535,14 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
     zero measure), builds the commuting contraction tuple and its Fourier
-    table, then synthesizes torus atoms: the exact Toeplitz splitting for
-    one variable, candidate-grid nonnegative least squares plus refinement
-    beyond.  Each moment pre-scaling (see SolverConfig.normalize) tries
-    the Toeplitz split (one variable only), then the grid at `grid` and
-    at `2 * grid` points, each followed by refinement; the first candidate
-    whose residual meets the target is returned.
+    table, then synthesizes torus atoms.  Each moment pre-scaling (see
+    SolverConfig.normalize) tries, in order: the Toeplitz split for one
+    variable or grid nonnegative least squares at `grid` points for two,
+    then the FFT quadrature of the table (the only stage beyond two
+    variables).  For n <= 2 a stage that misses the target is refined;
+    beyond, the quadrature has (2R+1)**n atoms, too many for dense
+    Gauss-Newton, and a miss moves on at once.  The first candidate whose
+    residual meets the target is returned.
 
     The returned measure's moments match the spec within
     tol * max(1, largest prescribed magnitude).
@@ -594,16 +592,19 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         radius = cfg.m if cfg.m is not None else ops.degree
         table = fourier_table(ops, radius)
         atom_radius = ops.scale * factor
-        # None stands for the Toeplitz split, the rest are grid sizes
-        for points in ([None] if n == 1 else []) + [cfg.grid, 2 * cfg.grid]:
+        # n <= 2 runs its older stage before the quadrature: the benchmark's
+        # smoke test (perfbench/test_smoke.py) requires that stage to run
+        for stage in {1: ["split"], 2: ["grid"]}.get(n, []) + ["quadrature"]:
             try:
-                if points is None:
+                if stage == "split":
                     line = [table.value((j,)) for j in range(radius + 1)]
                     unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
+                elif stage == "grid":
+                    unit = grid_nnls(table, cfg.grid, weight_prune=prune)
                 else:
-                    unit = grid_nnls(table, points, weight_prune=prune, seed=cfg.seed)
+                    unit = grid_quadrature(table, weight_prune=prune)
                 done = finish(unit, atom_radius)
-                if done is None:
+                if done is None and n <= 2:
                     unit = refine(unit, table, target_cfg, weight_base=atom_radius)
                     done = finish(unit, atom_radius)
             except SolverError as exc:
@@ -611,6 +612,6 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                 continue
             if done is not None:
                 return done
-            failure = ConvergenceFailure("refined measure still misses the residual target")
+            failure = ConvergenceFailure("synthesized measure misses the residual target")
     message = "synthesis could not reach the residual target"
     raise ConvergenceFailure(f"{message}: {failure}" if failure else message)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from momentsynth.lattice import MomentSpec, box
+
+# Property tests draw the same examples on every run, so the suite's verdict
+# does not depend on the run; no example database is written.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_box_spec(rng, n=None, degree=None, magnitude=10.0, mass_floor=0.5):

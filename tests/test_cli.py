@@ -61,12 +61,39 @@ def test_solve_out_of_range_flags_exit_1(tmp_path, capsys):
     for source, flags in (
         (problem, ["--box-degree", "1"]),
         (problem, ["--box-degree", "0"]),
-        (wide, ["--seed", "-1"]),
+        (wide, ["--grid", "0"]),
     ):
         out = tmp_path / "out.json"
         assert main(["solve", str(source), str(out), *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # argparse's own code for these is 2, which means "unsolvable" here
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "1"])
+    out = str(tmp_path / "out.json")
+    capsys.readouterr()
+    for argv in (
+        ["solve", str(problem), out, "--bogus"],
+        ["solve", str(problem), out, "--grid", "abc"],
+        ["solve", str(problem)],
+        ["solve", str(problem), out, "--seed", "0"],  # only `random` takes a seed
+        ["batch", str(tmp_path), "--seed", "0"],
+        ["verify", str(problem)],
+        ["frobnicate"],
+        [],
+    ):
+        assert main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["solve", "--help"]) == 0
+    assert "--box-degree" in capsys.readouterr().out
 
 
 def test_random_solve_verify_pipeline(tmp_path):
@@ -109,8 +136,8 @@ def test_solve_byte_stable(tmp_path):
     main(["random", str(problem), "--n", "2", "--d", "1", "--atoms", "2", "--seed", "9"])
     out1 = tmp_path / "one.json"
     out2 = tmp_path / "two.json"
-    assert main(["solve", str(problem), str(out1), "--seed", "0"]) == 0
-    assert main(["solve", str(problem), str(out2), "--seed", "0"]) == 0
+    assert main(["solve", str(problem), str(out1)]) == 0
+    assert main(["solve", str(problem), str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

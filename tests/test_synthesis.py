@@ -2,17 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import momentsynth.synthesis as synthesis
 from conftest import random_box_spec
-from momentsynth.dilation import FourierTable
+from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
-from momentsynth.lattice import MomentSpec, box
+from momentsynth.lattice import EmbeddedSpec, MomentSpec, box
 from momentsynth.measures import AtomicMeasure
+from momentsynth.operators import build_tuple
 from momentsynth.synthesis import (
     SolverConfig,
     cf_atoms_1d,
     grid_nnls,
+    grid_quadrature,
     refine,
     solve_zero,
     synthesize,
@@ -178,18 +182,55 @@ def test_grid_nnls_doubling_does_not_hurt(rng):
     assert res_big <= res_small + 1e-9
 
 
-def test_grid_nnls_three_variables_greedy(rng):
-    # the random-candidate stage is coarse by design; refinement carries it
-    # to the usual contract
+def test_grid_nnls_three_variables_full_grid(rng):
+    # off-grid atoms: the coarse grid stage is not exact, refinement carries
+    # it to the usual contract
     angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
     weights = np.array([0.5, 0.8])
     table = circle_table(3, 1, angles, weights)
-    coarse = grid_nnls(table, 128, seed=1)
+    coarse = grid_nnls(table, 8)
     assert len(coarse) > 0
     assert coarse.weights.min() >= 0.0
     fine = refine(coarse, table, SolverConfig(tol=1e-8))
     scale = max(1.0, max(abs(c) for c in table.entries.values()))
     assert table_residual(fine, table) <= 1e-8 * scale
+
+
+# ---------------------------------------------------------------------------
+# grid quadrature
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def box_tables(draw):
+    """Fourier table of an arbitrary spec: positive mass, free complex tail,
+    magnitudes over twelve decades, grids of at most 729 points."""
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(1, 4).filter(lambda d: (2 * d + 1) ** n <= 729))
+    idx = box(n, degree)
+    magnitude = st.floats(1e-6, 1e6)
+    phase = st.floats(0.0, 2 * np.pi)
+    values = [draw(magnitude) * np.exp(1j * draw(phase)) for _ in idx[1:]]
+    espec = EmbeddedSpec(n, degree, idx, np.array([draw(magnitude)] + values, dtype=complex))
+    return fourier_table(build_tuple(espec), degree)
+
+
+@given(box_tables())
+def test_grid_quadrature_weights_nonnegative_and_exact(table):
+    # every grid point is kept, so these are the weights before pruning
+    measure = grid_quadrature(table, weight_prune=-np.inf)
+    assert len(measure) == (2 * table.radius + 1) ** table.n
+    assert measure.weights.min() >= 0.0
+    assert table_residual(measure, table) <= 1e-12 * table.mass
+
+
+def test_grid_quadrature_prunes_zero_weights():
+    # one atom at angle 0: 1 + 2 cos(theta) vanishes at the two other grid
+    # points, and all the weight lands on the atom
+    table = circle_table(1, 1, np.zeros((1, 1)), np.ones(1))
+    measure = grid_quadrature(table)
+    assert len(measure) == 1
+    assert measure.weights[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +387,6 @@ def test_synthesize_degree_13_meets_contract_in_extended_precision():
 @pytest.mark.parametrize(
     "spec",
     [
-        # wins on the doubled grid of the first pre-scaling
-        random_instance(3, 2, 2, 674418157, radius=0.8544370464638581)[0],
         # wins on the second pre-scaling
         scaled_spec(
             random_instance(2, 2, 3, 468350122, radius=0.4188368971922585)[0],
@@ -359,7 +398,7 @@ def test_synthesize_degree_13_meets_contract_in_extended_precision():
             685.7122838804714,
         ),
     ],
-    ids=["n3-doubled-grid", "n2-second-prescale", "n1-third-prescale"],
+    ids=["n2-second-prescale", "n1-third-prescale"],
 )
 def test_synthesize_fallback_attempts_solve(spec, monkeypatch):
     splits = spy(monkeypatch, "cf_atoms_1d")
@@ -370,13 +409,60 @@ def test_synthesize_fallback_attempts_solve(spec, monkeypatch):
     assert extended_relative_residual(spec, measure) <= tol
 
 
-def test_synthesize_ladder_stops_at_doubled_grid(monkeypatch):
+def test_synthesize_three_variables_one_quadrature(monkeypatch):
+    spec = random_instance(3, 2, 2, 674418157, radius=0.8544370464638581)[0]
+    stages = {name: spy(monkeypatch, name)
+              for name in ("cf_atoms_1d", "grid_nnls", "refine", "grid_quadrature")}
+    measure = synthesize(spec)
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        "cf_atoms_1d": 0, "grid_nnls": 0, "refine": 0, "grid_quadrature": 1,
+    }
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(3)
+
+
+def test_synthesize_one_variable_ladder_skips_the_grid(monkeypatch):
     grids = spy(monkeypatch, "grid_nnls")
+    quadratures = spy(monkeypatch, "grid_quadrature")
     spec, _ = random_instance(1, 16, 4, 3)
     with pytest.raises(ConvergenceFailure):
         synthesize(spec)
-    grid = SolverConfig().grid
-    assert {args[1] for args in grids} == {grid, 2 * grid}
+    assert grids == []
+    assert len(quadratures) == 3  # one per pre-scaling
+
+
+def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
+    grids = spy(monkeypatch, "grid_nnls")
+    quadratures = spy(monkeypatch, "grid_quadrature")
+    spec, _ = random_instance(2, 5, 4, 0)
+    measure = synthesize(spec)
+    assert [args[1] for args in grids] == [SolverConfig().grid]
+    assert len(quadratures) == 1
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
+
+
+def test_synthesize_three_variables_never_refines(monkeypatch):
+    # a miss on (2R+1)**n quadrature atoms fails instead of running dense
+    # Gauss-Newton on all of them
+    refines = spy(monkeypatch, "refine")
+    spec, _ = random_instance(3, 4, 4, 3)
+    with pytest.raises(ConvergenceFailure):
+        synthesize(spec)
+    assert refines == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        random_instance(3, 3, 4, 3)[0],
+        random_instance(4, 2, 4, 3)[0],
+        MomentSpec.from_items(6, [((0,) * 6, 1.0), ((1, 0, 0, 0, 0, 1), 0.5)]),
+        random_instance(3, 2, 4, 2)[0],
+    ],
+    ids=["n3-d3", "n4-d2", "n6-one-moment", "n3-d2-seed2"],
+)
+def test_synthesize_beyond_two_variables_meets_contract(spec):
+    measure = synthesize(spec)
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
 
 
 def test_config_validation():
@@ -388,8 +474,6 @@ def test_config_validation():
         SolverConfig(margin=1.0)
     with pytest.raises(ValueError):
         SolverConfig(weight_prune=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(seed=-1)
     with pytest.raises(ValueError):
         SolverConfig(box_degree=0)
     assert SolverConfig().resolved_tol(1) == 1e-8
