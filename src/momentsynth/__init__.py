@@ -4,7 +4,6 @@ from .errors import (
     ConvergenceFailure,
     NNLSStall,
     NotPSD,
-    RootFindingFailure,
     SolverError,
     Unsolvable,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "NNLSStall",
     "NotPSD",
     "Report",
-    "RootFindingFailure",
     "SolverConfig",
     "SolverError",
     "Unsolvable",

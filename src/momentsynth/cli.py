@@ -31,7 +31,6 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         tol=args.tol,
         grid=args.grid,
         margin=args.margin,
-        normalize=False if args.no_normalize else None,
         box_degree=args.box_degree,
     )
 
@@ -144,7 +143,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, default=64, help="candidate angles per dimension (two variables)")
     parser.add_argument("--margin", type=float, default=1.1, help="contraction scale margin (must exceed 1)")
     parser.add_argument("--box-degree", type=int, default=None, help="embed into a box of this degree instead of the minimal one")
-    parser.add_argument("--no-normalize", action="store_true", help="disable moment magnitude pre-scaling")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -97,11 +97,7 @@ def report_to_doc(rep: Report) -> dict:
         doc["config"] = {
             "tol": cfg.tol,
             "grid": cfg.grid,
-            "max_refine_iters": cfg.max_refine_iters,
             "margin": cfg.margin,
-            "m": cfg.m,
-            "weight_prune": cfg.weight_prune,
-            "normalize": cfg.normalize,
             "box_degree": cfg.box_degree,
         }
     return doc

@@ -13,10 +13,6 @@ class NotPSD(SolverError):
     """Trigonometric moment data failed the positive-semidefiniteness check."""
 
 
-class RootFindingFailure(SolverError):
-    """Simultaneous polynomial root iteration did not converge."""
-
-
 class NNLSStall(SolverError):
     """The nonnegative least-squares active-set iteration hit its cycle guard."""
 

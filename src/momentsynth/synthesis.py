@@ -19,13 +19,14 @@ reproduce the whole table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 from scipy.optimize import nnls as _scipy_nnls
 
 from .dilation import FourierTable, _is_canonical, fourier_table, min_eigenvalue, psd_check
-from .errors import ConvergenceFailure, NNLSStall, NotPSD, RootFindingFailure, SolverError, Unsolvable
+from .errors import ConvergenceFailure, NNLSStall, NotPSD, SolverError, Unsolvable
 from .lattice import EmbeddedSpec, MomentSpec, embed
 from .measures import AtomicMeasure
 from .operators import build_tuple
@@ -34,26 +35,20 @@ from .verify import report, solvability
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the synthesis pipeline.
+    """The choices a caller makes; everything else in the pipeline is fixed.
 
-    Fields left at None resolve per instance: `tol` to 1e-8 for one
-    variable and 1e-6 otherwise, `m` to the box degree, `weight_prune` to
-    1e-12 times the prescribed mass.  `normalize` picks the moment
-    pre-scalings that synthesis tries in turn: None tries all three for
-    every n (unscaled first for one variable, magnitude-scaled first
-    beyond), True only the two scaled ones, False only the unscaled one.
+    `tol` is the residual target, relative to max(1, largest prescribed
+    magnitude); None resolves to 1e-8 for one variable and 1e-6 otherwise.
     `grid` is the number of candidate angles per dimension for the two
-    variable least-squares stage.  Different settings yield different,
-    equally valid measures; nothing canonicalizes the output.
+    variable least-squares stage, `margin` the contraction scale margin, and
+    `box_degree` embeds the spec into a larger exponent box than the minimal
+    one.  Different settings yield different, equally valid measures;
+    nothing canonicalizes the output.
     """
 
     tol: float | None = None
     grid: int = 64
-    max_refine_iters: int = 200
     margin: float = 1.1
-    m: int | None = None
-    weight_prune: float | None = None
-    normalize: bool | None = None
     box_degree: int | None = None
 
     def __post_init__(self) -> None:
@@ -61,14 +56,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.grid < 1:
             raise ValueError("grid must be at least 1")
-        if self.max_refine_iters < 1:
-            raise ValueError("max_refine_iters must be at least 1")
         if self.margin <= 1.0:
             raise ValueError("margin must exceed 1")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.weight_prune is not None and self.weight_prune < 0.0:
-            raise ValueError("weight_prune must be nonnegative")
         if self.box_degree is not None and self.box_degree < 1:
             raise ValueError("box_degree must be at least 1")
 
@@ -120,50 +109,6 @@ def _unit_measure(angles: np.ndarray, weights: np.ndarray, n: int) -> AtomicMeas
 # ---------------------------------------------------------------------------
 # one complex variable: Toeplitz splitting into atoms plus uniform mass
 # ---------------------------------------------------------------------------
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * z + c
-    return out
-
-
-def _durand_kerner(coeffs: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """All roots of a complex polynomial (ascending coefficients), simultaneously.
-
-    Deterministic initialization at powers of 0.4+0.9i; raises
-    RootFindingFailure if the simultaneous iteration does not settle.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    top = float(np.max(np.abs(coeffs)))
-    if top == 0.0:
-        return np.zeros(0, dtype=complex)
-    keep = np.abs(coeffs) > 1e-12 * top
-    hi = int(np.max(np.nonzero(keep)))
-    lo = int(np.min(np.nonzero(keep)))
-    coeffs = coeffs[: hi + 1]
-    # factors of z contribute roots at the origin, which carry no angle
-    # information; strip them instead of feeding them to the iteration.
-    coeffs = coeffs[lo:]
-    degree = len(coeffs) - 1
-    if degree < 1:
-        return np.zeros(0, dtype=complex)
-    if degree == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    monic = coeffs / coeffs[-1]
-    roots = (0.4 + 0.9j) ** np.arange(1, degree + 1)
-    for _ in range(max_iter):
-        values = _horner(monic, roots)
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        denom[denom == 0] = 1e-300
-        step = values / denom
-        roots = roots - step
-        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(roots))):
-            return roots
-    raise RootFindingFailure(f"root iteration did not converge for degree {degree}")
 
 
 def _merge_angles(angles: np.ndarray, tol: float = 1e-7) -> np.ndarray:
@@ -222,7 +167,8 @@ def cf_atoms_1d(
     The Toeplitz section T[p, q] = c_(p-q) must be positive semidefinite
     within `tol` (NotPSD otherwise).  Subtracting the smallest eigenvalue
     leaves a singular section whose null-vector polynomial has the atomic
-    angles among the conjugates of its roots; weights come from a real
+    angles among the conjugates of its roots (numpy's polyroots, the
+    eigenvalues of the companion matrix); weights come from a real
     least-squares Vandermonde fit.  The subtracted mass returns as m+1
     equispaced atoms, which reproduce frequencies up to m exactly and are
     phase-shifted away from the atomic angles.
@@ -263,7 +209,10 @@ def cf_atoms_1d(
         for _ in range(3):
             v = np.linalg.solve(system, v)
             v /= np.linalg.norm(v)
-        roots = _durand_kerner(v)
+        # drop negligible top coefficients, and bottom ones, whose roots sit
+        # at the origin and carry no angle
+        live = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
+        roots = polyroots(v[live[0]:live[-1] + 1])
         if roots.size:
             atom_angles = _merge_angles(np.mod(-np.angle(roots), 2.0 * np.pi))
 
@@ -381,10 +330,13 @@ def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -
     return _unit_measure(angles[keep], weights[keep], n)
 
 
+REFINE_ITERS = 200
+
+
 def refine(
     measure: AtomicMeasure,
     table: FourierTable,
-    config: SolverConfig | None = None,
+    tol: float,
     *,
     weight_base: float | None = None,
 ) -> AtomicMeasure:
@@ -392,15 +344,14 @@ def refine(
 
     Minimizes the squared residual against the Fourier table over the
     canonical half box, each frequency weighted by weight_base**|k| so the
-    objective tracks the original moment magnitudes.  Weights are clamped
-    nonnegative after every step and atoms stuck at zero weight for three
-    accepted steps are removed.  Returns the input untouched when it
-    already meets the target; raises ConvergenceFailure at the iteration
-    cap otherwise.
+    objective tracks the original moment magnitudes.  The target is `tol`
+    times max(1, largest weighted entry).  Weights are clamped nonnegative
+    after every step and atoms stuck at zero weight for three accepted
+    steps are removed.  Returns the input untouched when it already meets
+    the target; raises ConvergenceFailure after REFINE_ITERS iterations or
+    a stall otherwise.
     """
-    cfg = config if config is not None else SolverConfig()
     n = table.n
-    tol = cfg.resolved_tol(n)
     base = weight_base if weight_base is not None else table.scale
 
     karr = _half_box(n, table.radius)
@@ -438,7 +389,7 @@ def refine(
     damping = 1e-3
     streak = np.zeros(len(weights), dtype=int)
 
-    for _ in range(cfg.max_refine_iters):
+    for _ in range(REFINE_ITERS):
         # exact weight block first (weights enter linearly, so the
         # constrained fit never increases the cost and zeroes out atoms
         # made redundant by clustering)
@@ -535,14 +486,16 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
     zero measure), builds the commuting contraction tuple and its Fourier
-    table, then synthesizes torus atoms.  Each moment pre-scaling (see
-    SolverConfig.normalize) tries, in order: the Toeplitz split for one
-    variable or grid nonnegative least squares at `grid` points for two,
-    then the FFT quadrature of the table (the only stage beyond two
-    variables).  For n <= 2 a stage that misses the target is refined;
-    beyond, the quadrature has (2R+1)**n atoms, too many for dense
-    Gauss-Newton, and a miss moves on at once.  The first candidate whose
-    residual meets the target is returned.
+    table, then synthesizes torus atoms.  The moments are pre-scaled in
+    turn by 1 and by a magnitude-taming factor (unscaled first for one
+    variable, scaled first beyond), then by a mass-relative factor.  Each
+    pre-scaling tries, in order: the Toeplitz split for one variable or
+    grid nonnegative least squares at `grid` points for two, then the FFT
+    quadrature of the table (the only stage beyond two variables).  For
+    n <= 2 a stage that misses the target is refined; beyond, the
+    quadrature has (2R+1)**n atoms, too many for dense Gauss-Newton, and a
+    miss moves on at once.  The first candidate whose residual meets the
+    target is returned.
 
     The returned measure's moments match the spec within
     tol * max(1, largest prescribed magnitude).
@@ -558,26 +511,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     tol = cfg.resolved_tol(n)
     espec = embed(spec, cfg.box_degree)
     scale = max(1.0, float(np.max(np.abs(espec.values))))
-    prune = cfg.weight_prune if cfg.weight_prune is not None else 1e-12 * spec.mass.real
-    target_cfg = cfg if cfg.tol is not None else replace(cfg, tol=tol)
+    prune = 1e-12 * spec.mass.real
 
-    plain = 1.0
-    magnitude = _prescale_factor(espec)
-    balanced = _prescale_factor(espec, mass_relative=True)
-    if cfg.normalize is True:
-        factor_ladder = [magnitude, balanced]
-    elif cfg.normalize is False:
-        factor_ladder = [plain]
-    else:
-        # later rungs are fallbacks: poorly scaled data can sit at the edge
-        # of double precision in one parametrization and be comfortable in
-        # another
-        preferred = [magnitude, plain] if n >= 2 else [plain, magnitude]
-        factor_ladder = preferred + [balanced]
-    factors = []
-    for f in factor_ladder:
-        if f not in factors:
-            factors.append(f)
+    # later rungs are fallbacks: poorly scaled data can sit at the edge of
+    # double precision in one parametrization and be comfortable in another
+    plain, magnitude = 1.0, _prescale_factor(espec)
+    preferred = [plain, magnitude] if n == 1 else [magnitude, plain]
+    factors = dict.fromkeys(preferred + [_prescale_factor(espec, mass_relative=True)])
 
     def finish(unit: AtomicMeasure, atom_radius: float) -> AtomicMeasure | None:
         atoms = atom_radius * np.exp(1j * np.angle(unit.atoms))
@@ -589,15 +529,14 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     failure: SolverError | None = None
     for factor in factors:
         ops = build_tuple(_rescaled(espec, factor), margin=cfg.margin)
-        radius = cfg.m if cfg.m is not None else ops.degree
-        table = fourier_table(ops, radius)
+        table = fourier_table(ops, ops.degree)
         atom_radius = ops.scale * factor
         # n <= 2 runs its older stage before the quadrature: the benchmark's
         # smoke test (perfbench/test_smoke.py) requires that stage to run
         for stage in {1: ["split"], 2: ["grid"]}.get(n, []) + ["quadrature"]:
             try:
                 if stage == "split":
-                    line = [table.value((j,)) for j in range(radius + 1)]
+                    line = [table.value((j,)) for j in range(ops.degree + 1)]
                     unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
                 elif stage == "grid":
                     unit = grid_nnls(table, cfg.grid, weight_prune=prune)
@@ -605,7 +544,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                     unit = grid_quadrature(table, weight_prune=prune)
                 done = finish(unit, atom_radius)
                 if done is None and n <= 2:
-                    unit = refine(unit, table, target_cfg, weight_base=atom_radius)
+                    unit = refine(unit, table, tol, weight_base=atom_radius)
                     done = finish(unit, atom_radius)
             except SolverError as exc:
                 failure = exc

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from momentsynth.cli import main
@@ -9,6 +10,7 @@ from momentsynth.documents import (
     write_doc,
 )
 from momentsynth.lattice import MomentSpec
+from momentsynth.synthesis import SolverConfig
 from momentsynth.verify import random_instance
 
 
@@ -88,6 +90,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_report_config_is_the_solver_config(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "1"])
+    out = tmp_path / "out.json"
+    assert main(["solve", str(problem), str(out)]) == 0
+    keys = list(read_doc(tmp_path / "out.report")["config"])
+    assert keys == ["tol", "grid", "margin", "box_degree"]
+    assert keys == [field.name for field in dataclasses.fields(SolverConfig)]
+    capsys.readouterr()
+    for command in (["solve", str(problem), str(tmp_path / "again.json")], ["batch", str(tmp_path)]):
+        assert main([*command, "--no-normalize"]) == 1, command
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "again.json").exists()
 
 
 def test_help_exits_0(capsys):

@@ -191,7 +191,7 @@ def test_grid_nnls_three_variables_full_grid(rng):
     coarse = grid_nnls(table, 8)
     assert len(coarse) > 0
     assert coarse.weights.min() >= 0.0
-    fine = refine(coarse, table, SolverConfig(tol=1e-8))
+    fine = refine(coarse, table, tol=1e-8)
     scale = max(1.0, max(abs(c) for c in table.entries.values()))
     assert table_residual(fine, table) <= 1e-8 * scale
 
@@ -243,7 +243,7 @@ def test_refine_no_op_when_converged():
     weights = np.array([0.4, 0.7])
     table = circle_table(1, 2, angles, weights)
     measure = AtomicMeasure(1, np.exp(1j * angles), weights, scale=1.0)
-    assert refine(measure, table) is measure
+    assert refine(measure, table, tol=1e-8) is measure
 
 
 def test_refine_superresolves_off_grid_atom():
@@ -252,17 +252,18 @@ def test_refine_superresolves_off_grid_atom():
     table = circle_table(2, 2, angles, weights)
     coarse = grid_nnls(table, 16)
     assert table_residual(coarse, table) > 1e-8  # off-grid: grid alone is not enough
-    fine = refine(coarse, table, SolverConfig(tol=1e-8))
+    fine = refine(coarse, table, tol=1e-8)
     assert table_residual(fine, table) <= 1e-8
     assert fine.weights.min() >= 0.0
 
 
 def test_refine_raises_at_iteration_cap():
+    # a target below roundoff cannot be met: the residual stalls near 1e-15
     angles = np.array([[0.55, 1.37]])
     table = circle_table(2, 2, angles, np.array([0.8]))
     coarse = grid_nnls(table, 4)
     with pytest.raises(ConvergenceFailure):
-        refine(coarse, table, SolverConfig(tol=1e-14, max_refine_iters=1))
+        refine(coarse, table, tol=1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,7 @@ def test_synthesize_arbitrary_data_desk_scale(rng):
 
 def test_synthesize_three_variables_best_effort():
     spec, _ = random_instance(3, 1, 2, seed=3)
-    measure = synthesize(spec, SolverConfig(grid=192))
+    measure = synthesize(spec)
     scale = max(1.0, max(abs(v) for v in spec.values))
     assert report(spec, measure).max_residual <= 1e-6 * scale
 
@@ -472,8 +473,6 @@ def test_config_validation():
         SolverConfig(grid=0)
     with pytest.raises(ValueError):
         SolverConfig(margin=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(weight_prune=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(box_degree=0)
     assert SolverConfig().resolved_tol(1) == 1e-8
