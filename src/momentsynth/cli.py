@@ -20,7 +20,7 @@ from .documents import (
     report_to_doc,
     write_doc,
 )
-from .errors import ConvergenceFailure, Unsolvable
+from .errors import SolverError, Unsolvable
 from .lattice import embed
 from .synthesis import SolverConfig, synthesize
 from .verify import random_instance, report
@@ -53,7 +53,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except Unsolvable as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceFailure as exc:
+    except SolverError as exc:
+        # ConvergenceFailure, or a stage error that escaped the fallback ladder
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     rep = report(spec, measure, config)

@@ -14,6 +14,10 @@ refinement of angles and weights.  Every dimension has an exact fallback:
 the Fourier table is positive definite and vanishes beyond its radius R,
 so one FFT gives nonnegative weights on the (2R+1)**n product grid that
 reproduce the whole table.
+
+scipy supplies only the nonnegative least squares of the two-variable grid
+and of the refinement, and is imported the first time one of them runs, so
+importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
-from scipy.optimize import nnls as _scipy_nnls
 
 from .dilation import FourierTable, _is_canonical, fourier_table, min_eigenvalue, psd_check
 from .errors import ConvergenceFailure, NNLSStall, NotPSD, SolverError, Unsolvable
@@ -250,8 +253,11 @@ def cf_atoms_1d(
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # deferred: scipy.optimize would be most of the package's import time
+    from scipy.optimize import nnls
+
     try:
-        w, _ = _scipy_nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
+        w, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
     except RuntimeError as exc:
         raise NNLSStall(str(exc)) from exc
     return w
@@ -331,6 +337,7 @@ def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -
 
 
 REFINE_ITERS = 200
+DAMPING_CAP = 1e12
 
 
 def refine(
@@ -428,19 +435,20 @@ def refine(
             try:
                 step = np.linalg.solve(H + damping * np.diag(diag), -g)
             except np.linalg.LinAlgError:
-                damping = min(damping * 10.0, 1e12)
-                continue
-            w_try = np.maximum(weights + step[:count], 0.0)
-            a_try = angles + step[count:].reshape(n, count).T
-            g_try = gap(a_try, w_try)
-            r_try = stacked(g_try)
-            cost_try = float(r_try @ r_try)
-            if cost_try < cost:
-                weights, angles, r, cost = w_try, a_try, r_try, cost_try
-                damping = max(damping * 0.3, 1e-12)
-                accepted = True
-                break
-            damping = min(damping * 10.0, 1e12)
+                step = None
+            if step is not None:
+                w_try = np.maximum(weights + step[:count], 0.0)
+                a_try = angles + step[count:].reshape(n, count).T
+                r_try = stacked(gap(a_try, w_try))
+                cost_try = float(r_try @ r_try)
+                if cost_try < cost:
+                    weights, angles, r, cost = w_try, a_try, r_try, cost_try
+                    damping = max(damping * 0.3, 1e-12)
+                    accepted = True
+                    break
+            if damping >= DAMPING_CAP:
+                break  # a further try would solve this same system again
+            damping = min(damping * 10.0, DAMPING_CAP)
         if not accepted:
             break
         if max_resid(gap(angles, weights)) <= tol * scale:

@@ -1,6 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+
+from momentsynth import cli
 from momentsynth.cli import main
 from momentsynth.documents import (
     measure_from_doc,
@@ -9,6 +17,7 @@ from momentsynth.documents import (
     read_doc,
     write_doc,
 )
+from momentsynth.errors import ConvergenceFailure, NNLSStall, NotPSD
 from momentsynth.lattice import MomentSpec
 from momentsynth.synthesis import SolverConfig
 from momentsynth.verify import random_instance
@@ -44,6 +53,26 @@ def test_solve_convergence_failure_exit_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err.startswith("convergence failure:")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("error", [ConvergenceFailure, NNLSStall, NotPSD])
+def test_every_solver_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    def failing(spec, config=None):
+        raise error("stage gave up")
+
+    monkeypatch.setattr(cli, "synthesize", failing)
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "2", "--d", "1", "--atoms", "2", "--seed", "1"])
+    capsys.readouterr()
+    # an exception escaping main would be a traceback and fail the test
+    assert main(["solve", str(problem), str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == "convergence failure: stage gave up\n"
+    assert main(["batch", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "convergence failure: stage gave up\n"
+    assert "prob.json: exit 3" in captured.out
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "prob.solution.json").exists()
 
 
 def test_solve_parse_error_exit_1(tmp_path):
@@ -215,3 +244,36 @@ def test_batch_mode(tmp_path):
 
 def test_batch_rejects_missing_directory(tmp_path):
     assert main(["batch", str(tmp_path / "nope")]) == 1
+
+
+COLD_START = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import momentsynth
+    from momentsynth import cli
+
+    work = Path(sys.argv[1])
+    for n in (3, 2):
+        problem = str(work / f"n{n}.json")
+        assert cli.main(["random", problem, "--n", str(n), "--d", "1",
+                         "--atoms", "2", "--seed", "4"]) == 0
+    truth = str(work / "n3.measure.json")
+    assert cli.main(["verify", str(work / "n3.json"), truth]) == 0
+    assert cli.main(["solve", str(work / "n3.json"), str(work / "n3.sol.json")]) == 0
+    assert "scipy.optimize" not in sys.modules, "loaded before any least-squares stage"
+    assert cli.main(["solve", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
+    assert "scipy.optimize" in sys.modules, "the two-variable grid ran without it"
+    assert cli.main(["verify", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
+""")
+
+
+def test_scipy_loads_only_when_a_least_squares_stage_runs(tmp_path):
+    # a fresh interpreter: this test process has long imported scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

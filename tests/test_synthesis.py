@@ -266,6 +266,28 @@ def test_refine_raises_at_iteration_cap():
         refine(coarse, table, tol=1e-30)
 
 
+def test_refine_stops_damping_at_its_cap(monkeypatch):
+    # once the damping is capped, a rejected step would be tried again on the
+    # very same system; the stall must end the search instead (this atom
+    # reaches the cap with tries to spare)
+    angles = np.array([[0.1, 2.0]])
+    table = circle_table(2, 2, angles, np.array([0.8]))
+    coarse = grid_nnls(table, 4)
+    matrices = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        matrices.append(np.array(a, copy=True))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with pytest.raises(ConvergenceFailure):
+        refine(coarse, table, tol=1e-30)
+    assert len(matrices) >= 2
+    for before, after in zip(matrices, matrices[1:]):
+        assert not np.array_equal(before, after)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end synthesis
 # ---------------------------------------------------------------------------
