@@ -338,6 +338,8 @@ def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -
 
 REFINE_ITERS = 200
 DAMPING_CAP = 1e12
+# refine fails at once when its rounding level exceeds its target this many times
+PRECISION_HEADROOM = 1e3
 
 
 def refine(
@@ -357,6 +359,13 @@ def refine(
     steps are removed.  Returns the input untouched when it already meets
     the target; raises ConvergenceFailure after REFINE_ITERS iterations or
     a stall otherwise.
+
+    Before its first solve it raises ConvergenceFailure when the target is
+    out of reach of double precision: the weighted moment sums carry a
+    rounding error of about eps * ||weights||_2 * max weight, and a target
+    more than PRECISION_HEADROOM times below that cannot be met.  This is
+    safe because no refinement that succeeded on the benchmark workloads or
+    the corpus of tools/corpus.py started above 10 times its target.
     """
     n = table.n
     base = weight_base if weight_base is not None else table.scale
@@ -389,6 +398,13 @@ def refine(
         return measure
     if len(weights) == 0:
         raise ConvergenceFailure("no atoms to refine and residual above target")
+    # summing w_i e^(ik.theta_i) in double leaves about eps*||w|| of rounding,
+    # which the top frequency's weight magnifies; no step can go below that
+    noise = np.finfo(float).eps * float(np.linalg.norm(weights)) * float(np.max(factors))
+    if noise > PRECISION_HEADROOM * tol * scale:
+        raise ConvergenceFailure(
+            f"refinement cannot resolve target {tol * scale:.3e}: rounding level {noise:.3e}"
+        )
 
     b = stacked(factors * targets)
     r = stacked(current)
@@ -502,8 +518,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     quadrature of the table (the only stage beyond two variables).  For
     n <= 2 a stage that misses the target is refined; beyond, the
     quadrature has (2R+1)**n atoms, too many for dense Gauss-Newton, and a
-    miss moves on at once.  The first candidate whose residual meets the
-    target is returned.
+    miss moves on at once; a refinement whose target lies below its own
+    rounding level fails at once too (see `refine`).  The first candidate
+    whose residual meets the target is returned.  Otherwise the raised
+    ConvergenceFailure lists every attempt in order, as its pre-scale
+    factor, stage and reason.
 
     The returned measure's moments match the spec within
     tol * max(1, largest prescribed magnitude).
@@ -534,7 +553,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             return candidate
         return None
 
-    failure: SolverError | None = None
+    attempts: list[tuple[float, str, str]] = []  # (pre-scale factor, stage, reason)
     for factor in factors:
         ops = build_tuple(_rescaled(espec, factor), margin=cfg.margin)
         table = fourier_table(ops, ops.degree)
@@ -555,10 +574,12 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                     unit = refine(unit, table, tol, weight_base=atom_radius)
                     done = finish(unit, atom_radius)
             except SolverError as exc:
-                failure = exc
+                attempts.append((factor, stage, str(exc)))
                 continue
             if done is not None:
                 return done
-            failure = ConvergenceFailure("synthesized measure misses the residual target")
-    message = "synthesis could not reach the residual target"
-    raise ConvergenceFailure(f"{message}: {failure}" if failure else message)
+            attempts.append((factor, stage, "synthesized measure misses the residual target"))
+    raise ConvergenceFailure(
+        "synthesis could not reach the residual target: "
+        + "; ".join(f"(prescale {f:.6g}, {stage}) {reason}" for f, stage, reason in attempts)
+    )

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(synthesis, name, wrapper)
     return calls
+
+
+def refine_outcomes(monkeypatch):
+    """Record how every refine call ends: its failure message, or None."""
+    outcomes = []
+    original = synthesis.refine
+
+    def wrapper(*args, **kwargs):
+        try:
+            result = original(*args, **kwargs)
+        except ConvergenceFailure as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append(None)
+        return result
+
+    monkeypatch.setattr(synthesis, "refine", wrapper)
+    return outcomes
 
 
 def table_residual(measure, table):
@@ -258,12 +277,42 @@ def test_refine_superresolves_off_grid_atom():
 
 
 def test_refine_raises_at_iteration_cap():
-    # a target below roundoff cannot be met: the residual stalls near 1e-15
+    # a target just below roundoff cannot be met, though it is above the
+    # rounding level the fail-fast guard screens out: the residual stalls
     angles = np.array([[0.55, 1.37]])
     table = circle_table(2, 2, angles, np.array([0.8]))
     coarse = grid_nnls(table, 4)
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(ConvergenceFailure, match="stalled"):
+        refine(coarse, table, tol=1e-18)
+
+
+def test_refine_fails_fast_below_its_rounding_level(monkeypatch):
+    angles = np.array([[0.55, 1.37]])
+    table = circle_table(2, 2, angles, np.array([0.8]))
+    coarse = grid_nnls(table, 4)
+    fits = spy(monkeypatch, "_nnls")
+    solves = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with pytest.raises(ConvergenceFailure, match="rounding level"):
         refine(coarse, table, tol=1e-30)
+    assert fits == [] and solves == []
+
+
+@pytest.mark.parametrize("degree, seed", [(12, 1), (12, 35), (13, 4), (13, 36), (14, 11), (14, 27)])
+def test_refine_solves_what_the_split_alone_misses(degree, seed, monkeypatch):
+    # with refine stubbed out every one of these specs fails; the guard
+    # must leave the refinements that succeed untouched
+    outcomes = refine_outcomes(monkeypatch)
+    spec, _ = random_instance(1, degree, 4, seed)
+    measure = synthesize(spec)
+    assert None in outcomes
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(1)
 
 
 def test_refine_stops_damping_at_its_cap(monkeypatch):
@@ -281,8 +330,8 @@ def test_refine_stops_damping_at_its_cap(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    with pytest.raises(ConvergenceFailure):
-        refine(coarse, table, tol=1e-30)
+    with pytest.raises(ConvergenceFailure, match="stalled"):
+        refine(coarse, table, tol=1e-18)
     assert len(matrices) >= 2
     for before, after in zip(matrices, matrices[1:]):
         assert not np.array_equal(before, after)
@@ -451,6 +500,36 @@ def test_synthesize_one_variable_ladder_skips_the_grid(monkeypatch):
         synthesize(spec)
     assert grids == []
     assert len(quadratures) == 3  # one per pre-scaling
+
+
+def test_convergence_failure_lists_every_attempt():
+    spec, _ = random_instance(1, 16, 4, 3)
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec)
+    attempts = re.findall(r"\(prescale ([^,]+), (\w+)\) ", str(failure.value))
+    assert [stage for _, stage in attempts] == ["split", "quadrature"] * 3
+    assert len({factor for factor, _ in attempts}) == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        random_instance(1, 24, 4, 3)[0],
+        MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]),
+    ],
+    ids=["n1-d24", "n2-only-9-9"],
+)
+def test_synthesize_fails_fast_where_refine_cannot_resolve(spec, monkeypatch):
+    # every refinement on these specs sits below its own rounding level, so
+    # each ends before its first least-squares solve
+    outcomes = refine_outcomes(monkeypatch)
+    fits = spy(monkeypatch, "_nnls")
+    grids = spy(monkeypatch, "grid_nnls")
+    with pytest.raises(ConvergenceFailure):
+        synthesize(spec)
+    assert outcomes
+    assert all(outcome is not None and "rounding level" in outcome for outcome in outcomes)
+    assert len(fits) == len(grids)  # only grid_nnls fits, never refine
 
 
 def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
