@@ -10,10 +10,12 @@ Fourier data splits into a Vandermonde part (atoms from the roots of a
 null-vector polynomial) plus a multiple of the identity (mass spread over
 equispaced atoms).  Two variables use nonnegative least squares on a
 product grid of candidate angles followed by a damped Gauss-Newton
-refinement of angles and weights.  Every dimension has an exact fallback:
-the Fourier table is positive definite and vanishes beyond its radius R,
-so one FFT gives nonnegative weights on the (2R+1)**n product grid that
-reproduce the whole table.
+refinement of angles and weights.  Both fit only the prescribed moments,
+the only ones the acceptance check reads, so a two-variable answer from
+them has at most 2*|spec| - 1 atoms, one per real constraint.  Every
+dimension has an exact fallback: the Fourier table is positive definite
+and vanishes beyond its radius R, so one FFT gives nonnegative weights on
+the (2R+1)**n product grid that reproduce the whole table.
 
 scipy supplies only the nonnegative least squares of the two-variable grid
 and of the refinement, and is imported the first time one of them runs, so
@@ -23,6 +25,7 @@ importing the package loads numpy alone.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ from numpy.polynomial.polynomial import polyroots
 
 from .dilation import FourierTable, _is_canonical, fourier_table, min_eigenvalue, psd_check
 from .errors import ConvergenceFailure, NNLSStall, NotPSD, SolverError, Unsolvable
-from .lattice import EmbeddedSpec, MomentSpec, embed
+from .lattice import EmbeddedSpec, MomentSpec, MultiIndex, embed
 from .measures import AtomicMeasure
 from .operators import build_tuple
 from .verify import report, solvability
@@ -263,54 +266,51 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w
 
 
-def _design(karr: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Real design matrix: one row per frequency component (imaginary rows
-    are dropped for frequencies whose target is forced real)."""
-    phases = karr.astype(float) @ angles.T
-    E = np.exp(1j * phases)
-    rows = []
-    for h, k in enumerate(karr):
-        rows.append(E[h].real)
-        if np.any(k):
-            rows.append(E[h].imag)
-    return np.array(rows)
+def _rows(table: FourierTable, indices: Sequence[MultiIndex] | None) -> np.ndarray:
+    """Exponents a least-squares stage fits: `indices`, or the canonical half box."""
+    if indices is None:
+        return _half_box(table.n, table.radius)
+    return np.array(indices, dtype=int).reshape(len(indices), table.n)
 
 
-def _stack_targets(karr: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    out = []
-    for h, k in enumerate(karr):
-        out.append(targets[h].real)
-        if np.any(k):
-            out.append(targets[h].imag)
-    return np.array(out)
+def _stacked(values: np.ndarray, karr: np.ndarray) -> np.ndarray:
+    """Real rows for every exponent, then imaginary rows for the nonzero ones
+    (the zero exponent's target, the mass, is real)."""
+    return np.concatenate([values.real, values.imag[np.any(karr, axis=1)]])
 
 
 def grid_nnls(
     table: FourierTable,
     grid: int,
     *,
+    indices: Sequence[MultiIndex] | None = None,
     weight_prune: float | None = None,
 ) -> AtomicMeasure:
     """Coarse torus measure from nonnegative least squares over a grid.
 
     The candidates are the full product grid of `grid` equispaced angles
     per dimension, so the design matrix has grid**n columns; synthesis
-    calls this for two variables only.  Weights below the prune threshold
-    are dropped.
+    calls this for two variables only.  The rows are the table entries at
+    `indices` (synthesis passes the prescribed exponents, whose entries are
+    s_k / radius**|k|), or at the whole canonical half box when None.  The
+    fit stops at no more atoms than it has real rows, 2*len(indices) - 1
+    when the zero exponent is among them.  Weights below the prune
+    threshold are dropped.
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
     n = table.n
     prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, table.mass)
-    karr = _half_box(n, table.radius)
+    karr = _rows(table, indices)
     targets = _table_targets(table, karr)
     if float(np.max(np.abs(targets))) <= prune:
         return AtomicMeasure.empty(n)
-    line = 2.0 * np.pi * np.arange(grid) / grid
-    angles = np.array(list(itertools.product(line, repeat=n)))
-    weights = _nnls(_design(karr, angles), _stack_targets(karr, targets))
+    points = np.indices((grid,) * n).reshape(n, -1).T
+    # exact roots of unity: the phase k.g of grid point g only matters mod grid
+    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
+    weights = _nnls(_stacked(roots[(karr @ points.T) % grid], karr), _stacked(targets, karr))
     keep = weights > prune
-    return _unit_measure(angles[keep], weights[keep], n)
+    return _unit_measure(2.0 * np.pi * points[keep] / grid, weights[keep], n)
 
 
 def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -> AtomicMeasure:
@@ -347,16 +347,19 @@ def refine(
     table: FourierTable,
     tol: float,
     *,
+    indices: Sequence[MultiIndex] | None = None,
     weight_base: float | None = None,
 ) -> AtomicMeasure:
     """Jointly polish atom angles and weights by damped Gauss-Newton.
 
-    Minimizes the squared residual against the Fourier table over the
-    canonical half box, each frequency weighted by weight_base**|k| so the
-    objective tracks the original moment magnitudes.  The target is `tol`
-    times max(1, largest weighted entry).  Weights are clamped nonnegative
-    after every step and atoms stuck at zero weight for three accepted
-    steps are removed.  Returns the input untouched when it already meets
+    Minimizes the squared residual against the Fourier table at `indices`
+    (synthesis passes the prescribed exponents, the only moments its
+    acceptance check reads), or over the whole canonical half box when
+    None, each frequency weighted by weight_base**|k| so the objective
+    tracks the original moment magnitudes.  The target is `tol` times
+    max(1, largest weighted entry).  Weights are clamped nonnegative after
+    every step and atoms stuck at zero weight for three accepted steps are
+    removed.  Returns the input untouched when it already meets
     the target; raises ConvergenceFailure after REFINE_ITERS iterations or
     a stall otherwise.
 
@@ -370,15 +373,11 @@ def refine(
     n = table.n
     base = weight_base if weight_base is not None else table.scale
 
-    karr = _half_box(n, table.radius)
+    karr = _rows(table, indices)
     kfloat = karr.astype(float)
     factors = base ** np.abs(karr).sum(axis=1)
     targets = _table_targets(table, karr)
     scale = max(1.0, float(np.max(factors * np.abs(targets))))
-    imag_keep = np.any(karr, axis=1)
-
-    def stacked(values: np.ndarray) -> np.ndarray:
-        return np.concatenate([values.real, values.imag[imag_keep]])
 
     angles = np.angle(measure.atoms).reshape(-1, n).copy()
     weights = measure.weights.copy()
@@ -390,8 +389,7 @@ def refine(
         return float(np.max(np.abs(g))) if g.size else 0.0
 
     def weighted_design(a: np.ndarray) -> np.ndarray:
-        E = np.exp(1j * (kfloat @ a.T)) * factors[:, None]
-        return np.vstack([E.real, E.imag[imag_keep]])
+        return _stacked(np.exp(1j * (kfloat @ a.T)) * factors[:, None], karr)
 
     current = gap(angles, weights)
     if max_resid(current) <= tol * scale:
@@ -406,8 +404,8 @@ def refine(
             f"refinement cannot resolve target {tol * scale:.3e}: rounding level {noise:.3e}"
         )
 
-    b = stacked(factors * targets)
-    r = stacked(current)
+    b = _stacked(factors * targets, karr)
+    r = _stacked(current, karr)
     cost = float(r @ r)
     damping = 1e-3
     streak = np.zeros(len(weights), dtype=int)
@@ -417,7 +415,7 @@ def refine(
         # constrained fit never increases the cost and zeroes out atoms
         # made redundant by clustering)
         refit = _nnls(weighted_design(angles), b)
-        r_refit = stacked(gap(angles, refit))
+        r_refit = _stacked(gap(angles, refit), karr)
         cost_refit = float(r_refit @ r_refit)
         if cost_refit <= cost:
             weights, r, cost = refit, r_refit, cost_refit
@@ -426,7 +424,7 @@ def refine(
         if np.any(streak >= 3):
             keep = streak < 3
             weights, angles, streak = weights[keep], angles[keep], streak[keep]
-            r = stacked(gap(angles, weights))
+            r = _stacked(gap(angles, weights), karr)
             cost = float(r @ r)
         if len(weights) == 0:
             break
@@ -440,7 +438,7 @@ def refine(
         for j in range(n):
             cols.append(E * (1j * kfloat[:, j:j + 1]) * weights[None, :])
         Jc = np.hstack(cols)
-        J = np.vstack([Jc.real, Jc.imag[imag_keep]])
+        J = _stacked(Jc, karr)
         H = J.T @ J
         g = J.T @ r
         diag = np.diag(H).copy()
@@ -455,7 +453,7 @@ def refine(
             if step is not None:
                 w_try = np.maximum(weights + step[:count], 0.0)
                 a_try = angles + step[count:].reshape(n, count).T
-                r_try = stacked(gap(a_try, w_try))
+                r_try = _stacked(gap(a_try, w_try), karr)
                 cost_try = float(r_try @ r_try)
                 if cost_try < cost:
                     weights, angles, r, cost = w_try, a_try, r_try, cost_try
@@ -566,12 +564,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                     line = [table.value((j,)) for j in range(ops.degree + 1)]
                     unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
                 elif stage == "grid":
-                    unit = grid_nnls(table, cfg.grid, weight_prune=prune)
+                    unit = grid_nnls(table, cfg.grid, indices=spec.indices, weight_prune=prune)
                 else:
                     unit = grid_quadrature(table, weight_prune=prune)
                 done = finish(unit, atom_radius)
                 if done is None and n <= 2:
-                    unit = refine(unit, table, tol, weight_base=atom_radius)
+                    unit = refine(unit, table, tol, indices=spec.indices,
+                                  weight_base=atom_radius)
                     done = finish(unit, atom_radius)
             except SolverError as exc:
                 attempts.append((factor, stage, str(exc)))

@@ -103,7 +103,7 @@ def measure_moments(
             np.cumprod(powers, axis=0, out=powers)
             if j < n - 1:
                 lead *= powers[heads[:, j]]
-        acc += lead @ powers.T
+        acc += np.dot(lead, powers.T)
     return tuple(complex(m) for m in acc[row.reshape(-1), exps[:, -1]])
 
 

@@ -187,6 +187,21 @@ def test_grid_nnls_exact_recovery_on_grid():
     assert table_residual(measure, table) <= 1e-10
 
 
+def test_grid_nnls_fits_only_the_given_indices():
+    # the half box has 25 real rows; the nine exponents of box(2, 2) have
+    # 17, and the fit keeps no more atoms than that
+    grid = 8
+    line = 2 * np.pi * np.arange(grid) / grid
+    angles = np.array([[line[1], line[3]], [line[5], line[0]], [line[2], line[7]]])
+    table = circle_table(2, 2, angles, np.array([0.6, 0.9, 0.3]))
+    indices = box(2, 2)
+    measure = grid_nnls(table, grid, indices=indices)
+    assert 0 < len(measure) <= 17
+    got = measure_moments(measure, indices)
+    for k, value in zip(indices, got):
+        assert abs(value - table.entries[k]) <= 1e-12
+
+
 def test_grid_nnls_zero_table():
     table = circle_table(1, 2, np.zeros((0, 1)), np.zeros(0))
     assert len(grid_nnls(table, 8)) == 0
@@ -533,12 +548,56 @@ def test_synthesize_fails_fast_where_refine_cannot_resolve(spec, monkeypatch):
 
 
 def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
+    # the grid fit and its refinement miss here, so the quadrature runs
     grids = spy(monkeypatch, "grid_nnls")
     quadratures = spy(monkeypatch, "grid_quadrature")
-    spec, _ = random_instance(2, 5, 4, 0)
+    spec, _ = random_instance(2, 5, 4, 1)
     measure = synthesize(spec)
     assert [args[1] for args in grids] == [SolverConfig().grid]
     assert len(quadratures) == 1
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
+
+
+def test_synthesize_two_variables_solves_without_the_quadrature(monkeypatch):
+    # fitted to its prescribed moments, the grid and its refinement meet
+    # the contract at the first pre-scaling
+    grids = spy(monkeypatch, "grid_nnls")
+    refines = spy(monkeypatch, "refine")
+    quadratures = spy(monkeypatch, "grid_quadrature")
+    spec, _ = random_instance(2, 5, 4, 0)
+    measure = synthesize(spec)
+    assert (len(grids), len(refines), len(quadratures)) == (1, 1, 0)
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]),
+        random_instance(2, 5, 4, 0)[0],
+        random_box_spec(np.random.default_rng(5), n=2, degree=3),
+    ],
+    ids=["n2-only-9-9", "n2-d5", "n2-sparse-d3"],
+)
+def test_grid_stage_fits_the_prescribed_moments(spec, monkeypatch):
+    # one real row per prescribed exponent and one imaginary row per
+    # nonzero one, against every point of the grid
+    fits = spy(monkeypatch, "_nnls")
+    try:
+        synthesize(spec)
+    except ConvergenceFailure:
+        pass
+    grid = SolverConfig().grid
+    assert fits[0][0].shape == (2 * len(spec.indices) - 1, grid**2)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_synthesize_two_variables_atoms_within_the_constraint_count(degree, seed):
+    # Caratheodory: no more atoms than the 2 * |spec| - 1 real constraints
+    spec, _ = random_instance(2, degree, 4, seed)
+    measure = synthesize(spec)
+    assert len(measure) <= 2 * len(spec.indices) - 1
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
 
 

@@ -1,6 +1,6 @@
 """Run `synthesize` over the 784-spec scratch corpus of ROADMAP.md.
 
-    python3 tools/corpus.py [--src DIR] [--dump FILE]
+    python3 tools/corpus.py [--src DIR] [--dump FILE] [--against FILE]
 
 Prints, per group, how many specs solved within the residual contract,
 returned an answer over it, or raised, and the group's seconds.  The specs
@@ -12,7 +12,9 @@ checkout's src/), so two trees run on the same specs.  `--dump FILE` writes
 one line per spec: group, index, the outcome (`ok` or the exception class)
 and the SHA-256 of the answer's atom and weight bytes.  Two dumps are equal
 exactly when the trees return bit-identical measures and raise the same
-exception classes.
+exception classes.  `--against FILE` compares this run with such a dump: it
+prints every spec whose outcome differs, then per group how many specs
+solved on both sides with different answers.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--dump", type=Path)
+    parser.add_argument("--against", type=Path)
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests")]
 
@@ -86,7 +89,28 @@ def main(argv=None) -> int:
               f" (solved / over / raised), {seconds:.2f} s")
     if args.dump is not None:
         args.dump.write_text("\n".join(lines) + "\n")
+    if args.against is not None:
+        compare(lines, args.against.read_text().splitlines())
     return 0
+
+
+def compare(lines: list[str], reference: list[str]) -> None:
+    """Print the specs whose outcome differs from a dump, then the number of
+    differing answers per group among specs solved on both sides."""
+    before = {tuple(line.split("\t")[:2]): line.split("\t")[2:] for line in reference}
+    answers = dict.fromkeys((line.split("\t")[0] for line in lines), 0)
+    outcomes = 0
+    for line in lines:
+        name, index, outcome, digest = line.split("\t")
+        old = before.get((name, index))
+        if old is None or old[0] != outcome:
+            outcomes += 1
+            print(f"outcome differs: {name} #{index}: {old[0] if old else 'absent'} -> {outcome}")
+        elif old[1] != digest:
+            answers[name] += 1
+    print(f"{outcomes} outcome(s) differ")
+    for name, count in answers.items():
+        print(f"{name}: {count} differing answer(s)")
 
 
 if __name__ == "__main__":
