@@ -262,13 +262,19 @@ COLD_START = textwrap.dedent("""
     assert cli.main(["verify", str(work / "n3.json"), truth]) == 0
     assert cli.main(["solve", str(work / "n3.json"), str(work / "n3.sol.json")]) == 0
     assert "scipy.optimize" not in sys.modules, "loaded before any least-squares stage"
+    # this spec solves on the grid fit, whose solver is the package's own
     assert cli.main(["solve", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
-    assert "scipy.optimize" in sys.modules, "the two-variable grid ran without it"
+    assert "scipy.optimize" not in sys.modules, "loaded by the two-variable grid"
     assert cli.main(["verify", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
+    # the grid fit misses this one, so a refinement runs
+    refined = str(work / "refined.json")
+    assert cli.main(["random", refined, "--n", "2", "--d", "4", "--atoms", "1", "--seed", "8"]) == 0
+    assert cli.main(["solve", refined, str(work / "refined.sol.json")]) == 0
+    assert "scipy.optimize" in sys.modules, "the refinement ran without it"
 """)
 
 
-def test_scipy_loads_only_when_a_least_squares_stage_runs(tmp_path):
+def test_scipy_loads_only_when_a_refinement_runs(tmp_path):
     # a fresh interpreter: this test process has long imported scipy
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

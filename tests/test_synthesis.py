@@ -230,6 +230,56 @@ def test_grid_nnls_three_variables_full_grid(rng):
     assert table_residual(fine, table) <= 1e-8 * scale
 
 
+@st.composite
+def nnls_problems(draw):
+    """Least-squares problems with entries in [-1, 1]: general right-hand
+    sides, designs with duplicated columns, exact fits b = A x0 with a
+    sparse x0 >= 0, and b = 0."""
+    m, cols = draw(st.integers(1, 40)), draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["general", "duplicated", "exact", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(-1.0, 1.0, (m, cols))
+    if kind == "duplicated":
+        # the last half of the columns repeat columns of the first half
+        A[:, cols - cols // 2:] = A[:, rng.integers(0, cols - cols // 2, size=cols // 2)]
+    if kind == "exact":
+        x0 = np.where(rng.random(cols) < 0.1, rng.random(cols), 0.0)
+        return A, A @ x0
+    if kind == "zero":
+        return A, np.zeros(m)
+    return A, rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-3, 4)
+
+
+@given(nnls_problems())
+def test_lawson_hanson_matches_scipy(problem):
+    from scipy.optimize import nnls
+
+    A, b = problem
+    x = synthesis._lawson_hanson(A, b)
+    reference, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
+    scale = max(1.0, float(np.linalg.norm(b)))
+    assert x.min() >= 0.0
+    objective = np.linalg.norm(A @ x - b)
+    assert abs(objective - np.linalg.norm(A @ reference - b)) <= 1e-12 * scale
+    # Karush-Kuhn-Tucker: no column at zero could lower the objective
+    gradient = A.T @ (b - A @ x)
+    assert np.all(gradient[x == 0.0] <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_lawson_hanson_keeps_scipy_support_on_grid_designs(degree, seed, monkeypatch):
+    from scipy.optimize import nnls
+
+    solve = synthesis._lawson_hanson
+    fits = spy(monkeypatch, "_lawson_hanson")
+    synthesize(random_instance(2, degree, 4, seed)[0])
+    assert fits
+    for A, b in fits:
+        reference, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
+        assert np.array_equal(np.flatnonzero(solve(A, b)), np.flatnonzero(reference))
+
+
 # ---------------------------------------------------------------------------
 # grid quadrature
 # ---------------------------------------------------------------------------
@@ -539,12 +589,11 @@ def test_synthesize_fails_fast_where_refine_cannot_resolve(spec, monkeypatch):
     # each ends before its first least-squares solve
     outcomes = refine_outcomes(monkeypatch)
     fits = spy(monkeypatch, "_nnls")
-    grids = spy(monkeypatch, "grid_nnls")
     with pytest.raises(ConvergenceFailure):
         synthesize(spec)
     assert outcomes
     assert all(outcome is not None and "rounding level" in outcome for outcome in outcomes)
-    assert len(fits) == len(grids)  # only grid_nnls fits, never refine
+    assert fits == []  # refine's solver; the grid fit has its own
 
 
 def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
@@ -582,7 +631,7 @@ def test_synthesize_two_variables_solves_without_the_quadrature(monkeypatch):
 def test_grid_stage_fits_the_prescribed_moments(spec, monkeypatch):
     # one real row per prescribed exponent and one imaginary row per
     # nonzero one, against every point of the grid
-    fits = spy(monkeypatch, "_nnls")
+    fits = spy(monkeypatch, "_lawson_hanson")
     try:
         synthesize(spec)
     except ConvergenceFailure:

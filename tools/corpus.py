@@ -9,12 +9,15 @@ are drawn from numpy.random.default_rng(11..14) in the order listed in
 
 `--src` imports momentsynth from another source tree (default: this
 checkout's src/), so two trees run on the same specs.  `--dump FILE` writes
-one line per spec: group, index, the outcome (`ok` or the exception class)
-and the SHA-256 of the answer's atom and weight bytes.  Two dumps are equal
-exactly when the trees return bit-identical measures and raise the same
-exception classes.  `--against FILE` compares this run with such a dump: it
-prints every spec whose outcome differs, then per group how many specs
-solved on both sides with different answers.
+one line per spec: group, index, the outcome (`ok` or the exception class),
+the SHA-256 of the answer's atom and weight bytes and the answer's atom
+count (`-` for both when it raised).  Two dumps are equal exactly when the
+trees return bit-identical measures and raise the same exception classes.
+`--against FILE` compares this run with such a dump: it prints every spec
+whose outcome differs, then per group every answer whose atom count
+differs and how many specs solved on both sides with different answers,
+and how many of those differ in their bytes only.  Dumps written before the
+atom count was recorded have four fields; their counts read as unknown.
 """
 
 from __future__ import annotations
@@ -78,12 +81,12 @@ def main(argv=None) -> int:
                 measure = synthesize(spec)
             except SolverError as exc:
                 counts["raised"] += 1
-                lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-")
+                lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-")
                 continue
             limit = SolverConfig().resolved_tol(spec.n) * max(1.0, max(abs(v) for v in spec.values))
             counts["solved" if report(spec, measure).max_residual <= limit else "over"] += 1
             digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
-            lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}")
+            lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}")
         seconds = time.perf_counter() - start
         print(f"{name}: {counts['solved']} / {counts['over']} / {counts['raised']}"
               f" (solved / over / raised), {seconds:.2f} s")
@@ -95,22 +98,35 @@ def main(argv=None) -> int:
 
 
 def compare(lines: list[str], reference: list[str]) -> None:
-    """Print the specs whose outcome differs from a dump, then the number of
-    differing answers per group among specs solved on both sides."""
-    before = {tuple(line.split("\t")[:2]): line.split("\t")[2:] for line in reference}
-    answers = dict.fromkeys((line.split("\t")[0] for line in lines), 0)
+    """Print the specs whose outcome differs from a dump, then per group the
+    answers whose atom count differs and the number of differing answers
+    among specs solved on both sides."""
+    before = {}
+    for line in reference:
+        name, index, outcome, digest, *count = line.split("\t")
+        before[name, index] = (outcome, digest, count[0] if count else "?")
+    groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0, "unknown": 0} for line in lines}
     outcomes = 0
     for line in lines:
-        name, index, outcome, digest = line.split("\t")
+        name, index, outcome, digest, count = line.split("\t")
         old = before.get((name, index))
         if old is None or old[0] != outcome:
             outcomes += 1
             print(f"outcome differs: {name} #{index}: {old[0] if old else 'absent'} -> {outcome}")
         elif old[1] != digest:
-            answers[name] += 1
+            tally = groups[name]
+            tally["answers"] += 1
+            if old[2] == "?":
+                tally["unknown"] += 1
+            elif old[2] == count:
+                tally["bytes"] += 1
+            else:
+                print(f"atom count differs: {name} #{index}: {old[2]} -> {count}")
     print(f"{outcomes} outcome(s) differ")
-    for name, count in answers.items():
-        print(f"{name}: {count} differing answer(s)")
+    for name, tally in groups.items():
+        counted = tally["answers"] - tally["bytes"] - tally["unknown"]
+        print(f"{name}: {tally['answers']} differing answer(s), {counted} in atom count,"
+              f" {tally['bytes']} in bytes only, {tally['unknown']} with the count unknown")
 
 
 if __name__ == "__main__":
