@@ -19,19 +19,22 @@ the (2R+1)**n product grid that reproduce the whole table.
 
 The two least-squares stages use two nonnegative least-squares solvers
 that share no code.  The grid fit uses `_lawson_hanson`, this module's own
-numpy Lawson-Hanson: its designs have thousands of columns, and a step costs
-one product with the design plus work on the few passive columns.  The
-refinement uses scipy's compiled `nnls`: its systems are small (33 x 33 at
-one variable and degree 16) and badly row-scaled (condition near 1e10), and
-there the compiled loop costs about 30 times less per call than the numpy
-one.  scipy is imported the first time a refinement runs, so importing the
-package, and any solve that needs no refinement, loads numpy alone.
+numpy Lawson-Hanson, which never forms its design: it has thousands of
+columns of roots of unity, so a step costs one separable transform of the
+residual on the small exponent box (a matrix product per coordinate), a
+column is built only when it is tried for entry, and the rest is work on
+the few passive columns.  The refinement uses scipy's compiled `nnls`: its
+systems are small (33 x 33 at one variable and degree 16) and badly
+row-scaled (condition near 1e10), and there the compiled loop costs about
+30 times less per call than the numpy one.  scipy is imported the first
+time a refinement runs, so importing the package, and any solve that needs
+no refinement, loads numpy alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +264,18 @@ def cf_atoms_1d(
 # ---------------------------------------------------------------------------
 
 
-def _lawson_hanson(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _lawson_hanson(
+    column: Callable[[int], np.ndarray],
+    gradient: Callable[[np.ndarray], np.ndarray],
+    cols: int,
+    b: np.ndarray,
+    amax: float,
+) -> np.ndarray:
     """Nonnegative least squares: min ||A x - b|| over x >= 0.
+
+    The design A is never formed: `column(j)` returns its column j,
+    `gradient(r)` returns A.T @ r, `cols` is its column count and `amax`
+    bounds its entries' magnitude (max |A|, which sets the rounding floor).
 
     The active-set method of Lawson and Hanson, *Solving Least Squares
     Problems* (SIAM 1995), ch. 23.  The free column with the largest entry
@@ -277,16 +290,17 @@ def _lawson_hanson(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The passive columns keep a thin QR factorization A_P = Q R and the
     inverse of R.  An entering column adds one Gram-Schmidt column to Q,
-    orthogonalized twice, and one column to R^-1, so a step costs the
-    product A.T @ r plus O(m^2) work.  Only a leaving column refactors, by
-    the same appends over the remaining passive columns: no LAPACK
-    factorization runs, whose code no other two-variable stage loads.
+    orthogonalized twice, and one column to R^-1, so a step costs one
+    `gradient` call plus O(m^2) work; a column is built only when it is
+    tried for entry.  Only a leaving column refactors, by the same appends
+    over the remaining passive columns: no LAPACK factorization runs, whose
+    code no other two-variable stage loads.
     """
-    m, cols = A.shape
+    m = len(b)
     eps = np.finfo(float).eps
     # rounding level of a gradient entry: an m-term sum of entries up to
     # max|A| against a residual no larger than b
-    floor = m * eps * max(float(A.max()), -float(A.min())) * float(np.linalg.norm(b))
+    floor = m * eps * amax * float(np.linalg.norm(b))
     x = np.zeros(cols)
     passive: list[int] = []
     Q = np.empty((m, m))
@@ -321,7 +335,7 @@ def _lawson_hanson(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             x[passive] = xp
             passive = [k for k, value in zip(passive, xp) if value > 0.0]
             for i, k in enumerate(passive):
-                v, c = project_out(A[:, k], i)
+                v, c = project_out(column(k), i)
                 append(i, v, c, float(np.linalg.norm(v)))
             p = len(passive)
             z = Rinv[:p, :p] @ qb[:p]
@@ -332,16 +346,17 @@ def _lawson_hanson(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             return x
         # x solves least squares on the passive columns, so the residual is
         # b less its projection on their span
-        w = A.T @ (b - Q[:, :p] @ qb[:p])
+        w = gradient(b - Q[:, :p] @ qb[:p])
         w[passive] = -np.inf
         while True:
             j = int(np.argmax(w))
             if not w[j] > floor:
                 return x
             w[j] = -np.inf
-            v, c = project_out(A[:, j], p)
+            a = column(j)
+            v, c = project_out(a, p)
             rho = float(np.linalg.norm(v))
-            if rho <= 100.0 * eps * float(np.linalg.norm(A[:, j])):
+            if rho <= 100.0 * eps * float(np.linalg.norm(a)):
                 continue  # dependent on the passive columns
             if float(v @ b) <= 0.0:
                 continue  # its weight, v.b / rho**2, would start nonpositive
@@ -370,10 +385,10 @@ def _rows(table: FourierTable, indices: Sequence[MultiIndex] | None) -> np.ndarr
     return np.array(indices, dtype=int).reshape(len(indices), table.n)
 
 
-def _stacked(values: np.ndarray, karr: np.ndarray) -> np.ndarray:
+def _stacked(values: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     """Real rows for every exponent, then imaginary rows for the nonzero ones
-    (the zero exponent's target, the mass, is real)."""
-    return np.concatenate([values.real, values.imag[np.any(karr, axis=1)]])
+    (the zero exponent's target, the mass, is real); `nonzero` masks those."""
+    return np.concatenate([values.real, values.imag[nonzero]])
 
 
 def grid_nnls(
@@ -394,23 +409,52 @@ def grid_nnls(
     when the zero exponent is among them.  Weights below the prune
     threshold are dropped.
 
-    The fit is `_lawson_hanson`, not scipy's `nnls`, which `refine` keeps:
-    with grid**2 columns, scipy's cost per active-set step grows with every
-    column, while this one's is a single product with the design.
+    The fit is `_lawson_hanson`, not scipy's `nnls`, which `refine` keeps,
+    and the design is never built.  Column g holds Re and Im of
+    e^(2 pi i k.g / grid) over the exponents k, so a column is one lookup
+    in the roots of unity, and the gradient A.T @ r is
+    Re sum_k e^(2 pi i k.g / grid) (r_re[k] - i r_im[k]): a separable
+    transform of those coefficients on the small box that holds the
+    exponents, one matrix product per coordinate with a grid x span factor
+    (F0 @ C @ F1.T for two variables).  Every entry has magnitude at most
+    1, and grid point 0 has the entry cos 0 = 1, so max|A| is 1.
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
     n = table.n
     prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, table.mass)
     karr = _rows(table, indices)
+    nonzero = np.any(karr, axis=1)
     targets = _table_targets(table, karr)
     if float(np.max(np.abs(targets))) <= prune:
         return AtomicMeasure.empty(n)
     points = np.indices((grid,) * n).reshape(n, -1).T
     # exact roots of unity: the phase k.g of grid point g only matters mod grid
     roots = np.exp(2j * np.pi * np.arange(grid) / grid)
-    design = _stacked(roots[(karr @ points.T) % grid], karr)
-    weights = _lawson_hanson(design, _stacked(targets, karr))
+    low = karr.min(axis=0)
+    span = tuple(karr.max(axis=0) - low + 1)
+    # per coordinate, the transposed factor e^(2 pi i k g / grid): span x grid
+    factors = [roots[np.outer(np.arange(lo, lo + size), np.arange(grid)) % grid]
+               for lo, size in zip(low, span)]
+    where = tuple((karr - low).T)
+    where_imag = tuple((karr[nonzero] - low).T)
+    real_rows = len(karr)
+
+    def column(j: int) -> np.ndarray:
+        return _stacked(roots[(karr @ points[j]) % grid], nonzero)
+
+    def gradient(r: np.ndarray) -> np.ndarray:
+        # the coefficient of exponent k is r_re[k] - i r_im[k]
+        box = np.zeros(span, dtype=complex)
+        box.real[where] = r[:real_rows]
+        box.imag[where_imag] = -r[real_rows:]
+        # contract the leading exponent axis and append its grid axis; after
+        # n steps the axes are the grid's, in order
+        for factor in factors:
+            box = box.reshape(len(factor), -1).T @ factor
+        return box.real.ravel()
+
+    weights = _lawson_hanson(column, gradient, grid**n, _stacked(targets, nonzero), 1.0)
     keep = weights > prune
     return _unit_measure(2.0 * np.pi * points[keep] / grid, weights[keep], n)
 
@@ -476,6 +520,7 @@ def refine(
     base = weight_base if weight_base is not None else table.scale
 
     karr = _rows(table, indices)
+    nonzero = np.any(karr, axis=1)
     kfloat = karr.astype(float)
     factors = base ** np.abs(karr).sum(axis=1)
     targets = _table_targets(table, karr)
@@ -491,7 +536,7 @@ def refine(
         return float(np.max(np.abs(g))) if g.size else 0.0
 
     def weighted_design(a: np.ndarray) -> np.ndarray:
-        return _stacked(np.exp(1j * (kfloat @ a.T)) * factors[:, None], karr)
+        return _stacked(np.exp(1j * (kfloat @ a.T)) * factors[:, None], nonzero)
 
     current = gap(angles, weights)
     if max_resid(current) <= tol * scale:
@@ -506,8 +551,8 @@ def refine(
             f"refinement cannot resolve target {tol * scale:.3e}: rounding level {noise:.3e}"
         )
 
-    b = _stacked(factors * targets, karr)
-    r = _stacked(current, karr)
+    b = _stacked(factors * targets, nonzero)
+    r = _stacked(current, nonzero)
     cost = float(r @ r)
     damping = 1e-3
     streak = np.zeros(len(weights), dtype=int)
@@ -517,7 +562,7 @@ def refine(
         # constrained fit never increases the cost and zeroes out atoms
         # made redundant by clustering)
         refit = _nnls(weighted_design(angles), b)
-        r_refit = _stacked(gap(angles, refit), karr)
+        r_refit = _stacked(gap(angles, refit), nonzero)
         cost_refit = float(r_refit @ r_refit)
         if cost_refit <= cost:
             weights, r, cost = refit, r_refit, cost_refit
@@ -526,7 +571,7 @@ def refine(
         if np.any(streak >= 3):
             keep = streak < 3
             weights, angles, streak = weights[keep], angles[keep], streak[keep]
-            r = _stacked(gap(angles, weights), karr)
+            r = _stacked(gap(angles, weights), nonzero)
             cost = float(r @ r)
         if len(weights) == 0:
             break
@@ -540,7 +585,7 @@ def refine(
         for j in range(n):
             cols.append(E * (1j * kfloat[:, j:j + 1]) * weights[None, :])
         Jc = np.hstack(cols)
-        J = _stacked(Jc, karr)
+        J = _stacked(Jc, nonzero)
         H = J.T @ J
         g = J.T @ r
         diag = np.diag(H).copy()
@@ -555,7 +600,7 @@ def refine(
             if step is not None:
                 w_try = np.maximum(weights + step[:count], 0.0)
                 a_try = angles + step[count:].reshape(n, count).T
-                r_try = _stacked(gap(a_try, w_try), karr)
+                r_try = _stacked(gap(a_try, w_try), nonzero)
                 cost_try = float(r_try @ r_try)
                 if cost_try < cost:
                     weights, angles, r, cost = w_try, a_try, r_try, cost_try
@@ -619,10 +664,12 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     n <= 2 a stage that misses the target is refined; beyond, the
     quadrature has (2R+1)**n atoms, too many for dense Gauss-Newton, and a
     miss moves on at once; a refinement whose target lies below its own
-    rounding level fails at once too (see `refine`).  The first candidate
-    whose residual meets the target is returned.  Otherwise the raised
-    ConvergenceFailure lists every attempt in order, as its pre-scale
-    factor, stage and reason.
+    rounding level fails at once too (see `refine`).  A refinement that
+    returns its input untouched (its double-precision residual met the
+    target) ends the attempt without checking the same atoms again.  The
+    first candidate whose residual meets the target is returned.
+    Otherwise the raised ConvergenceFailure lists every attempt in order,
+    as its pre-scale factor, stage and reason.
 
     The returned measure's moments match the spec within
     tol * max(1, largest prescribed magnitude).
@@ -646,12 +693,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     preferred = [plain, magnitude] if n == 1 else [magnitude, plain]
     factors = dict.fromkeys(preferred + [_prescale_factor(espec, mass_relative=True)])
 
-    def finish(unit: AtomicMeasure, atom_radius: float) -> AtomicMeasure | None:
+    def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, float]:
+        """The unit measure on the torus of atom_radius, and its residual."""
         atoms = atom_radius * np.exp(1j * np.angle(unit.atoms))
         candidate = AtomicMeasure(n, atoms, unit.weights, scale=atom_radius)
-        if report(spec, candidate).max_residual <= tol * scale:
-            return candidate
-        return None
+        return candidate, report(spec, candidate).max_residual
 
     attempts: list[tuple[float, str, str]] = []  # (pre-scale factor, stage, reason)
     for factor in factors:
@@ -669,16 +715,23 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                     unit = grid_nnls(table, cfg.grid, indices=spec.indices, weight_prune=prune)
                 else:
                     unit = grid_quadrature(table, weight_prune=prune)
-                done = finish(unit, atom_radius)
-                if done is None and n <= 2:
-                    unit = refine(unit, table, tol, indices=spec.indices,
-                                  weight_base=atom_radius)
-                    done = finish(unit, atom_radius)
+                candidate, residual = finish(unit, atom_radius)
+                if residual > tol * scale and n <= 2:
+                    refined = refine(unit, table, tol, indices=spec.indices,
+                                     weight_base=atom_radius)
+                    if refined is unit:
+                        # refine's own double-precision check passed; the
+                        # same atoms would fail the same check again
+                        attempts.append((factor, stage, (
+                            "refine's double-precision residual met the target;"
+                            f" the extended-precision check did not ({residual:.3e})")))
+                        continue
+                    candidate, residual = finish(refined, atom_radius)
             except SolverError as exc:
                 attempts.append((factor, stage, str(exc)))
                 continue
-            if done is not None:
-                return done
+            if residual <= tol * scale:
+                return candidate
             attempts.append((factor, stage, "synthesized measure misses the residual target"))
     raise ConvergenceFailure(
         "synthesis could not reach the residual target: "

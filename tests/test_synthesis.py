@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import momentsynth.synthesis as synthesis
 from conftest import random_box_spec
 from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
-from momentsynth.lattice import EmbeddedSpec, MomentSpec, box
+from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
 from momentsynth.measures import AtomicMeasure
 from momentsynth.operators import build_tuple
 from momentsynth.synthesis import (
@@ -88,6 +89,11 @@ def refine_outcomes(monkeypatch):
 
     monkeypatch.setattr(synthesis, "refine", wrapper)
     return outcomes
+
+
+def materialized(column, cols):
+    """The design a column callback describes, one column at a time."""
+    return np.column_stack([column(j) for j in range(cols)])
 
 
 def table_residual(measure, table):
@@ -255,7 +261,9 @@ def test_lawson_hanson_matches_scipy(problem):
     from scipy.optimize import nnls
 
     A, b = problem
-    x = synthesis._lawson_hanson(A, b)
+    # the core with dense callbacks: column j of A, and A.T @ r
+    x = synthesis._lawson_hanson(lambda j: A[:, j], lambda r: A.T @ r, A.shape[1], b,
+                                 float(np.abs(A).max()))
     reference, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
     scale = max(1.0, float(np.linalg.norm(b)))
     assert x.min() >= 0.0
@@ -271,13 +279,72 @@ def test_lawson_hanson_matches_scipy(problem):
 def test_lawson_hanson_keeps_scipy_support_on_grid_designs(degree, seed, monkeypatch):
     from scipy.optimize import nnls
 
+    # the grid fit never forms its design; built here from its columns, it
+    # is the problem scipy solves, and the matrix-free fit keeps its support
     solve = synthesis._lawson_hanson
     fits = spy(monkeypatch, "_lawson_hanson")
     synthesize(random_instance(2, degree, 4, seed)[0])
     assert fits
-    for A, b in fits:
-        reference, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
-        assert np.array_equal(np.flatnonzero(solve(A, b)), np.flatnonzero(reference))
+    for column, gradient, cols, b, amax in fits:
+        A = materialized(column, cols)
+        assert float(np.abs(A).max()) == amax == 1.0
+        reference, _ = nnls(A, b, maxiter=max(10 * cols, 1000))
+        x = solve(column, gradient, cols, b, amax)
+        assert np.array_equal(np.flatnonzero(x), np.flatnonzero(reference))
+
+
+def grid_design(karr, grid):
+    """Reference design of the grid fit, from float phases k.theta: cosines
+    for every exponent, then sines for the nonzero ones."""
+    n = karr.shape[1]
+    angles = 2 * np.pi * np.indices((grid,) * n).reshape(n, -1).T / grid
+    phases = karr.astype(float) @ angles.T
+    return np.vstack([np.cos(phases), np.sin(phases)[np.any(karr, axis=1)]])
+
+
+@pytest.mark.parametrize(
+    "n, radius, grid, indices",
+    [
+        (1, 3, 16, None),
+        (2, 2, 8, None),  # the half box holds negative exponents
+        (3, 1, 8, None),
+        (2, 5, 4, box(2, 5)),  # grid below the degree: exponents alias
+        (2, 9, 8, ((0, 0), (9, 9))),
+        (2, 3, 16, random_box_spec(np.random.default_rng(5), n=2, degree=3).indices),
+    ],
+    ids=["n1-half-box", "n2-half-box", "n3-half-box", "n2-d5-grid4", "n2-only-9-9", "n2-sparse-d3"],
+)
+def test_grid_gradient_is_the_dense_product(n, radius, grid, indices, monkeypatch):
+    rng = np.random.default_rng(7)
+    angles = rng.uniform(0, 2 * np.pi, size=(3, n))
+    table = circle_table(n, radius, angles, np.array([0.5, 0.8, 0.3]))
+    fits = spy(monkeypatch, "_lawson_hanson")
+    grid_nnls(table, grid, indices=indices)
+    (column, gradient, cols, b, amax), = fits
+    A = grid_design(synthesis._rows(table, indices), grid)
+    rows = A.shape[0]
+    assert (len(b), cols, amax) == (rows, grid**n, 1.0)
+    assert np.abs(materialized(column, cols) - A).max() <= 1e-13
+    for size in (1e-3, 1.0, 1e3):
+        r = size * rng.standard_normal(rows)
+        bound = 1e-13 * max(1.0, float(np.linalg.norm(r))) * rows
+        assert np.abs(gradient(r) - A.T @ r).max() <= bound
+
+
+def test_grid_nnls_allocation_peak_stays_below_a_megabyte():
+    # the dense 71 x 4096 design of this fit took 2.3 MB, and building it
+    # peaked near 6 MB
+    spec, _ = random_instance(2, 5, 4, 3)
+    ops = build_tuple(embed(spec))
+    table = fourier_table(ops, ops.degree)
+    grid_nnls(table, 64, indices=spec.indices)  # first-call setup is not traced
+    tracemalloc.start()
+    try:
+        grid_nnls(table, 64, indices=spec.indices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +686,65 @@ def test_synthesize_two_variables_solves_without_the_quadrature(monkeypatch):
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
 
 
+def refine_returns_its_input(monkeypatch):
+    """Record, for every refine call that returns, whether it returned the
+    very measure it was given."""
+    untouched = []
+    original = synthesis.refine
+
+    def wrapper(measure, *args, **kwargs):
+        result = original(measure, *args, **kwargs)
+        untouched.append(result is measure)
+        return result
+
+    monkeypatch.setattr(synthesis, "refine", wrapper)
+    return untouched
+
+
+def test_synthesize_checks_an_untouched_refinement_once(monkeypatch):
+    # refine's double-precision residual meets the target on the grid fit,
+    # so it hands back the atoms the extended-precision check just rejected
+    untouched = refine_returns_its_input(monkeypatch)
+    checked = spy(monkeypatch, "report")
+    spec, _ = random_instance(2, 5, 4, 6)
+    measure = synthesize(spec)
+    assert untouched == [True]
+    answers = [(candidate.atoms.tobytes(), candidate.weights.tobytes()) for _, candidate in checked]
+    assert len(set(answers)) == len(answers)
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
+
+
+def test_convergence_failure_names_an_untouched_refinement(monkeypatch):
+    # only the first grid fit runs; every later stage is stubbed to fail
+    untouched = refine_returns_its_input(monkeypatch)
+    original = synthesis.grid_nnls
+    grids = []
+
+    def first_grid_only(*args, **kwargs):
+        grids.append(args)
+        if len(grids) > 1:
+            raise ConvergenceFailure("stubbed grid")
+        return original(*args, **kwargs)
+
+    def no_quadrature(*args, **kwargs):
+        raise ConvergenceFailure("stubbed quadrature")
+
+    monkeypatch.setattr(synthesis, "grid_nnls", first_grid_only)
+    monkeypatch.setattr(synthesis, "grid_quadrature", no_quadrature)
+    spec, _ = random_instance(2, 5, 4, 6)
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec)
+    assert untouched == [True]
+    found = re.search(
+        r"\(prescale [^,]+, grid\) refine's double-precision residual met the target;"
+        r" the extended-precision check did not \(([^)]+)\)",
+        str(failure.value),
+    )
+    assert found
+    target = SolverConfig().resolved_tol(2) * max(1.0, max(abs(v) for v in spec.values))
+    assert float(found.group(1)) > target
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -637,7 +763,11 @@ def test_grid_stage_fits_the_prescribed_moments(spec, monkeypatch):
     except ConvergenceFailure:
         pass
     grid = SolverConfig().grid
-    assert fits[0][0].shape == (2 * len(spec.indices) - 1, grid**2)
+    rows = 2 * len(spec.indices) - 1
+    column, gradient, cols, b, _ = fits[0]
+    assert (len(b), cols) == (rows, grid**2)
+    assert column(cols - 1).shape == (rows,)
+    assert gradient(b).shape == (cols,)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4])

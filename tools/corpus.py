@@ -18,6 +18,12 @@ whose outcome differs, then per group every answer whose atom count
 differs and how many specs solved on both sides with different answers,
 and how many of those differ in their bytes only.  Dumps written before the
 atom count was recorded have four fields; their counts read as unknown.
+
+The exit status is 1 when any answer is over the contract, or when
+`--against` finds a spec that solved in the dump and now raises; otherwise
+it is 0, also when specs that raised in the dump now solve.  So the script
+can gate a change: dump the parent tree with `--src`, then run the change
+`--against` that dump.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ def main(argv=None) -> int:
     from momentsynth.verify import report
 
     lines = []
+    over = 0
     for name, specs in corpus():
         counts = {"solved": 0, "over": 0, "raised": 0}
         start = time.perf_counter()
@@ -88,30 +95,34 @@ def main(argv=None) -> int:
             digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
             lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}")
         seconds = time.perf_counter() - start
+        over += counts["over"]
         print(f"{name}: {counts['solved']} / {counts['over']} / {counts['raised']}"
               f" (solved / over / raised), {seconds:.2f} s")
     if args.dump is not None:
         args.dump.write_text("\n".join(lines) + "\n")
+    lost = 0
     if args.against is not None:
-        compare(lines, args.against.read_text().splitlines())
-    return 0
+        lost = compare(lines, args.against.read_text().splitlines())
+    return 1 if over or lost else 0
 
 
-def compare(lines: list[str], reference: list[str]) -> None:
+def compare(lines: list[str], reference: list[str]) -> int:
     """Print the specs whose outcome differs from a dump, then per group the
     answers whose atom count differs and the number of differing answers
-    among specs solved on both sides."""
+    among specs solved on both sides.  Returns the number of specs that
+    solved in the dump and raise now."""
     before = {}
     for line in reference:
         name, index, outcome, digest, *count = line.split("\t")
         before[name, index] = (outcome, digest, count[0] if count else "?")
     groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0, "unknown": 0} for line in lines}
-    outcomes = 0
+    outcomes = lost = 0
     for line in lines:
         name, index, outcome, digest, count = line.split("\t")
         old = before.get((name, index))
         if old is None or old[0] != outcome:
             outcomes += 1
+            lost += old is not None and old[0] == "ok"
             print(f"outcome differs: {name} #{index}: {old[0] if old else 'absent'} -> {outcome}")
         elif old[1] != digest:
             tally = groups[name]
@@ -122,11 +133,12 @@ def compare(lines: list[str], reference: list[str]) -> None:
                 tally["bytes"] += 1
             else:
                 print(f"atom count differs: {name} #{index}: {old[2]} -> {count}")
-    print(f"{outcomes} outcome(s) differ")
+    print(f"{outcomes} outcome(s) differ, {lost} of them solved in the dump and raise now")
     for name, tally in groups.items():
         counted = tally["answers"] - tally["bytes"] - tally["unknown"]
         print(f"{name}: {tally['answers']} differing answer(s), {counted} in atom count,"
               f" {tally['bytes']} in bytes only, {tally['unknown']} with the count unknown")
+    return lost
 
 
 if __name__ == "__main__":
