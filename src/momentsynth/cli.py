@@ -8,6 +8,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -21,18 +22,8 @@ from .documents import (
     write_doc,
 )
 from .errors import SolverError, Unsolvable
-from .lattice import embed
 from .synthesis import SolverConfig, synthesize
 from .verify import random_instance, report
-
-
-def _config_from_args(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        tol=args.tol,
-        grid=args.grid,
-        margin=args.margin,
-        box_degree=args.box_degree,
-    )
 
 
 def _report_path(output: Path) -> Path:
@@ -41,10 +32,8 @@ def _report_path(output: Path) -> Path:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
+        config = SolverConfig(tol=args.tol)
         spec = problem_from_doc(read_doc(Path(args.input)))
-        config = _config_from_args(args)
-        if config.box_degree is not None:
-            embed(spec, config.box_degree)  # rejects a box too small for the spec
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -75,6 +64,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
+        config = SolverConfig(tol=args.tol)
         spec = problem_from_doc(read_doc(Path(args.problem)))
         measure = measure_from_doc(read_doc(Path(args.measure)))
     except (OSError, ValueError) as exc:
@@ -86,16 +76,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    tol = args.tol if args.tol is not None else SolverConfig().resolved_tol(spec.n)
+    allowance = config.allowance(spec)
     rep = report(spec, measure)
-    scale = max(1.0, max(abs(v) for v in spec.values))
-    passed = rep.max_residual <= tol * scale
+    passed = rep.max_residual <= allowance
     print(
         f"{'PASS' if passed else 'FAIL'}: max residual {rep.max_residual:.3e} "
-        f"vs allowance {tol * scale:.3e}"
+        f"vs allowance {allowance:.3e}"
     )
-    import json
-
     print(json.dumps(report_to_doc(rep), indent=2))
     return 0 if passed else 4
 
@@ -117,6 +104,11 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
+    try:
+        SolverConfig(tol=args.tol)  # one error for the run, not one per problem
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 1
@@ -139,13 +131,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return worst
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None, help="residual target (scaled by the largest moment magnitude)")
-    parser.add_argument("--grid", type=int, default=64, help="candidate angles per dimension (two variables)")
-    parser.add_argument("--margin", type=float, default=1.1, help="contraction scale margin (must exceed 1)")
-    parser.add_argument("--box-degree", type=int, default=None, help="embed into a box of this degree instead of the minimal one")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentsynth",
@@ -156,13 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a problem document")
     solve.add_argument("input", help="problem JSON path")
     solve.add_argument("output", help="measure JSON path (report written with .report suffix)")
-    _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", help="check a measure against a problem")
     verify.add_argument("problem", help="problem JSON path")
     verify.add_argument("measure", help="measure JSON path")
-    verify.add_argument("--tol", type=float, default=None, help="residual allowance (scaled)")
     verify.set_defaults(func=_cmd_verify)
 
     random_cmd = sub.add_parser("random", help="generate a seeded instance with a known solution")
@@ -176,8 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser("batch", help="solve every problem document in a directory")
     batch.add_argument("directory", help="directory of problem JSON files")
-    _add_solver_flags(batch)
     batch.set_defaults(func=_cmd_batch)
+
+    for command in (solve, verify, batch):
+        command.add_argument("--tol", type=float, default=None, help="residual target (scaled by the largest moment magnitude)")
 
     return parser
 

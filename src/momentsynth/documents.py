@@ -81,7 +81,7 @@ def measure_from_doc(doc: dict) -> AtomicMeasure:
 
 
 def report_to_doc(rep: Report) -> dict:
-    doc = {
+    return {
         "max_residual": rep.max_residual,
         "total_mass": rep.total_mass,
         "support_radius": rep.support_radius,
@@ -90,17 +90,8 @@ def report_to_doc(rep: Report) -> dict:
             {"k": list(k), "abs_err": r}
             for k, r in zip(rep.indices, rep.residuals)
         ],
-        "config": None,
+        "config": None if rep.config is None else {"tol": rep.config.tol},
     }
-    if rep.config is not None:
-        cfg = rep.config
-        doc["config"] = {
-            "tol": cfg.tol,
-            "grid": cfg.grid,
-            "margin": cfg.margin,
-            "box_degree": cfg.box_degree,
-        }
-    return doc
 
 
 def write_doc(path: Path, doc: dict) -> None:

@@ -143,18 +143,12 @@ class EmbeddedSpec:
         return complex(self.values[0])
 
 
-def embed(spec: MomentSpec, degree: int | None = None) -> EmbeddedSpec:
+def embed(spec: MomentSpec) -> EmbeddedSpec:
     """Zero-fill a spec onto the smallest box containing its indices.
 
-    The box degree is max(1, largest exponent entry); a larger `degree`
-    may be requested explicitly and is honored as long as it still
-    contains every prescribed index.
+    The box degree is max(1, largest exponent entry).
     """
-    minimal = max(1, max((max(k) for k in spec.indices), default=0))
-    if degree is None:
-        degree = minimal
-    elif degree < minimal:
-        raise ValueError(f"box degree {degree} cannot hold indices up to {minimal}")
+    degree = max(1, max(max(k) for k in spec.indices))
     full = box(spec.n, degree)
     values = np.zeros(len(full), dtype=complex)
     position = {k: i for i, k in enumerate(full)}

@@ -30,6 +30,10 @@ _EPS = float(np.finfo(float).eps)
 # degenerate tuples.
 _NORM_FLOOR = 1e-12
 
+# The "safe constant" of the contraction scale: the squared contraction
+# norms sum to less than 1/MARGIN**2.
+MARGIN = 1.1
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorTuple:
@@ -76,7 +80,7 @@ class OperatorTuple:
         return self.matrices[coord - 1] / self.scale
 
 
-def build_tuple(espec: EmbeddedSpec, margin: float = 1.1) -> OperatorTuple:
+def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
     """Build the commuting shift tuple of an embedded spec.
 
     In the basis of construction vectors, coordinate j sends a basis
@@ -87,14 +91,12 @@ def build_tuple(espec: EmbeddedSpec, margin: float = 1.1) -> OperatorTuple:
     coordinate isometry is alpha -> L^T alpha (a transpose, not the
     adjoint map).
 
-    The scale is margin * sqrt(n) * max over coordinates of the Frobenius
+    The scale is MARGIN * sqrt(n) * max over coordinates of the Frobenius
     norm, nudged up a few ulps so the squared contraction norms sum to
-    strictly less than 1/margin**2 in floating point as well.
+    strictly less than 1/MARGIN**2 in floating point as well.
 
     Raises ValueError when the mass s0 is not real positive.
     """
-    if margin <= 1.0:
-        raise ValueError("margin must exceed 1")
     s0 = espec.mass
     if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)):
         raise ValueError(f"mass must be real, got {s0}")
@@ -121,7 +123,7 @@ def build_tuple(espec: EmbeddedSpec, margin: float = 1.1) -> OperatorTuple:
 
     cyclic = Lt[:, 0].copy()
     norm_bound = max(float(np.linalg.norm(m)) for m in matrices)
-    scale = margin * np.sqrt(n) * max(norm_bound, _NORM_FLOOR)
+    scale = MARGIN * np.sqrt(n) * max(norm_bound, _NORM_FLOOR)
     scale *= 1.0 + 4.0 * _EPS
     return OperatorTuple(espec, tuple(matrices), cyclic, norm_bound, float(scale))
 

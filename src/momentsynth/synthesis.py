@@ -8,11 +8,12 @@ and whose monomial moments reproduce the prescribed values.
 One complex variable admits an exact route: the Toeplitz section of the
 Fourier data splits into a Vandermonde part (atoms from the roots of a
 null-vector polynomial) plus a multiple of the identity (mass spread over
-equispaced atoms).  Two variables use nonnegative least squares on a
-product grid of candidate angles followed by a damped Gauss-Newton
-refinement of angles and weights.  Both fit only the prescribed moments,
-the only ones the acceptance check reads, so a two-variable answer from
-them has at most 2*|spec| - 1 atoms, one per real constraint.  Every
+equispaced atoms).  Two variables use nonnegative least squares on the
+product grid of GRID candidate angles per variable followed by a damped
+Gauss-Newton refinement of angles and weights.  Both fit only the
+prescribed moments, the only ones the acceptance check reads, so a
+two-variable answer from them has at most 2*|spec| - 1 atoms, one per
+real constraint.  Every
 dimension has an exact fallback: the Fourier table is positive definite
 and vanishes beyond its radius R, so one FFT gives nonnegative weights on
 the (2R+1)**n product grid that reproduce the whole table.
@@ -48,38 +49,36 @@ from .operators import build_tuple
 from .verify import report, solvability
 
 
+# candidate angles per variable of the two-variable grid fit
+GRID = 64
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """The choices a caller makes; everything else in the pipeline is fixed.
+    """The one choice a caller makes; everything else in the pipeline is fixed.
 
     `tol` is the residual target, relative to max(1, largest prescribed
     magnitude); None resolves to 1e-8 for one variable and 1e-6 otherwise.
-    `grid` is the number of candidate angles per dimension for the two
-    variable least-squares stage, `margin` the contraction scale margin, and
-    `box_degree` embeds the spec into a larger exponent box than the minimal
-    one.  Different settings yield different, equally valid measures;
+    A different `tol` can yield a different, equally valid measure;
     nothing canonicalizes the output.
     """
 
     tol: float | None = None
-    grid: int = 64
-    margin: float = 1.1
-    box_degree: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tol is not None and self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.grid < 1:
-            raise ValueError("grid must be at least 1")
-        if self.margin <= 1.0:
-            raise ValueError("margin must exceed 1")
-        if self.box_degree is not None and self.box_degree < 1:
-            raise ValueError("box_degree must be at least 1")
+        # the chained comparison is false for nan as well
+        if self.tol is not None and not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     def resolved_tol(self, n: int) -> float:
         if self.tol is not None:
             return self.tol
         return 1e-8 if n == 1 else 1e-6
+
+    def allowance(self, spec: MomentSpec) -> float:
+        """The largest residual an answer to `spec` may have: the resolved
+        tol times max(1, largest prescribed magnitude)."""
+        return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values))))
 
 
 def solve_zero(spec: MomentSpec) -> AtomicMeasure:
@@ -659,7 +658,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     turn by 1 and by a magnitude-taming factor (unscaled first for one
     variable, scaled first beyond), then by a mass-relative factor.  Each
     pre-scaling tries, in order: the Toeplitz split for one variable or
-    grid nonnegative least squares at `grid` points for two, then the FFT
+    grid nonnegative least squares at GRID points for two, then the FFT
     quadrature of the table (the only stage beyond two variables).  For
     n <= 2 a stage that misses the target is refined; beyond, the
     quadrature has (2R+1)**n atoms, too many for dense Gauss-Newton, and a
@@ -671,8 +670,8 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     Otherwise the raised ConvergenceFailure lists every attempt in order,
     as its pre-scale factor, stage and reason.
 
-    The returned measure's moments match the spec within
-    tol * max(1, largest prescribed magnitude).
+    The returned measure's moments match the spec within the config's
+    `allowance(spec)`.
     """
     cfg = config if config is not None else SolverConfig()
     verdict = solvability(spec)
@@ -683,8 +682,8 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
 
     n = spec.n
     tol = cfg.resolved_tol(n)
-    espec = embed(spec, cfg.box_degree)
-    scale = max(1.0, float(np.max(np.abs(espec.values))))
+    allowance = cfg.allowance(spec)
+    espec = embed(spec)
     prune = 1e-12 * spec.mass.real
 
     # later rungs are fallbacks: poorly scaled data can sit at the edge of
@@ -701,7 +700,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
 
     attempts: list[tuple[float, str, str]] = []  # (pre-scale factor, stage, reason)
     for factor in factors:
-        ops = build_tuple(_rescaled(espec, factor), margin=cfg.margin)
+        ops = build_tuple(_rescaled(espec, factor))
         table = fourier_table(ops, ops.degree)
         atom_radius = ops.scale * factor
         # n <= 2 runs its older stage before the quadrature: the benchmark's
@@ -712,11 +711,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                     line = [table.value((j,)) for j in range(ops.degree + 1)]
                     unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
                 elif stage == "grid":
-                    unit = grid_nnls(table, cfg.grid, indices=spec.indices, weight_prune=prune)
+                    unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
                 else:
                     unit = grid_quadrature(table, weight_prune=prune)
                 candidate, residual = finish(unit, atom_radius)
-                if residual > tol * scale and n <= 2:
+                if residual > allowance and n <= 2:
                     refined = refine(unit, table, tol, indices=spec.indices,
                                      weight_base=atom_radius)
                     if refined is unit:
@@ -730,7 +729,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             except SolverError as exc:
                 attempts.append((factor, stage, str(exc)))
                 continue
-            if residual <= tol * scale:
+            if residual <= allowance:
                 return candidate
             attempts.append((factor, stage, "synthesized measure misses the residual target"))
     raise ConvergenceFailure(

@@ -83,21 +83,22 @@ def test_solve_parse_error_exit_1(tmp_path):
 
 
 def test_solve_out_of_range_flags_exit_1(tmp_path, capsys):
-    # each of these ended in a traceback before
+    # nan ran the whole ladder and exited 3, inf wrote `Infinity` (not JSON)
+    # into the report, and verify judged against either instead of refusing
     problem = tmp_path / "prob.json"
     main(["random", str(problem), "--n", "1", "--d", "3", "--atoms", "2", "--seed", "1"])
-    wide = tmp_path / "wide.json"
-    main(["random", str(wide), "--n", "3", "--d", "1", "--atoms", "2", "--seed", "1"])
     capsys.readouterr()
-    for source, flags in (
-        (problem, ["--box-degree", "1"]),
-        (problem, ["--box-degree", "0"]),
-        (wide, ["--grid", "0"]),
-    ):
-        out = tmp_path / "out.json"
-        assert main(["solve", str(source), str(out), *flags]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists()
+    for tol in ("0", "-1", "nan", "inf"):
+        for argv in (
+            ["solve", str(problem), str(tmp_path / "out.json")],
+            ["verify", str(problem), str(tmp_path / "prob.measure.json")],
+            ["batch", str(tmp_path)],
+        ):
+            assert main([*argv, "--tol", tol]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: tol must be finite and positive"), argv
+            assert captured.out == "", argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.json", "prob.measure.json"]
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -108,7 +109,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
     for argv in (
         ["solve", str(problem), out, "--bogus"],
-        ["solve", str(problem), out, "--grid", "abc"],
+        ["solve", str(problem), out, "--tol", "abc"],
+        # the solver takes no setting but --tol
+        ["solve", str(problem), out, "--grid", "32"],
+        ["solve", str(problem), out, "--margin", "2"],
+        ["solve", str(problem), out, "--box-degree", "3"],
+        ["batch", str(tmp_path), "--grid", "32"],
+        ["batch", str(tmp_path), "--margin", "2"],
+        ["batch", str(tmp_path), "--box-degree", "3"],
         ["solve", str(problem)],
         ["solve", str(problem), out, "--seed", "0"],  # only `random` takes a seed
         ["batch", str(tmp_path), "--seed", "0"],
@@ -118,7 +126,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.json", "prob.measure.json"]
 
 
 def test_report_config_is_the_solver_config(tmp_path, capsys):
@@ -127,7 +135,7 @@ def test_report_config_is_the_solver_config(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert main(["solve", str(problem), str(out)]) == 0
     keys = list(read_doc(tmp_path / "out.report")["config"])
-    assert keys == ["tol", "grid", "margin", "box_degree"]
+    assert keys == ["tol"]
     assert keys == [field.name for field in dataclasses.fields(SolverConfig)]
     capsys.readouterr()
     for command in (["solve", str(problem), str(tmp_path / "again.json")], ["batch", str(tmp_path)]):
@@ -138,8 +146,12 @@ def test_report_config_is_the_solver_config(tmp_path, capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    assert main(["solve", "--help"]) == 0
-    assert "--box-degree" in capsys.readouterr().out
+    capsys.readouterr()
+    for command in ("solve", "verify", "batch"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--tol" in out
+        assert not any(flag in out for flag in ("--grid", "--margin", "--box-degree")), command
 
 
 def test_random_solve_verify_pipeline(tmp_path):
@@ -235,11 +247,11 @@ def test_batch_mode(tmp_path):
             "--n", "1", "--d", "2", "--atoms", "2", "--seed", str(seed),
         ])
     # ground-truth companions must be skipped by the batch runner
-    assert main(["batch", str(tmp_path), "--grid", "32"]) == 0
+    assert main(["batch", str(tmp_path), "--tol", "1e-7"]) == 0
     for seed in (1, 2):
         assert (tmp_path / f"case{seed}.solution.json").exists()
         report_doc = read_doc(tmp_path / f"case{seed}.solution.report")
-        assert report_doc["config"]["grid"] == 32
+        assert report_doc["config"] == {"tol": 1e-7}
 
 
 def test_batch_rejects_missing_directory(tmp_path):

@@ -96,15 +96,6 @@ def test_embed_contains_all_indices(rng):
             assert es.value_of(k) == v
 
 
-def test_embed_degree_override():
-    spec = MomentSpec(1, ((0,), (1,)), (1, 2))
-    es = embed(spec, degree=3)
-    assert es.degree == 3
-    assert len(es.box) == 4
-    with pytest.raises(ValueError):
-        embed(MomentSpec(1, ((0,), (2,)), (1, 1)), degree=1)
-
-
 def test_spec_requires_zero_first():
     with pytest.raises(ValueError):
         MomentSpec(1, ((1,), (0,)), (1, 2))

@@ -564,14 +564,6 @@ def test_synthesize_three_variables_best_effort():
     assert report(spec, measure).max_residual <= 1e-6 * scale
 
 
-def test_synthesize_respects_box_degree_override():
-    spec = MomentSpec(1, ((0,), (1,)), (1, 0.5))
-    measure = synthesize(spec, SolverConfig(box_degree=3))
-    mass, first = measure_moments(measure, spec.indices)
-    assert mass == pytest.approx(1.0, abs=1e-8)
-    assert first == pytest.approx(0.5, abs=1e-8)
-
-
 def test_synthesize_degree_13_meets_contract_in_extended_precision():
     # double-precision moments of degree 13 on a torus of radius about 4
     # are as inexact as the contract itself, so acceptance must not use them
@@ -669,7 +661,7 @@ def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
     quadratures = spy(monkeypatch, "grid_quadrature")
     spec, _ = random_instance(2, 5, 4, 1)
     measure = synthesize(spec)
-    assert [args[1] for args in grids] == [SolverConfig().grid]
+    assert [args[1] for args in grids] == [synthesis.GRID]
     assert len(quadratures) == 1
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
 
@@ -762,7 +754,7 @@ def test_grid_stage_fits_the_prescribed_moments(spec, monkeypatch):
         synthesize(spec)
     except ConvergenceFailure:
         pass
-    grid = SolverConfig().grid
+    grid = synthesis.GRID
     rows = 2 * len(spec.indices) - 1
     column, gradient, cols, b, _ = fits[0]
     assert (len(b), cols) == (rows, grid**2)
@@ -806,13 +798,17 @@ def test_synthesize_beyond_two_variables_meets_contract(spec):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(grid=0)
-    with pytest.raises(ValueError):
-        SolverConfig(margin=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(box_degree=0)
+    for tol in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(tol=tol)
     assert SolverConfig().resolved_tol(1) == 1e-8
     assert SolverConfig().resolved_tol(2) == 1e-6
+    assert SolverConfig(tol=1e-3).resolved_tol(2) == 1e-3
+
+
+def test_config_allowance_scales_by_the_largest_magnitude():
+    small = MomentSpec.from_items(1, [((0,), 0.5), ((1,), 0.25j)])
+    large = MomentSpec.from_items(2, [((0, 0), 2.0), ((1, 0), 3.0 - 4.0j)])
+    assert SolverConfig().allowance(small) == 1e-8
+    assert SolverConfig().allowance(large) == 1e-6 * 5.0
+    assert SolverConfig(tol=1e-3).allowance(large) == 1e-3 * 5.0

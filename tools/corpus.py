@@ -8,11 +8,13 @@ are drawn from numpy.random.default_rng(11..14) in the order listed in
 `GROUPS`, with `random_box_spec` from tests/conftest.py of this checkout.
 
 `--src` imports momentsynth from another source tree (default: this
-checkout's src/), so two trees run on the same specs.  `--dump FILE` writes
-one line per spec: group, index, the outcome (`ok` or the exception class),
-the SHA-256 of the answer's atom and weight bytes and the answer's atom
-count (`-` for both when it raised).  Two dumps are equal exactly when the
-trees return bit-identical measures and raise the same exception classes.
+checkout's src/), so two trees run on the same specs.  An answer is within
+the contract when its residual is at most `SolverConfig().allowance(spec)`.
+`--dump FILE` writes one line per spec: group, index, the outcome (`ok` or
+the exception class), the SHA-256 of the answer's atom and weight bytes and
+the answer's atom count (`-` for both when it raised).  Two dumps are
+equal exactly when the trees return bit-identical measures and raise the
+same exception classes.
 `--against FILE` compares this run with such a dump: it prints every spec
 whose outcome differs, then per group every answer whose atom count
 differs and how many specs solved on both sides with different answers,
@@ -78,6 +80,10 @@ def main(argv=None) -> int:
     from momentsynth.synthesis import SolverConfig, synthesize
     from momentsynth.verify import report
 
+    config = SolverConfig()
+    # a tree older than SolverConfig.allowance gets the same formula here
+    allowance = getattr(config, "allowance", None) or (
+        lambda spec: config.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values)))))
     lines = []
     over = 0
     for name, specs in corpus():
@@ -90,8 +96,7 @@ def main(argv=None) -> int:
                 counts["raised"] += 1
                 lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-")
                 continue
-            limit = SolverConfig().resolved_tol(spec.n) * max(1.0, max(abs(v) for v in spec.values))
-            counts["solved" if report(spec, measure).max_residual <= limit else "over"] += 1
+            counts["solved" if report(spec, measure).max_residual <= allowance(spec) else "over"] += 1
             digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
             lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}")
         seconds = time.perf_counter() - start
