@@ -8,6 +8,8 @@ parse(serialize(x)) reproduces x field for field.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,17 @@ import numpy as np
 from .lattice import MomentSpec
 from .measures import AtomicMeasure
 from .verify import Report
+
+
+def _integer(value) -> int:
+    """An integer field of a document; an integral float such as 2.0 passes.
+
+    `int()` alone would truncate 1.5 to 1 and read the string "3" as 3.
+    """
+    integer = int(value)
+    if integer != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return integer
 
 
 def problem_to_doc(spec: MomentSpec) -> dict:
@@ -31,13 +44,13 @@ def problem_from_doc(doc: dict) -> MomentSpec:
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         moments = doc["moments"]
         items = [
-            (tuple(int(e) for e in entry["k"]), complex(float(entry["re"]), float(entry["im"])))
+            (tuple(map(_integer, entry["k"])), complex(float(entry["re"]), float(entry["im"])))
             for entry in moments
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
     return MomentSpec.from_items(n, items)
 
@@ -57,27 +70,30 @@ def measure_to_doc(measure: AtomicMeasure) -> dict:
 
 
 def measure_from_doc(doc: dict) -> AtomicMeasure:
+    """Read a measure document into arrays, one pass per field.
+
+    Every row length is checked before the coordinates are flattened, and
+    each of `re`, `im` and `w` is read straight into a float array; no
+    Python complex number is built per coordinate.
+    """
     if not isinstance(doc, dict):
         raise ValueError("measure document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         scale = float(doc["scale"])
-        atoms = [
-            [complex(float(z["re"]), float(z["im"])) for z in entry["z"]]
-            for entry in doc["atoms"]
-        ]
-        weights = [float(entry["w"]) for entry in doc["atoms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = doc["atoms"]
+        rows = list(map(itemgetter("z"), entries))
+        for length in set(map(len, rows)):
+            if length != n:
+                raise ValueError(f"atom has {length} coordinates, expected {n}")
+        coords = list(chain.from_iterable(rows))
+        atoms = np.empty(len(coords), dtype=complex)
+        atoms.real = np.fromiter(map(float, map(itemgetter("re"), coords)), float, len(coords))
+        atoms.imag = np.fromiter(map(float, map(itemgetter("im"), coords)), float, len(coords))
+        weights = np.fromiter(map(float, map(itemgetter("w"), entries)), float, len(rows))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
-    for row in atoms:
-        if len(row) != n:
-            raise ValueError(f"atom has {len(row)} coordinates, expected {n}")
-    return AtomicMeasure(
-        n,
-        np.array(atoms, dtype=complex).reshape(-1, n),
-        np.array(weights, dtype=float),
-        scale=scale,
-    )
+    return AtomicMeasure(n, atoms.reshape(-1, n), weights, scale=scale)
 
 
 def report_to_doc(rep: Report) -> dict:

@@ -75,9 +75,14 @@ def measure_moments(
     is rounded once to complex: in double precision a degree-d moment of
     atoms of modulus r carries an error near eps * r**d times the mass,
     which on the solver's tori is as large as the 1e-8 contract by d=12.
-    Powers are running products of each coordinate, taken over blocks of
-    atoms so that memory stays bounded; the powers of the last coordinate
-    enter through one matrix product per block.
+    Atoms are taken in blocks so that memory stays bounded.  In a block the
+    powers of each coordinate are running products, taken row by row (one
+    exponent at a time) over coordinate-major atoms.  Each distinct
+    exponent of all but the last coordinate (a head) is coded as one
+    integer and gives one row of weight times head powers; the powers of
+    the last coordinate enter through one matrix product.  The results are
+    bit-identical to those of the former `np.cumprod` kernel: every
+    product takes the same operands in the same order.
     """
     n = measure.n
     for k in indices:
@@ -85,26 +90,39 @@ def measure_moments(
             raise ValueError(
                 f"index length {len(k)} does not match measure dimension {n}"
             )
-    if not len(measure) or not len(indices):
-        return (0j,) * len(indices)
+    if not len(indices):
+        return ()
     exps = np.array(indices, dtype=np.intp).reshape(-1, n)
+    if exps.min() < 0:
+        raise ValueError(f"negative exponent {exps.min()} in the indices")
+    if not len(measure):
+        return (0j,) * len(indices)
     top = exps.max(axis=0)
-    # distinct exponents of all but the last coordinate
-    heads, row = np.unique(exps[:, :-1], axis=0, return_inverse=True)
-    width = max(1, _BLOCK_ENTRIES // (len(heads) + int(top.max()) + 1))
-    acc = np.zeros((len(heads), top[-1] + 1), dtype=np.clongdouble)
+    # Row of each index: its head, numbered one coordinate at a time so
+    # that the code stays below len(indices) * (top + 1); one code over all
+    # n - 1 coordinates could overflow.  n = 1 has one empty head.
+    row, first = np.zeros(len(exps), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for j in range(n - 1):
+        code = np.ravel_multi_index((row, exps[:, j]), (len(exps), top[j] + 1))
+        _, first, row = np.unique(code, return_index=True, return_inverse=True)
+    heads = exps[first, :-1].T
+    count = len(first)
+    width = max(1, _BLOCK_ENTRIES // (count + int(top.max()) + 1))
+    acc = np.zeros((count, top[-1] + 1), dtype=np.clongdouble)
+    atoms = measure.atoms.T
     for lo in range(0, len(measure), width):
-        z = measure.atoms[lo:lo + width].astype(np.clongdouble)
-        lead = np.ones((len(heads), len(z)), dtype=np.clongdouble)
-        lead *= measure.weights[lo:lo + width].astype(np.longdouble)
+        z = atoms[:, lo:lo + width].astype(np.clongdouble)
+        lead = np.empty((count, z.shape[1]), dtype=np.clongdouble)
+        lead[:] = measure.weights[lo:lo + width]
         for j in range(n):
-            powers = np.ones((top[j] + 1, len(z)), dtype=np.clongdouble)
-            powers[1:] = z[:, j]
-            np.cumprod(powers, axis=0, out=powers)
+            powers = np.empty((top[j] + 1, z.shape[1]), dtype=np.clongdouble)
+            powers[0] = 1
+            for e in range(1, top[j] + 1):
+                np.multiply(powers[e - 1], z[j], out=powers[e])
             if j < n - 1:
-                lead *= powers[heads[:, j]]
+                lead *= powers[heads[j]]
         acc += np.dot(lead, powers.T)
-    return tuple(complex(m) for m in acc[row.reshape(-1), exps[:, -1]])
+    return tuple(acc[row, exps[:, -1]].astype(complex).tolist())
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,86 @@ def test_moments_match_direct_sums(rng, n, count):
 def test_moments_dimension_mismatch():
     with pytest.raises(ValueError):
         measure_moments(AtomicMeasure.empty(2), [(1,)])
+
+
+@pytest.mark.parametrize("measure", [
+    AtomicMeasure(1, np.array([[2.0]]), np.array([1.0])),
+    AtomicMeasure.empty(1),
+])
+def test_moments_reject_negative_exponent(measure):
+    # a negative exponent must not index the powers from their far end
+    with pytest.raises(ValueError, match="negative exponent"):
+        measure_moments(measure, [(0,), (3,), (-1,)])
+
+
+def _exact_moments(measure, indices):
+    """Moments of the stored doubles in exact rational arithmetic, as (re, im)."""
+    top = [max(k[j] for k in indices) for j in range(measure.n)]
+    sums = [[Fraction(0), Fraction(0)] for _ in indices]
+    for z, w in zip(measure.atoms.tolist(), measure.weights.tolist()):
+        powers = []
+        for zj, t in zip(z, top):
+            a, b = Fraction(zj.real), Fraction(zj.imag)
+            column = [(Fraction(1), Fraction(0))]
+            for _ in range(t):
+                re, im = column[-1]
+                column.append((re * a - im * b, re * b + im * a))
+            powers.append(column)
+        for total, k in zip(sums, indices):
+            re, im = Fraction(w), Fraction(0)
+            for column, e in zip(powers, k):
+                c, d = column[e]
+                re, im = re * c - im * d, re * d + im * c
+            total[0] += re
+            total[1] += im
+    return sums
+
+
+@pytest.mark.parametrize("n, indices, radius", [
+    (1, box(1, 40), 0.5),
+    (1, box(1, 40), 30.0),
+    (2, box(2, 6), 1.7),
+    (2, ((0, 0), (40, 0), (0, 40), (17, 23), (3, 1)), 1.2),
+    (3, box(3, 3), 0.5),
+    (3, ((0, 0, 0), (10, 0, 5), (2, 9, 1), (7, 7, 7)), 30.0),
+    (4, box(4, 2), 2.0),
+    (4, ((0, 0, 0, 0), (10, 10, 10, 10), (40, 0, 0, 0), (0, 1, 0, 39)), 30.0),
+])
+def test_moments_match_exact_rational_sums(rng, n, indices, radius):
+    """|computed - exact| <= 2^-53 |exact| + (|k| + A + 2) u sum_a w_a |z_a^k|.
+
+    The first term is the final rounding to double, the second the
+    extended-precision products and sums; u is the epsilon of
+    `np.longdouble`, so the bound holds also where that type is plain
+    double.  One atom has zero weight.
+    """
+    count = 5
+    moduli = radius * np.sqrt(rng.random((count, n)))
+    atoms = moduli * np.exp(2j * np.pi * rng.random((count, n)))
+    weights = rng.random(count)
+    weights[2] = 0.0
+    measure = AtomicMeasure(n, atoms, weights)
+    u = float(np.finfo(np.longdouble).eps)
+    exact = _exact_moments(measure, indices)
+    for k, got, (re, im) in zip(indices, measure_moments(measure, indices), exact):
+        err = abs(complex(float(Fraction(got.real) - re), float(Fraction(got.imag) - im)))
+        size = float(sum(w * np.prod(np.abs(z) ** np.array(k)) for z, w in zip(atoms, weights)))
+        bound = 2.0**-53 * abs(complex(float(re), float(im))) + (sum(k) + count + 2) * u * size
+        assert err <= bound, (k, err, bound)
+
+
+def test_moments_with_heads_too_many_for_one_integer_code():
+    # 601 heads over 7 coordinates with exponents up to 600: numbering all
+    # seven at once would need 601**7 > 2**63 codes
+    angles = np.array([[0.1 * (j + 1) + a for j in range(8)] for a in (0.0, 0.7)])
+    measure = AtomicMeasure(8, np.exp(1j * angles), np.array([0.25, 0.75]))
+    indices = [(e,) * 8 for e in range(601)] + [(600, 0, 0, 0, 0, 0, 0, 1)]
+    z = measure.atoms.astype(np.clongdouble)
+    u = float(np.finfo(np.longdouble).eps)
+    for k, got in zip(indices, measure_moments(measure, indices)):
+        mono = np.prod([z[:, j] ** e for j, e in enumerate(k)], axis=0)
+        expect = complex(mono @ measure.weights.astype(np.longdouble))
+        assert abs(got - expect) <= 2.0**-52 + 4 * sum(k) * u
 
 
 def test_report_zero_case():
