@@ -77,7 +77,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 1
     allowance = config.allowance(spec)
-    rep = report(spec, measure)
+    try:
+        rep = report(spec, measure)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     passed = rep.max_residual <= allowance
     print(
         f"{'PASS' if passed else 'FAIL'}: max residual {rep.max_residual:.3e} "

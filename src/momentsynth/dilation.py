@@ -6,8 +6,9 @@ definite function on the integer lattice.  Those values are the Fourier
 coefficients of every measure this package synthesizes.  They have a
 closed form in the prescribed moments, so the table is filled without
 applying a single matrix.  `psd_check` tests Toeplitz sections of the
-table for positive semidefiniteness by pivoted Cholesky, and
-`min_eigenvalue` reads their smallest eigenvalue off one LAPACK call.
+table for positive semidefiniteness with one LAPACK Cholesky
+factorization, and `min_eigenvalue` reads their smallest eigenvalue off
+one LAPACK eigenvalue call.
 """
 
 from __future__ import annotations
@@ -114,36 +115,29 @@ def pd_section(table: FourierTable, radius: int) -> np.ndarray:
 
 
 def psd_check(M: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Pivoted Cholesky test of M + tol*I, with the decisive pivot as witness.
+    """Cholesky test of M + tol*I in one LAPACK factorization (`potrf`).
 
-    Returns (True, smallest pivot) when the factorization completes with
-    positive pivots, else (False, the first nonpositive pivot).  Diagonal
-    pivoting keeps the test meaningful for semidefinite input.
+    The verdict is True exactly when the factorization completes; the
+    witness is then the smallest squared diagonal entry of the factor.
+    When it breaks down the verdict is False and the witness is the
+    smallest eigenvalue of M + tol*I, computed on that branch only.  The
+    witness feeds error messages and decides nothing.
     """
     M = np.asarray(M, dtype=complex)
     size = M.shape[0]
     if M.shape != (size, size):
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(M))) if size else 0.0)
-    if size and float(np.max(np.abs(M - M.conj().T))) > 1e-12 * scale:
+    if not size:
+        return True, 0.0
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if float(np.max(np.abs(M - M.conj().T))) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     W = M + tol * np.eye(size)
-    smallest = float("inf") if size else 0.0
-    for i in range(size):
-        rel = int(np.argmax(W.diagonal().real[i:]))
-        j = i + rel
-        if j != i:
-            W[[i, j], :] = W[[j, i], :]
-            W[:, [i, j]] = W[:, [j, i]]
-        pivot = W[i, i].real
-        if pivot <= 0.0:
-            return False, float(pivot)
-        smallest = min(smallest, float(pivot))
-        root = np.sqrt(pivot)
-        col = W[i + 1:, i] / root
-        W[i + 1:, i + 1:] -= np.outer(col, col.conj())
-        W[i + 1:, i] = col
-    return True, smallest
+    try:
+        factor = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return False, float(np.linalg.eigvalsh(W)[0])
+    return True, float(np.min(factor.diagonal().real) ** 2)
 
 
 def min_eigenvalue(M: np.ndarray) -> float:

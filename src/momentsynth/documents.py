@@ -14,20 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import MomentSpec
+from .lattice import MomentSpec, _integer
 from .measures import AtomicMeasure
 from .verify import Report
-
-
-def _integer(value) -> int:
-    """An integer field of a document; an integral float such as 2.0 passes.
-
-    `int()` alone would truncate 1.5 to 1 and read the string "3" as 3.
-    """
-    integer = int(value)
-    if integer != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return integer
 
 
 def problem_to_doc(spec: MomentSpec) -> dict:

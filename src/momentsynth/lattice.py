@@ -20,8 +20,19 @@ MultiIndex = tuple[int, ...]
 SignedIndex = tuple[int, ...]
 
 
+def _integer(value) -> int:
+    """An integer exponent or count; an integral float such as 2.0 passes.
+
+    `int()` alone would truncate 1.5 to 1 and read the string "3" as 3.
+    """
+    integer = int(value)
+    if integer != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return integer
+
+
 def _check_multi_index(k, n: int) -> MultiIndex:
-    k = tuple(int(e) for e in k)
+    k = tuple(map(_integer, k))
     if len(k) != n:
         raise ValueError(f"index {k} has length {len(k)}, expected {n}")
     if any(e < 0 for e in k):
@@ -93,7 +104,7 @@ class MomentSpec:
     @classmethod
     def from_items(cls, n: int, items) -> "MomentSpec":
         """Build a spec from (index, value) pairs, moving the zero index first."""
-        pairs = [(tuple(int(e) for e in k), complex(v)) for k, v in items]
+        pairs = [(tuple(map(_integer, k)), complex(v)) for k, v in items]
         zero = (0,) * n
         head = [p for p in pairs if p[0] == zero]
         if not head:

@@ -205,7 +205,7 @@ def cf_atoms_1d(
         T[p, :] = full[m + p::-1][: m + 1]
     ok, witness = psd_check(T, tol)
     if not ok:
-        raise NotPSD(f"Toeplitz section fails positivity, pivot {witness:.3e}")
+        raise NotPSD(f"Toeplitz section fails positivity, smallest eigenvalue {witness:.3e}")
 
     prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, mass)
     if mass <= prune:

@@ -92,7 +92,11 @@ def measure_moments(
             )
     if not len(indices):
         return ()
-    exps = np.array(indices, dtype=np.intp).reshape(-1, n)
+    try:
+        exps = np.array(indices, dtype=np.intp).reshape(-1, n)
+    except OverflowError:
+        big = max((e for k in indices for e in k), key=abs)
+        raise ValueError(f"exponent {big} does not fit an array index") from None
     if exps.min() < 0:
         raise ValueError(f"negative exponent {exps.min()} in the indices")
     if not len(measure):

@@ -10,6 +10,7 @@ from momentsynth.dilation import (
 )
 from momentsynth.lattice import MomentSpec, box, embed
 from momentsynth.operators import apply_power, build_tuple
+from momentsynth.verify import random_instance
 
 
 def _table(n, indices, values, radius=None):
@@ -130,6 +131,106 @@ def test_psd_check_matches_eigensolver(rng):
         lam = float(np.linalg.eigvalsh(M).min())
         assert psd_check(M, -lam + 1e-8)[0]
         assert not psd_check(M, -lam - 1e-6 * max(1.0, abs(lam)))[0]
+
+
+def _rank_deficient_psd(rng, size):
+    rank = int(rng.integers(1, size))
+    base = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    base *= 10.0 ** rng.uniform(-3, 3)
+    M = base @ base.conj().T
+    return (M + M.conj().T) / 2
+
+
+def _scale(M):
+    return max(1.0, float(np.max(np.abs(M))))
+
+
+def test_psd_check_rank_deficient_sections(rng):
+    # semidefinite at the boundary: passes at the solver's relative tol,
+    # and fails once shifted 1e-6 of its scale below it
+    for size in range(2, 42):
+        M = _rank_deficient_psd(rng, size)
+        tol = 1e-8 * _scale(M)
+        ok, witness = psd_check(M, tol)
+        assert ok, size
+        assert witness > 0.0
+        shifted = M - (tol + 1e-6 * _scale(M)) * np.eye(size)
+        ok, witness = psd_check(shifted, tol)
+        assert not ok, size
+        assert witness < 0.0
+
+
+@pytest.mark.parametrize("degree", range(1, 41))
+def test_psd_check_passes_fourier_toeplitz_sections(degree):
+    # the section cf_atoms_1d tests, T[p, q] = c_(p-q), at the tol it uses
+    for seed in range(3):
+        spec, _ = random_instance(1, degree, 4, seed)
+        table = fourier_table(build_tuple(embed(spec)), degree)
+        c = np.array([table.value((j,)) for j in range(degree + 1)])
+        full = np.concatenate([c[:0:-1].conj(), c])
+        T = np.array([full[degree + p::-1][: degree + 1] for p in range(degree + 1)])
+        assert np.array_equal(T, pd_section(table, degree))
+        assert psd_check(T, 1e-8 * max(1.0, table.mass))[0], (degree, seed)
+
+
+def _pivoted_cholesky_verdict(M, tol):
+    """Reference: diagonally pivoted Cholesky of M + tol*I, one pivot at a time."""
+    W = np.array(M, dtype=complex) + tol * np.eye(len(M))
+    for i in range(len(W)):
+        j = i + int(np.argmax(W.diagonal().real[i:]))
+        W[[i, j], :] = W[[j, i], :]
+        W[:, [i, j]] = W[:, [j, i]]
+        pivot = W[i, i].real
+        if pivot <= 0.0:
+            return False
+        col = W[i + 1:, i] / np.sqrt(pivot)
+        W[i + 1:, i + 1:] -= np.outer(col, col.conj())
+    return True
+
+
+def test_psd_check_verdict_matches_pivoted_reference(rng):
+    for size in range(2, 42, 3):
+        M = _rank_deficient_psd(rng, size)
+        tol = 1e-8 * _scale(M)
+        for shift in (0.0, 1e-6, 1e-3):
+            shifted = M - shift * _scale(M) * np.eye(size)
+            assert psd_check(shifted, tol)[0] == _pivoted_cholesky_verdict(shifted, tol)
+
+
+def test_psd_check_failure_witness_is_the_smallest_eigenvalue(rng):
+    for size in (2, 7, 19, 41):
+        M = _rank_deficient_psd(rng, size)
+        tol = 1e-8 * _scale(M)
+        shifted = M - 1e-3 * _scale(M) * np.eye(size)
+        ok, witness = psd_check(shifted, tol)
+        assert not ok
+        exact = np.linalg.eigvalsh(shifted + tol * np.eye(size))[0]
+        assert abs(witness - exact) <= 1e-12 * _scale(shifted)
+
+
+def test_psd_check_factors_once(rng, monkeypatch):
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    M = _rank_deficient_psd(rng, 12)
+    tol = 1e-8 * _scale(M)
+    assert psd_check(M, tol)[0]
+    assert calls == {"cholesky": 1, "eigvalsh": 0}
+    assert not psd_check(M - _scale(M) * np.eye(12), tol)[0]
+    assert calls == {"cholesky": 2, "eigvalsh": 1}
+
+
+def test_psd_check_empty():
+    assert psd_check(np.zeros((0, 0)), 1e-8) == (True, 0.0)
 
 
 def test_min_eigenvalue_matches_eigensolver(rng):

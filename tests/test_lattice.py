@@ -121,6 +121,22 @@ def test_spec_from_items_reorders():
     assert spec.value_of((1, 0)) == 2
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.7, "3", "1"])
+def test_spec_rejects_non_integral_exponents(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        MomentSpec(1, ((0,), (bad,)), (1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        MomentSpec.from_items(1, [((0,), 1), ((bad,), 2)])
+
+
+def test_spec_accepts_integral_floats():
+    spec = MomentSpec(2, ((0.0, 0), (2.0, np.int64(1))), (1, 2))
+    assert spec.indices == ((0, 0), (2, 1))
+    assert all(type(e) is int for k in spec.indices for e in k)
+    items = MomentSpec.from_items(1, [((2.0,), 2), ((0.0,), 1)])
+    assert items.indices == ((0,), (2,))
+
+
 def test_embedded_spec_shape_checks():
     with pytest.raises(ValueError):
         EmbeddedSpec(1, 1, ((0,), (1,)), np.zeros(3))

@@ -94,6 +94,15 @@ def test_moments_reject_negative_exponent(measure):
         measure_moments(measure, [(0,), (3,), (-1,)])
 
 
+@pytest.mark.parametrize("measure", [
+    AtomicMeasure(1, np.array([[0.5]]), np.array([1.0])),
+    AtomicMeasure.empty(1),
+])
+def test_moments_reject_exponent_beyond_an_array_index(measure):
+    with pytest.raises(ValueError, match=f"exponent {10**20} does not fit"):
+        measure_moments(measure, [(0,), (3,), (10**20,)])
+
+
 def _exact_moments(measure, indices):
     """Moments of the stored doubles in exact rational arithmetic, as (re, im)."""
     top = [max(k[j] for k in indices) for j in range(measure.n)]
