@@ -7,7 +7,7 @@ from .errors import (
     SolverError,
     Unsolvable,
 )
-from .lattice import EmbeddedSpec, MomentSpec, band, box, embed, shift
+from .lattice import EmbeddedSpec, MomentSpec, box, embed
 from .measures import AtomicMeasure
 from .synthesis import SolverConfig, synthesize
 from .verify import (
@@ -34,14 +34,12 @@ __all__ = [
     "SolverError",
     "Unsolvable",
     "Verdict",
-    "band",
     "box",
     "embed",
     "functional_representation",
     "measure_moments",
     "random_instance",
     "report",
-    "shift",
     "solvability",
     "synthesize",
 ]

@@ -5,61 +5,51 @@ forward/adjoint power values against the cyclic vector form a positive
 definite function on the integer lattice.  Those values are the Fourier
 coefficients of every measure this package synthesizes.  They have a
 closed form in the prescribed moments, so the table is filled without
-applying a single matrix.  `psd_check` tests Toeplitz sections of the
-table for positive semidefiniteness with one LAPACK Cholesky
-factorization, and `min_eigenvalue` reads their smallest eigenvalue off
-one LAPACK eigenvalue call.
+applying a single matrix, as one array in the layout of numpy's FFT
+(index k at k mod (2R+1) along each axis, R the table radius): the grid
+quadrature transforms it as it stands.  `psd_check` tests Toeplitz
+sections of the table for positive semidefiniteness with one LAPACK
+Cholesky factorization, and `min_eigenvalue` reads their smallest
+eigenvalue off one LAPACK eigenvalue call.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SignedIndex, box
 from .operators import OperatorTuple
-
-
-def _is_canonical(k: SignedIndex) -> bool:
-    for e in k:
-        if e > 0:
-            return True
-        if e < 0:
-            return False
-    return True  # the zero index
-
-
-def _negate(k: SignedIndex) -> SignedIndex:
-    return tuple(-e for e in k)
 
 
 @dataclass(frozen=True, eq=False)
 class FourierTable:
-    """Hermitian-symmetric map from signed indices to Fourier coefficients.
+    """Hermitian-symmetric Fourier coefficients over a symmetric index box.
 
-    Entry 0 is the total mass (real, nonnegative); entry -k is always the
-    conjugate of entry k.  `scale` records the contraction scale so callers
-    can move between Fourier and original moment magnitudes.
+    `coeffs` is read-only, of shape (2*radius+1,)*n in numpy's FFT layout:
+    coeffs[k] is entry k, negative entries included.  Entry 0 is the total
+    mass (real, nonnegative); entry -k is always the conjugate of entry k.
+    `scale` records the contraction scale so callers can move between
+    Fourier and original moment magnitudes.
     """
 
     n: int
     radius: int
     scale: float
-    entries: dict[SignedIndex, complex]
+    coeffs: np.ndarray
 
     def value(self, k) -> complex:
         k = tuple(int(e) for e in k)
         if len(k) != self.n:
             raise ValueError(f"index length {len(k)} does not match dimension {self.n}")
+        # checked here because the periodic layout would alias such an index
         if max(abs(e) for e in k) > self.radius:
             raise ValueError(f"index {k} outside table radius {self.radius}")
-        return self.entries[k]
+        return complex(self.coeffs[k])
 
     @property
     def mass(self) -> float:
-        return self.entries[(0,) * self.n].real
+        return float(self.coeffs[(0,) * self.n].real)
 
 
 def fourier_table(ops: OperatorTuple, radius: int) -> FourierTable:
@@ -70,31 +60,44 @@ def fourier_table(ops: OperatorTuple, radius: int) -> FourierTable:
     mass and s_j = 0 when j leaves the box.  This holds because the
     forward power j of the tuple maps the cyclic vector to the orthonormal
     image of construction vector j inside the box and to 0 outside it, and
-    because k+ and k- have disjoint supports.  Only the canonical half
-    (first nonzero entry positive, plus zero) is evaluated; the other half
-    is filled by conjugation.
+    because k+ and k- have disjoint supports.  The canonical half (first
+    nonzero entry positive) is kept from the closed form and the other half
+    is its conjugate.
     """
     if radius < ops.degree:
         raise ValueError(f"table radius {radius} below box degree {ops.degree}")
-    espec, mass = ops.espec, ops.mass
+    espec, mass, n = ops.espec, ops.mass, ops.n
     # s_j / scale**|j| per box index, with the real mass at the zero index;
     # dividing each factor separately keeps the product of two large
     # moments from overflowing
-    powers = np.array([sum(k) for k in espec.box])
-    scaled = espec.values / ops.scale ** powers
+    scaled = espec.values / ops.scale ** espec.box.sum(axis=1)
     scaled[0] = mass
-    reduced = dict(zip(espec.box, map(complex, scaled)))
-    zero = (0,) * ops.n
-    entries: dict[SignedIndex, complex] = {zero: complex(mass)}
-    for k in itertools.product(range(-radius, radius + 1), repeat=ops.n):
-        if k == zero or not _is_canonical(k):
-            continue
-        plus = tuple(max(e, 0) for e in k)
-        minus = tuple(max(-e, 0) for e in k)
-        value = reduced.get(plus, 0j) * reduced.get(minus, 0j).conjugate() / mass
-        entries[k] = value
-        entries[_negate(k)] = value.conjugate()
-    return FourierTable(ops.n, radius, ops.scale, entries)
+    reduced = np.zeros((radius + 1,) * n, dtype=complex)
+    reduced[(slice(0, ops.degree + 1),) * n] = scaled.reshape((ops.degree + 1,) * n)
+    # a and b hold s_(k+) and s_(k-) for k over [-radius, radius]**n in
+    # lexicographic order (centred), where -k sits at the mirrored position
+    size = 2 * radius + 1
+    signed = np.arange(size) - radius
+    a = b = reduced
+    for axis in range(n):
+        a, b = a.take(np.maximum(signed, 0), axis), b.take(np.maximum(-signed, 0), axis)
+    # a * conj(b) / mass one operation at a time, as Python's complex
+    # scalars do it: numpy's complex division multiplies by a reciprocal
+    re = a.real * b.real - a.imag * -b.imag
+    im = a.real * -b.imag + a.imag * b.real
+    centred = np.empty(a.shape, dtype=complex)
+    centred.real = (re + im * 0.0) / mass
+    centred.imag = (im - re * 0.0) / mass
+    flat = centred.reshape(-1)
+    half = flat.size // 2
+    flat[:half] = flat[:half:-1].conj()
+    flat[half] = mass
+    # FFT layout: position i of an axis holds the centred position i + radius
+    coeffs = centred
+    for axis in range(n):
+        coeffs = coeffs.take((np.arange(size) + radius) % size, axis)
+    coeffs.setflags(write=False)
+    return FourierTable(n, radius, ops.scale, coeffs)
 
 
 def pd_section(table: FourierTable, radius: int) -> np.ndarray:
@@ -105,13 +108,8 @@ def pd_section(table: FourierTable, radius: int) -> np.ndarray:
     """
     if radius > table.radius:
         raise ValueError(f"section radius {radius} exceeds table radius {table.radius}")
-    idx = box(table.n, radius)
-    size = len(idx)
-    M = np.empty((size, size), dtype=complex)
-    for a, p in enumerate(idx):
-        for b, q in enumerate(idx):
-            M[a, b] = table.entries[tuple(pe - qe for pe, qe in zip(p, q))]
-    return M
+    idx = np.indices((radius + 1,) * table.n).reshape(table.n, -1)
+    return table.coeffs[tuple(idx[:, :, None] - idx[:, None, :])]
 
 
 def psd_check(M: np.ndarray, tol: float) -> tuple[bool, float]:

@@ -3,14 +3,17 @@
 A problem instance prescribes complex values for finitely many monomial
 exponents in n complex variables.  Everything downstream works on a full
 exponent box of some degree, so this module also provides the zero-filled
-embedding of an arbitrary instance into that box.
+embedding of an arbitrary instance into that box: an array in the
+lexicographic (C) order of `box`, where incrementing the j-th exponent
+moves an index by the stride (degree+1)**(n-j).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -50,25 +53,6 @@ def box(n: int, degree: int) -> tuple[MultiIndex, ...]:
     if degree < 1:
         raise ValueError("box degree must be at least 1")
     return tuple(itertools.product(range(degree + 1), repeat=n))
-
-
-def band(n: int, degree: int, coord: int) -> set[MultiIndex]:
-    """The sub-box whose `coord`-th entry is at most degree-1.
-
-    `coord` is numbered from 1.  These are exactly the indices that the
-    corresponding coordinate shift maps back into the box.
-    """
-    if not 1 <= coord <= n:
-        raise ValueError(f"coordinate {coord} out of range 1..{n}")
-    return {k for k in box(n, degree) if k[coord - 1] <= degree - 1}
-
-
-def shift(k: MultiIndex, coord: int) -> MultiIndex:
-    """Increment the `coord`-th entry (numbered from 1) of a multi-index."""
-    if not 1 <= coord <= len(k):
-        raise ValueError(f"coordinate {coord} out of range 1..{len(k)}")
-    j = coord - 1
-    return k[:j] + (k[j] + 1,) + k[j + 1:]
 
 
 @dataclass(frozen=True)
@@ -126,28 +110,26 @@ class MomentSpec:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedSpec:
-    """A moment spec zero-filled onto a full exponent box of some degree."""
+    """A moment spec zero-filled onto a full exponent box, in the C order of `box`."""
 
     n: int
     degree: int
-    box: tuple[MultiIndex, ...]
     values: np.ndarray
-    position: dict[MultiIndex, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(
-            self, "position", {k: i for i, k in enumerate(self.box)}
-        )
-        if len(self.box) != (self.degree + 1) ** self.n:
-            raise ValueError("box size does not match its degree")
-        if vals.shape != (len(self.box),):
+        if vals.shape != ((self.degree + 1) ** self.n,):
             raise ValueError("one value per box element required")
 
+    @property
+    def box(self) -> np.ndarray:
+        """The box exponents as a (len(values), n) array, row i for values[i]."""
+        return np.indices((self.degree + 1,) * self.n).reshape(self.n, -1).T
+
     def value_of(self, k: MultiIndex) -> complex:
-        return complex(self.values[self.position[k]])
+        return complex(self.values[np.ravel_multi_index(k, (self.degree + 1,) * self.n)])
 
     @property
     def mass(self) -> complex:
@@ -160,9 +142,8 @@ def embed(spec: MomentSpec) -> EmbeddedSpec:
     The box degree is max(1, largest exponent entry).
     """
     degree = max(1, max(max(k) for k in spec.indices))
-    full = box(spec.n, degree)
-    values = np.zeros(len(full), dtype=complex)
-    position = {k: i for i, k in enumerate(full)}
+    values = np.zeros((degree + 1) ** spec.n, dtype=complex)
+    strides = [(degree + 1) ** (spec.n - 1 - j) for j in range(spec.n)]
     for k, v in zip(spec.indices, spec.values):
-        values[position[k]] = v
-    return EmbeddedSpec(spec.n, degree, full, values)
+        values[sum(map(mul, k, strides))] = v
+    return EmbeddedSpec(spec.n, degree, values)

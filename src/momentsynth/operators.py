@@ -7,10 +7,12 @@ the matrix L^T, which is the identity except for row 0, (a, s_j/a, ...);
 its inverse is the identity except for row 0, (1/a, -s_j/s0, ...).  So
 the map taking the vectors to an orthonormal basis is known in closed
 form, and nothing is factored or inverted numerically.  Coordinate shifts
-act on the family as a commuting tuple of matrices.  This module builds
-those matrices in an orthonormal basis, scales them into a strict joint
-contraction, and evaluates mixed forward/adjoint power products against
-the cyclic vector.
+act on the family as a commuting tuple of matrices; in the lexicographic
+order of the embedded box, coordinate j's shift is the identity moved down
+by the stride (degree+1)**(n-j), cut off where the j-th exponent would
+leave the box.  This module builds those matrices in an orthonormal
+basis, scales them into a strict joint contraction, and evaluates mixed
+forward/adjoint power products against the cyclic vector.
 
 The inner product is linear in the first slot and conjugate-linear in the
 second throughout.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import EmbeddedSpec, MultiIndex, SignedIndex, band, box, shift
+from .lattice import EmbeddedSpec, MultiIndex, SignedIndex, box
 
 _EPS = float(np.finfo(float).eps)
 
@@ -85,8 +87,9 @@ def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
 
     In the basis of construction vectors, coordinate j sends a basis
     vector to the one with the j-th exponent incremented (when that stays
-    inside the box) and to zero otherwise.  Conjugating by L^T, the
-    matrix of construction vectors, moves this to orthonormal
+    inside the box) and to zero otherwise: a stride shift of the box order
+    (module docstring).  Conjugating by L^T, the matrix of construction
+    vectors, moves this to orthonormal
     coordinates: with the inner product linear in the first slot, the
     coordinate isometry is alpha -> L^T alpha (a transpose, not the
     adjoint map).
@@ -104,7 +107,7 @@ def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     n, degree = espec.n, espec.degree
-    p = len(espec.box)
+    p = len(espec.values)
     a = np.sqrt(mass)
     tail = espec.values[1:]
     Lt = np.eye(p, dtype=complex)
@@ -115,10 +118,12 @@ def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
     Lt_inv[0, 1:] = -tail / mass
 
     matrices = []
-    for coord in range(1, n + 1):
-        raw = np.zeros((p, p))
-        for k in band(n, degree, coord):
-            raw[espec.position[shift(k, coord)], espec.position[k]] = 1.0
+    for j in range(n):
+        stride = (degree + 1) ** (n - 1 - j)
+        raw = np.eye(p, k=-stride)
+        # columns as (earlier exponents, j-th exponent, later exponents): a
+        # column whose j-th exponent is the degree has no successor
+        raw.reshape(p, -1, degree + 1, stride)[:, :, degree] = 0.0
         matrices.append(Lt @ raw @ Lt_inv)
 
     cyclic = Lt[:, 0].copy()
@@ -184,7 +189,7 @@ def moment_identity(ops: OperatorTuple, espec: EmbeddedSpec) -> float:
     """
     vecs = _box_vectors(ops, espec.degree)
     worst = 0.0
-    for k in espec.box:
+    for k in map(tuple, espec.box.tolist()):
         value = ops.scale ** sum(k) * np.vdot(ops.cyclic, vecs[k])
         worst = max(worst, abs(value - espec.value_of(k)))
     return worst

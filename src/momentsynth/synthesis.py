@@ -34,14 +34,13 @@ no refinement, loads numpy alone.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .dilation import FourierTable, _is_canonical, fourier_table, min_eigenvalue, psd_check
+from .dilation import FourierTable, fourier_table, min_eigenvalue, psd_check
 from .errors import ConvergenceFailure, NNLSStall, NotPSD, SolverError, Unsolvable
 from .lattice import EmbeddedSpec, MomentSpec, MultiIndex, embed
 from .measures import AtomicMeasure
@@ -51,6 +50,8 @@ from .verify import report, solvability
 
 # candidate angles per variable of the two-variable grid fit
 GRID = 64
+
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,9 @@ def solve_zero(spec: MomentSpec) -> AtomicMeasure:
 
 
 def _half_box(n: int, radius: int) -> np.ndarray:
-    """Canonical half of the symmetric index box (zero included), as an array."""
-    kept = [
-        k
-        for k in itertools.product(range(-radius, radius + 1), repeat=n)
-        if _is_canonical(k)
-    ]
-    return np.array(kept, dtype=int).reshape(len(kept), n)
+    """Canonical half of the symmetric index box, zero included: its C-order rows from zero on."""
+    signed = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius
+    return signed[len(signed) // 2:]
 
 
 def _trig_moments(angles: np.ndarray, weights: np.ndarray, karr: np.ndarray) -> np.ndarray:
@@ -112,7 +109,7 @@ def _trig_moments(angles: np.ndarray, weights: np.ndarray, karr: np.ndarray) -> 
 
 
 def _table_targets(table: FourierTable, karr: np.ndarray) -> np.ndarray:
-    return np.array([table.entries[tuple(k)] for k in karr], dtype=complex)
+    return table.coeffs[tuple(karr.T)]
 
 
 def _unit_measure(angles: np.ndarray, weights: np.ndarray, n: int) -> AtomicMeasure:
@@ -472,10 +469,7 @@ def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -
     """
     n, size = table.n, 2 * table.radius + 1
     prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, table.mass)
-    coeffs = np.zeros((size,) * n, dtype=complex)
-    # negative indices wrap around, which is the periodic layout fftn expects
-    coeffs[tuple(np.array(list(table.entries)).T)] = list(table.entries.values())
-    weights = np.fft.fftn(coeffs).real.reshape(-1) / size**n
+    weights = np.fft.fftn(table.coeffs).real.reshape(-1) / size**n
     angles = (2.0 * np.pi / size) * np.indices((size,) * n).reshape(n, -1).T
     keep = weights > prune
     return _unit_measure(angles[keep], weights[keep], n)
@@ -634,8 +628,7 @@ def _prescale_factor(espec: EmbeddedSpec, mass_relative: bool = False) -> float:
     """
     ref = float(np.sqrt(espec.mass.real)) if mass_relative else 1.0
     best = 0.0
-    for k, v in zip(espec.box, np.asarray(espec.values)):
-        total = sum(k)
+    for total, v in zip(espec.box.sum(axis=1).tolist(), np.asarray(espec.values)):
         if total and abs(v) > 0.0:
             best = max(best, float(abs(v) / ref) ** (1.0 / total))
     if best == 0.0:
@@ -644,9 +637,9 @@ def _prescale_factor(espec: EmbeddedSpec, mass_relative: bool = False) -> float:
 
 
 def _rescaled(espec: EmbeddedSpec, factor: float) -> EmbeddedSpec:
-    powers = np.array([sum(k) for k in espec.box], dtype=float)
+    powers = espec.box.sum(axis=1).astype(float)
     values = np.asarray(espec.values) / factor ** powers
-    return EmbeddedSpec(espec.n, espec.degree, espec.box, values)
+    return EmbeddedSpec(espec.n, espec.degree, values)
 
 
 def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMeasure:
@@ -666,7 +659,9 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     rounding level fails at once too (see `refine`).  A refinement that
     returns its input untouched (its double-precision residual met the
     target) ends the attempt without checking the same atoms again.  The
-    first candidate whose residual meets the target is returned.
+    first candidate whose residual meets the target is returned, unless the
+    target lies below u * (total weight) * max(1, radius)**|k|, the rounding
+    level of the `np.longdouble` sums that measure it at the top degree |k|.
     Otherwise the raised ConvergenceFailure lists every attempt in order,
     as its pre-scale factor, stage and reason.
 
@@ -685,6 +680,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     allowance = cfg.allowance(spec)
     espec = embed(spec)
     prune = 1e-12 * spec.mass.real
+    top = max(map(sum, spec.indices))
 
     # later rungs are fallbacks: poorly scaled data can sit at the edge of
     # double precision in one parametrization and be comfortable in another
@@ -708,7 +704,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         for stage in {1: ["split"], 2: ["grid"]}.get(n, []) + ["quadrature"]:
             try:
                 if stage == "split":
-                    line = [table.value((j,)) for j in range(ops.degree + 1)]
+                    line = table.coeffs[:ops.degree + 1]
                     unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
                 elif stage == "grid":
                     unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
@@ -729,9 +725,14 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             except SolverError as exc:
                 attempts.append((factor, stage, str(exc)))
                 continue
-            if residual <= allowance:
+            if residual > allowance:
+                attempts.append((factor, stage, "synthesized measure misses the residual target"))
+                continue
+            level = _LONG_EPS * candidate.total_mass * max(1.0, atom_radius) ** top
+            if level <= allowance:
                 return candidate
-            attempts.append((factor, stage, "synthesized measure misses the residual target"))
+            attempts.append((factor, stage, (
+                f"its moment sums round at {level:.3e}, above the residual target")))
     raise ConvergenceFailure(
         "synthesis could not reach the residual target: "
         + "; ".join(f"(prescale {f:.6g}, {stage}) {reason}" for f, stage, reason in attempts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -62,7 +63,8 @@ def solvability(spec: MomentSpec, tol_im: float = 1e-12) -> Verdict:
     return Verdict("solvable", sqrt_mass=float(np.sqrt(s0.real)))
 
 
-# entries in each per-block work array of measure_moments (2 MB in clongdouble)
+# entries in each per-block work array of measure_moments (2 MB in clongdouble),
+# and one more than the largest exponent, so one atom's power table fits a block
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -75,14 +77,15 @@ def measure_moments(
     is rounded once to complex: in double precision a degree-d moment of
     atoms of modulus r carries an error near eps * r**d times the mass,
     which on the solver's tori is as large as the 1e-8 contract by d=12.
-    Atoms are taken in blocks so that memory stays bounded.  In a block the
-    powers of each coordinate are running products, taken row by row (one
-    exponent at a time) over coordinate-major atoms.  Each distinct
-    exponent of all but the last coordinate (a head) is coded as one
-    integer and gives one row of weight times head powers; the powers of
-    the last coordinate enter through one matrix product.  The results are
-    bit-identical to those of the former `np.cumprod` kernel: every
-    product takes the same operands in the same order.
+    Atoms and weights are cast to `clongdouble` once, then taken in blocks
+    so that memory stays bounded.  In a block the powers of each coordinate
+    are running products, one `np.multiply.accumulate` over a table 1, z,
+    z, ... of coordinate-major atoms.  Each distinct exponent of all but
+    the last coordinate (a head) is coded as one integer and gives one row
+    of weight times head powers; the powers of the last coordinate enter
+    through one matrix product.  The results are bit-identical to those of
+    the former `np.cumprod` kernel: every product takes the same operands
+    in the same order.  An exponent above 65,535 raises ValueError.
     """
     n = measure.n
     for k in indices:
@@ -99,6 +102,8 @@ def measure_moments(
         raise ValueError(f"exponent {big} does not fit an array index") from None
     if exps.min() < 0:
         raise ValueError(f"negative exponent {exps.min()} in the indices")
+    if exps.max() >= _BLOCK_ENTRIES:
+        raise ValueError(f"exponent {exps.max()} exceeds the limit {_BLOCK_ENTRIES - 1}")
     if not len(measure):
         return (0j,) * len(indices)
     top = exps.max(axis=0)
@@ -113,20 +118,29 @@ def measure_moments(
     count = len(first)
     width = max(1, _BLOCK_ENTRIES // (count + int(top.max()) + 1))
     acc = np.zeros((count, top[-1] + 1), dtype=np.clongdouble)
-    atoms = measure.atoms.T
+    atoms = measure.atoms.T.astype(np.clongdouble)
+    weights = measure.weights.astype(np.clongdouble)
     for lo in range(0, len(measure), width):
-        z = atoms[:, lo:lo + width].astype(np.clongdouble)
+        z = atoms[:, lo:lo + width]
         lead = np.empty((count, z.shape[1]), dtype=np.clongdouble)
-        lead[:] = measure.weights[lo:lo + width]
+        lead[:] = weights[lo:lo + width]
         for j in range(n):
             powers = np.empty((top[j] + 1, z.shape[1]), dtype=np.clongdouble)
             powers[0] = 1
-            for e in range(1, top[j] + 1):
-                np.multiply(powers[e - 1], z[j], out=powers[e])
+            powers[1:] = z[j]
+            np.multiply.accumulate(powers, axis=0, out=powers)
             if j < n - 1:
                 lead *= powers[heads[j]]
         acc += np.dot(lead, powers.T)
     return tuple(acc[row, exps[:, -1]].astype(complex).tolist())
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), but inf where Python's abs() overflows on finite parts."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -147,9 +161,9 @@ def report(
     measure: AtomicMeasure,
     config: "SolverConfig | None" = None,
 ) -> Report:
-    """Per-index absolute residuals of the measure's moments."""
+    """Per-index absolute residuals of the measure's moments (inf beyond a double)."""
     moments = measure_moments(measure, spec.indices)
-    residuals = tuple(abs(m - v) for m, v in zip(moments, spec.values))
+    residuals = tuple(_modulus(m - v) for m, v in zip(moments, spec.values))
     return Report(
         indices=spec.indices,
         residuals=residuals,

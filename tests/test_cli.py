@@ -256,6 +256,20 @@ def test_verify_exponent_beyond_an_array_index_exit_1(tmp_path, capsys):
     assert captured.err.startswith(f"error: exponent {10**20} does not fit an array index")
 
 
+def test_verify_exponent_beyond_the_limit_exit_1(tmp_path, capsys):
+    # an exponent that fits an array index but not one block's power table
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "5"])
+    doc = read_doc(problem)
+    doc["moments"][1]["k"] = [100000]
+    write_doc(problem, doc)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(tmp_path / "prob.measure.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent 100000 exceeds the limit 65535")
+
+
 def test_verify_report_is_machine_readable(tmp_path, capsys):
     problem = tmp_path / "prob.json"
     main(["random", str(problem), "--n", "1", "--d", "1", "--atoms", "1", "--seed", "2"])

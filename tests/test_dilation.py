@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,15 +23,15 @@ def _table(n, indices, values, radius=None):
 
 def test_mass_entry():
     ops, table = _table(1, ((0,), (1,)), (1, 0))
-    assert table.entries[(0,)].imag == 0.0
-    assert table.entries[(0,)].real == pytest.approx(1.0, rel=1e-12)
+    assert table.coeffs[0].imag == 0.0
+    assert table.coeffs[0].real == pytest.approx(1.0, rel=1e-12)
     assert table.mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_trivial_line():
     _, table = _table(1, ((0,), (1,)), (1, 0))
-    assert table.entries[(1,)] == pytest.approx(0.0, abs=1e-15)
-    assert table.entries[(-1,)] == pytest.approx(0.0, abs=1e-15)
+    assert table.coeffs[1] == pytest.approx(0.0, abs=1e-15)
+    assert table.coeffs[-1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hermitian_symmetry(rng):
@@ -38,9 +40,46 @@ def test_hermitian_symmetry(rng):
         es = embed(spec)
         ops = build_tuple(es)
         table = fourier_table(ops, es.degree)
-        for k, v in table.entries.items():
-            neg = tuple(-e for e in k)
-            assert table.entries[neg] == np.conj(v)
+        size = 2 * table.radius + 1
+        # entry -k of the periodic layout sits at index -k mod size
+        negated = table.coeffs[np.ix_(*((-np.arange(size)) % size,) * table.n)]
+        assert np.array_equal(negated, table.coeffs.conj())
+
+
+def _closed_form_entries(ops, radius):
+    """The table as Python complex scalars keyed by signed index: the closed
+    form on the canonical half (first nonzero entry positive), conjugates on
+    the other half, the mass at zero."""
+    full = box(ops.n, ops.degree)
+    powers = np.array([sum(k) for k in full])
+    scaled = ops.espec.values / ops.scale ** powers
+    scaled[0] = ops.mass
+    reduced = dict(zip(full, map(complex, scaled)))
+    zero = (0,) * ops.n
+    entries = {zero: complex(ops.mass)}
+    for k in itertools.product(range(-radius, radius + 1), repeat=ops.n):
+        if k == zero or next(e for e in k if e) < 0:
+            continue
+        plus = tuple(max(e, 0) for e in k)
+        minus = tuple(max(-e, 0) for e in k)
+        value = reduced.get(plus, 0j) * reduced.get(minus, 0j).conjugate() / ops.mass
+        entries[k] = value
+        entries[tuple(-e for e in k)] = value.conjugate()
+    return entries
+
+
+def test_table_matches_scalar_closed_form_bit_for_bit(rng):
+    # signed zeros included: the array form must repeat the scalar operations
+    for radius_over_degree in (0, 1):
+        for n in (1, 2, 3):
+            for _ in range(6):
+                es = embed(random_box_spec(rng, n=n))
+                ops = build_tuple(es)
+                table = fourier_table(ops, es.degree + radius_over_degree)
+                expected = np.empty_like(table.coeffs)
+                for k, v in _closed_form_entries(ops, table.radius).items():
+                    expected[k] = v
+                assert expected.tobytes() == table.coeffs.tobytes()
 
 
 def test_table_matches_apply_power(rng):
@@ -51,8 +90,8 @@ def test_table_matches_apply_power(rng):
         es = embed(spec)
         ops = build_tuple(es)
         table = fourier_table(ops, es.degree + 1)
-        for k, v in table.entries.items():
-            assert v == pytest.approx(apply_power(ops, k), abs=1e-13)
+        for k in itertools.product(range(-table.radius, table.radius + 1), repeat=es.n):
+            assert table.coeffs[k] == pytest.approx(apply_power(ops, k), abs=1e-13)
 
 
 def test_table_scale_consistency(rng):
@@ -63,8 +102,8 @@ def test_table_scale_consistency(rng):
         ops = build_tuple(es)
         table = fourier_table(ops, es.degree)
         scale = max(1.0, max(abs(v) for v in spec.values))
-        for k in es.box:
-            value = ops.scale ** sum(k) * table.entries[k]
+        for k in box(es.n, es.degree):
+            value = ops.scale ** sum(k) * table.value(k)
             assert abs(value - es.value_of(k)) <= 1e-10 * scale
 
 
@@ -73,8 +112,14 @@ def test_table_radius_validation():
     ops = build_tuple(es)
     with pytest.raises(ValueError):
         fourier_table(ops, 1)
-    with pytest.raises(ValueError):
-        fourier_table(ops, 2).value((3,))
+    # the periodic layout would read (3,) and (-3,) as (-2,) and (2,)
+    table = fourier_table(ops, 2)
+    for k in ((3,), (-3,)):
+        with pytest.raises(ValueError, match="outside table radius"):
+            table.value(k)
+    es = embed(MomentSpec(2, ((0, 0), (1, 1)), (1, 0.5)))
+    with pytest.raises(ValueError, match="outside table radius"):
+        fourier_table(build_tuple(es), 1).value((0, -2))
 
 
 def test_pd_section_identity_case():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_box_spec
-from momentsynth.lattice import MomentSpec, embed
+from momentsynth.lattice import MomentSpec, box, embed
 from momentsynth.operators import _box_vectors, apply_power, build_tuple, moment_identity
 
 
@@ -38,9 +38,10 @@ def test_gram_matches_sequence_space_oracle(rng):
         ops = build_tuple(es)
         vecs = _box_vectors(ops, es.degree)
         oracle = sequence_space_gram(es.values)
+        full = box(es.n, es.degree)
         realized = np.array([
-            [ops.scale ** (sum(j) + sum(l)) * np.vdot(vecs[l], vecs[j]) for l in es.box]
-            for j in es.box
+            [ops.scale ** (sum(j) + sum(l)) * np.vdot(vecs[l], vecs[j]) for l in full]
+            for j in full
         ])
         assert np.max(np.abs(realized - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
@@ -49,7 +50,7 @@ def test_gram_rejects_bad_mass():
     with pytest.raises(ValueError):
         build_tuple(_embed(1, ((0,), (1,)), (-1, 0)))
     es = embed(MomentSpec(1, ((0,), (1,)), (1, 0)))
-    bad = type(es)(es.n, es.degree, es.box, np.array([1j, 0.0]))
+    bad = type(es)(es.n, es.degree, np.array([1j, 0.0]))
     with pytest.raises(ValueError):
         build_tuple(bad)
 
@@ -60,6 +61,29 @@ def test_build_tuple_trivial_instance():
     assert ops.norm_bound == pytest.approx(1.0)
     assert ops.scale == pytest.approx(1.1, rel=1e-12)
     assert np.allclose(ops.cyclic, [1, 0])
+
+
+def test_shift_matrices_are_tuple_increments(rng):
+    # each matrix is L^T @ raw @ L^-T, raw sending box index k to k + e_j
+    # when that stays in the box; raw is built here by tuple increments
+    for n in (1, 2, 3):
+        for degree in (1, 2, 3):
+            es = embed(random_box_spec(rng, n=n, degree=degree))
+            ops = build_tuple(es)
+            full = box(n, es.degree)
+            position = {k: i for i, k in enumerate(full)}
+            a, tail = np.sqrt(ops.mass), es.values[1:]
+            Lt = np.eye(len(full), dtype=complex)
+            Lt[0, 0], Lt[0, 1:] = a, tail / a
+            Lt_inv = np.eye(len(full), dtype=complex)
+            Lt_inv[0, 0], Lt_inv[0, 1:] = 1.0 / a, -tail / ops.mass
+            for j in range(n):
+                raw = np.zeros((len(full), len(full)))
+                for k in full:
+                    up = k[:j] + (k[j] + 1,) + k[j + 1:]
+                    if up in position:
+                        raw[position[up], position[k]] = 1.0
+                assert np.array_equal(ops.matrices[j], Lt @ raw @ Lt_inv)
 
 
 def test_build_tuple_cyclic_norm():

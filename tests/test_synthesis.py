@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import momentsynth.synthesis as synthesis
-from conftest import random_box_spec
+from conftest import extended_relative_residual, random_box_spec
 from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
@@ -31,29 +31,19 @@ def circle_table(n, radius, angles, weights, uniform=0.0):
     operator pipeline), plus an optional uniform component at frequency 0."""
     angles = np.asarray(angles, dtype=float).reshape(-1, n)
     weights = np.asarray(weights, dtype=float)
-    entries = {}
-    for k in itertools.product(range(-radius, radius + 1), repeat=n):
+    coeffs = np.empty((2 * radius + 1,) * n, dtype=complex)
+    for k in signed_box(n, radius):
         karr = np.asarray(k, dtype=float)
         value = complex(np.sum(weights * np.exp(1j * (angles @ karr))))
         if not any(k):
             value = complex(value.real + uniform)
-        entries[k] = value
-    return FourierTable(n, radius, 1.0, entries)
+        coeffs[k] = value
+    return FourierTable(n, radius, 1.0, coeffs)
 
 
-def extended_relative_residual(spec, measure):
-    """max |moment - prescribed| / max(1, max |prescribed|), with the
-    measure's moments summed in extended precision here rather than by
-    the package's own verifier."""
-    atoms = np.asarray(measure.atoms).astype(np.clongdouble)
-    weights = np.asarray(measure.weights).astype(np.longdouble)
-    worst = 0.0
-    for k, value in zip(spec.indices, spec.values):
-        mono = np.ones(len(weights), dtype=np.clongdouble)
-        for j, e in enumerate(k):
-            mono *= atoms[:, j] ** e
-        worst = max(worst, float(abs(mono @ weights - np.clongdouble(value))))
-    return worst / max(1.0, max(abs(v) for v in spec.values))
+def signed_box(n, radius):
+    """Every signed index of a table of that radius."""
+    return itertools.product(range(-radius, radius + 1), repeat=n)
 
 
 def scaled_spec(spec, factor):
@@ -99,7 +89,8 @@ def materialized(column, cols):
 def table_residual(measure, table):
     angles = np.angle(measure.atoms)
     worst = 0.0
-    for k, target in table.entries.items():
+    for k in signed_box(table.n, table.radius):
+        target = table.coeffs[k]
         karr = np.asarray(k, dtype=float)
         got = complex(np.sum(measure.weights * np.exp(1j * (angles @ karr))))
         worst = max(worst, abs(got - target))
@@ -205,7 +196,7 @@ def test_grid_nnls_fits_only_the_given_indices():
     assert 0 < len(measure) <= 17
     got = measure_moments(measure, indices)
     for k, value in zip(indices, got):
-        assert abs(value - table.entries[k]) <= 1e-12
+        assert abs(value - table.coeffs[k]) <= 1e-12
 
 
 def test_grid_nnls_zero_table():
@@ -232,7 +223,7 @@ def test_grid_nnls_three_variables_full_grid(rng):
     assert len(coarse) > 0
     assert coarse.weights.min() >= 0.0
     fine = refine(coarse, table, tol=1e-8)
-    scale = max(1.0, max(abs(c) for c in table.entries.values()))
+    scale = max(1.0, float(np.max(np.abs(table.coeffs))))
     assert table_residual(fine, table) <= 1e-8 * scale
 
 
@@ -362,7 +353,7 @@ def box_tables(draw):
     magnitude = st.floats(1e-6, 1e6)
     phase = st.floats(0.0, 2 * np.pi)
     values = [draw(magnitude) * np.exp(1j * draw(phase)) for _ in idx[1:]]
-    espec = EmbeddedSpec(n, degree, idx, np.array([draw(magnitude)] + values, dtype=complex))
+    espec = EmbeddedSpec(n, degree, np.array([draw(magnitude)] + values, dtype=complex))
     return fourier_table(build_tuple(espec), degree)
 
 

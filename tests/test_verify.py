@@ -66,12 +66,14 @@ def test_moments_linearity(rng):
     assert np.allclose(got, expect)
 
 
-@pytest.mark.parametrize("n, count", [(1, 5000), (3, 3000)])
-def test_moments_match_direct_sums(rng, n, count):
+@pytest.mark.parametrize("n, count, top", [
+    (1, 5000, 40), (3, 3000, 40), (1, 200, 1600), (1, 40, 5000),
+], ids=["1-5000", "3-3000", "degree-1600", "degree-5000"])
+def test_moments_match_direct_sums(rng, n, count, top):
     # unordered, gapped exponents over enough atoms to span several blocks
     atoms = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
     measure = AtomicMeasure(n, 1.1 * atoms / np.abs(atoms), rng.random(count))
-    indices = [tuple(int(e) for e in k) for k in rng.integers(0, 40, size=(12, n))]
+    indices = [tuple(int(e) for e in k) for k in rng.integers(0, top, size=(12, n))]
     z = measure.atoms.astype(np.clongdouble)
     for k, got in zip(indices, measure_moments(measure, indices)):
         mono = np.prod([z[:, j] ** e for j, e in enumerate(k)], axis=0)
@@ -101,6 +103,17 @@ def test_moments_reject_negative_exponent(measure):
 def test_moments_reject_exponent_beyond_an_array_index(measure):
     with pytest.raises(ValueError, match=f"exponent {10**20} does not fit"):
         measure_moments(measure, [(0,), (3,), (10**20,)])
+
+
+@pytest.mark.parametrize("measure", [
+    AtomicMeasure(1, np.array([[0.5]]), np.array([1.0])),
+    AtomicMeasure.empty(1),
+])
+def test_moments_reject_exponent_beyond_the_block(measure):
+    # one atom's power table must fit a block of _BLOCK_ENTRIES entries
+    assert len(measure_moments(measure, [(0,), (65535,)])) == 2
+    with pytest.raises(ValueError, match="exponent 65536 exceeds the limit 65535"):
+        measure_moments(measure, [(0,), (3,), (65536,)])
 
 
 def _exact_moments(measure, indices):
@@ -180,6 +193,15 @@ def test_report_zero_case():
     assert rep.total_mass == 0.0
     assert rep.support_radius == 0.0
     assert rep.atom_count == 0
+
+
+def test_report_residual_beyond_a_double_is_inf():
+    # finite parts whose modulus overflows: Python's abs() would raise
+    spec = MomentSpec(1, ((0,), (1,)), (1, 0))
+    measure = AtomicMeasure(1, np.array([[1.5e308 + 1.5e308j]]), np.array([1.0]))
+    rep = report(spec, measure)
+    assert rep.residuals == (0.0, np.inf)
+    assert rep.max_residual == np.inf
 
 
 def test_report_fields_consistent(rng):
