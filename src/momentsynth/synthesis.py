@@ -34,6 +34,7 @@ no refinement, loads numpy alone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ from .verify import report, solvability
 # candidate angles per variable of the two-variable grid fit
 GRID = 64
 
-_LONG_EPS = float(np.finfo(np.longdouble).eps)
+_LOG_LONG_EPS = math.log(float(np.finfo(np.longdouble).eps))
 
 
 @dataclass(frozen=True)
@@ -642,6 +643,45 @@ def _rescaled(espec: EmbeddedSpec, factor: float) -> EmbeddedSpec:
     return EmbeddedSpec(espec.n, espec.degree, values)
 
 
+def _log_rounding_level(log_weight: float, radius: float, top: int) -> float:
+    """Natural log of u * W * max(1, radius)**top, W = exp(log_weight) and u
+    the `np.longdouble` epsilon: the unit rounding level of the
+    extended-precision sums that measure a measure of total weight W on the
+    torus of that radius at degree `top`.  Taken in logs, where no power
+    can overflow."""
+    return _LOG_LONG_EPS + log_weight + top * math.log(max(1.0, radius))
+
+
+def _log_weight_floor(
+    magnitudes: np.ndarray, degrees: np.ndarray, allowance: float, radius: float
+) -> float:
+    """Natural log of the least total weight W of a measure on the torus of
+    `radius` whose moments come within `allowance` of prescribed moments of
+    these magnitudes and total degrees.
+
+    Such a moment has modulus at most W * radius**|k|, so
+    W >= (|s_k| - allowance) / radius**|k| at every k; the bound is the
+    largest of these, and -inf when no |s_k| exceeds the allowance.  Each
+    |s_k| is first shrunk by 1e-12 of itself, more than the rounding of its
+    modulus and of a residual, which would otherwise dominate the
+    difference when |s_k| is within rounding of the allowance.
+    """
+    excess = (1.0 - 1e-12) * magnitudes - allowance
+    live = excess > 0.0
+    if not live.any():
+        return -math.inf
+    return float(np.max(np.log(excess[live]) - degrees[live] * math.log(radius)))
+
+
+def _exp_text(log_value: float) -> str:
+    """exp(log_value) in `.3e` notation, also beyond the range of a double."""
+    exponent = math.floor(log_value / math.log(10.0))
+    mantissa = f"{math.exp(log_value - exponent * math.log(10.0)):.3f}"
+    if mantissa == "10.000":
+        mantissa, exponent = "1.000", exponent + 1
+    return f"{mantissa}e{exponent:+03d}"
+
+
 def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMeasure:
     """Solve a truncated moment problem by an explicit atomic measure.
 
@@ -660,8 +700,15 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     returns its input untouched (its double-precision residual met the
     target) ends the attempt without checking the same atoms again.  The
     first candidate whose residual meets the target is returned, unless the
-    target lies below u * (total weight) * max(1, radius)**|k|, the rounding
-    level of the `np.longdouble` sums that measure it at the top degree |k|.
+    target lies below u * W * max(1, r)**|k|, the rounding level of the
+    `np.longdouble` sums that measure it at the top degree |k| (W its total
+    weight, r the torus radius, u the long double epsilon).  The same rule
+    screens each pre-scaling before its table is built: an answer on the
+    torus of radius r that meets the allowance a at every prescribed k
+    weighs W >= max_k (|s_k| - a) / r**|k|, so when that bound puts the
+    rounding level above 2a (the 2 covers the rounding of the computed
+    weight sum and residuals) no candidate of the pre-scaling can be
+    accepted and none is built; the attempt is recorded as its "radius".
     Otherwise the raised ConvergenceFailure lists every attempt in order,
     as its pre-scale factor, stage and reason.
 
@@ -680,7 +727,10 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     allowance = cfg.allowance(spec)
     espec = embed(spec)
     prune = 1e-12 * spec.mass.real
-    top = max(map(sum, spec.indices))
+    magnitudes = np.abs(np.asarray(spec.values))
+    degrees = np.array([sum(k) for k in spec.indices], dtype=float)
+    top = int(degrees.max())
+    log_allowance = math.log(allowance)
 
     # later rungs are fallbacks: poorly scaled data can sit at the edge of
     # double precision in one parametrization and be comfortable in another
@@ -697,8 +747,17 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     attempts: list[tuple[float, str, str]] = []  # (pre-scale factor, stage, reason)
     for factor in factors:
         ops = build_tuple(_rescaled(espec, factor))
-        table = fourier_table(ops, ops.degree)
         atom_radius = ops.scale * factor
+        # when even the least weight an answer on this torus can have rounds
+        # above the target, the post-check below refuses every candidate
+        floor = _log_rounding_level(
+            _log_weight_floor(magnitudes, degrees, allowance, atom_radius), atom_radius, top)
+        if floor > math.log(2.0) + log_allowance:
+            attempts.append((factor, "radius", (
+                f"moment sums on radius {atom_radius:.6g} round at {_exp_text(floor)} or more,"
+                f" above the residual target {allowance:.3e}")))
+            continue
+        table = fourier_table(ops, ops.degree)
         # n <= 2 runs its older stage before the quadrature: the benchmark's
         # smoke test (perfbench/test_smoke.py) requires that stage to run
         for stage in {1: ["split"], 2: ["grid"]}.get(n, []) + ["quadrature"]:
@@ -728,11 +787,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             if residual > allowance:
                 attempts.append((factor, stage, "synthesized measure misses the residual target"))
                 continue
-            level = _LONG_EPS * candidate.total_mass * max(1.0, atom_radius) ** top
-            if level <= allowance:
+            weight = candidate.total_mass
+            level = _log_rounding_level(
+                math.log(weight) if weight > 0.0 else -math.inf, atom_radius, top)
+            if level <= log_allowance:
                 return candidate
             attempts.append((factor, stage, (
-                f"its moment sums round at {level:.3e}, above the residual target")))
+                f"its moment sums round at {_exp_text(level)}, above the residual target")))
     raise ConvergenceFailure(
         "synthesis could not reach the residual target: "
         + "; ".join(f"(prescale {f:.6g}, {stage}) {reason}" for f, stage, reason in attempts)

@@ -102,6 +102,9 @@ def _outcome(spec) -> int:
 # extended precision: their residual, read as 2.7e-7, is 1.7e-6 exactly
 @example(MomentSpec(7, ((0,) * 7, (1, 1, 1, 1, 1, 0, 1)),
                     (1.6621302500819474e-06, 1.6621302500819474e-06 + 4.057094263576609e-17j)))
+# the unscaled torus has radius 1.6e12, where max(1, r)**26 is beyond a
+# double: the rounding level must not raise OverflowError
+@example(MomentSpec(1, ((0,), (26,)), (1, 1e12)))
 def test_answer_within_contract_or_documented_failure(spec):
     _outcome(spec)
 

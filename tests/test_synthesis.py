@@ -626,24 +626,110 @@ def test_convergence_failure_lists_every_attempt():
     assert len({factor for factor, _ in attempts}) == 3
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        random_instance(1, 24, 4, 3)[0],
-        MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]),
-    ],
-    ids=["n1-d24", "n2-only-9-9"],
-)
-def test_synthesize_fails_fast_where_refine_cannot_resolve(spec, monkeypatch):
-    # every refinement on these specs sits below its own rounding level, so
-    # each ends before its first least-squares solve
-    outcomes = refine_outcomes(monkeypatch)
-    fits = spy(monkeypatch, "_nnls")
-    with pytest.raises(ConvergenceFailure):
+# On every pre-scaling of these specs the least total weight an answer on
+# its torus can have puts the rounding level of its moment sums above the
+# residual target, so the pre-scaling is refused before its table is built.
+GATED = {
+    "n1-d18": random_instance(1, 18, 4, 3)[0],
+    "n1-d24": random_instance(1, 24, 4, 3)[0],
+    "n1-d32": random_instance(1, 32, 4, 3)[0],
+    "n1-only-40": MomentSpec.from_items(1, [((0,), 1.0), ((40,), 0.5)]),
+    "n1-only-20": MomentSpec.from_items(1, [((0,), 1.0), ((20,), 0.5)]),
+    "n1-mass-1e-12": MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j)),
+    "n2-only-9-9": MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]),
+    "n2-wide-range": MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)),
+}
+
+
+@pytest.mark.parametrize("spec", list(GATED.values()), ids=list(GATED))
+def test_synthesize_skips_rungs_that_cannot_resolve_the_target(spec, monkeypatch):
+    stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "grid_quadrature",
+              "refine", "_nnls", "_lawson_hanson")
+    calls = {name: spy(monkeypatch, name) for name in stages}
+    with pytest.raises(ConvergenceFailure) as failure:
         synthesize(spec)
-    assert outcomes
-    assert all(outcome is not None and "rounding level" in outcome for outcome in outcomes)
-    assert fits == []  # refine's solver; the grid fit has its own
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(stages, 0)
+    attempts = re.findall(r"\(prescale ([^,]+), (\w+)\) ", str(failure.value))
+    espec = embed(spec)
+    rungs = {f"{factor:.6g}" for factor in (
+        1.0, synthesis._prescale_factor(espec), synthesis._prescale_factor(espec, mass_relative=True))}
+    # one attempt per distinct pre-scaling, and each is the radius check
+    assert sorted(factor for factor, _ in attempts) == sorted(rungs)
+    assert {stage for _, stage in attempts} == {"radius"}
+
+
+def wide_corpus_spec(index):
+    """Draw `index` of the wide-magnitude group of tools/corpus.py."""
+    rng = np.random.default_rng(13)
+    for _ in range(index):
+        random_box_spec(rng, magnitude=1e6, mass_floor=1e-3)
+    return random_box_spec(rng, magnitude=1e6, mass_floor=1e-3)
+
+
+def test_synthesize_stops_a_refinement_at_its_rounding_guard(monkeypatch):
+    # no spec of the corpus's first group reaches refine's own guard once
+    # the radius check runs; this wide-magnitude one does, on a grid fit of
+    # a pre-scaling the check lets through, and a later attempt solves it
+    fits = spy(monkeypatch, "_nnls")
+    original = synthesis.refine
+    guarded = []
+
+    def wrapper(*args, **kwargs):
+        before = len(fits)
+        try:
+            return original(*args, **kwargs)
+        except ConvergenceFailure as exc:
+            if "rounding level" in str(exc):
+                guarded.append(len(fits) - before)
+            raise
+
+    monkeypatch.setattr(synthesis, "refine", wrapper)
+    spec = wide_corpus_spec(84)
+    measure = synthesize(spec)
+    assert guarded and all(solves == 0 for solves in guarded)
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+
+
+@st.composite
+def torus_moments(draw):
+    """A measure on the torus of radius r in [0.1, 50], n = 1..3, weights
+    over 12 decades, with prescribed moments each moved by at most the
+    allowance: at a random phase, or straight outward by the whole
+    allowance, where the weight bound is tightest."""
+    n = draw(st.integers(1, 3))
+    radius = draw(st.floats(0.1, 50.0))
+    count = draw(st.integers(1, 5))
+    angles = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
+                                    min_size=count * n, max_size=count * n))).reshape(count, n)
+    weights = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=count, max_size=count)))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    indices = [(0,) * n] + [k for k in draw(st.lists(exponents, min_size=1, max_size=8, unique=True))
+                            if any(k)]
+    atoms = (radius * np.exp(1j * angles)).astype(np.clongdouble)
+    exact = np.array([np.prod(atoms ** np.array(k), axis=1) @ weights.astype(np.longdouble)
+                      for k in indices])
+    allowance = 10.0 ** draw(st.floats(-12.0, 0.0)) * max(1.0, float(np.max(np.abs(exact))))
+    outward = draw(st.booleans())
+    moved = []
+    for value in exact:
+        if outward:
+            phase = np.angle(complex(value)) if value != 0 else 0.0
+            size = 1.0
+        else:
+            phase = draw(st.floats(0.0, 2.0 * np.pi))
+            size = draw(st.floats(0.0, 1.0))
+        moved.append(complex(value + allowance * size * np.exp(1j * phase)))
+    return radius, indices, moved, allowance, float(np.sum(weights))
+
+
+@given(torus_moments())
+def test_weight_floor_never_exceeds_the_true_weight(case):
+    radius, indices, values, allowance, weight = case
+    floor = synthesis._log_weight_floor(
+        np.abs(np.array(values)), np.array([sum(k) for k in indices], dtype=float),
+        allowance, radius)
+    # the floor is exact on one atom moved outward, up to the rounding of its logs
+    assert np.exp(floor) <= weight * (1.0 + 1e-12)
 
 
 def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
@@ -728,23 +814,36 @@ def test_convergence_failure_names_an_untouched_refinement(monkeypatch):
     assert float(found.group(1)) > target
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]),
-        random_instance(2, 5, 4, 0)[0],
-        random_box_spec(np.random.default_rng(5), n=2, degree=3),
-    ],
-    ids=["n2-only-9-9", "n2-d5", "n2-sparse-d3"],
-)
-def test_grid_stage_fits_the_prescribed_moments(spec, monkeypatch):
-    # one real row per prescribed exponent and one imaginary row per
-    # nonzero one, against every point of the grid
-    fits = spy(monkeypatch, "_lawson_hanson")
+def first_rung_grid_fit(spec):
+    """The grid fit of the first pre-scaling of a two-variable spec, on the
+    table and the exponents `synthesize` would give it."""
+    espec = embed(spec)
+    ops = build_tuple(synthesis._rescaled(espec, synthesis._prescale_factor(espec)))
+    grid_nnls(fourier_table(ops, ops.degree), synthesis.GRID, indices=spec.indices)
+
+
+def synthesize_or_fail(spec):
     try:
         synthesize(spec)
     except ConvergenceFailure:
         pass
+
+
+@pytest.mark.parametrize(
+    "spec, run",
+    [
+        # synthesize skips every pre-scaling of this spec before its grid fit
+        (MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]), first_rung_grid_fit),
+        (random_instance(2, 5, 4, 0)[0], synthesize_or_fail),
+        (random_box_spec(np.random.default_rng(5), n=2, degree=3), synthesize_or_fail),
+    ],
+    ids=["n2-only-9-9", "n2-d5", "n2-sparse-d3"],
+)
+def test_grid_stage_fits_the_prescribed_moments(spec, run, monkeypatch):
+    # one real row per prescribed exponent and one imaginary row per
+    # nonzero one, against every point of the grid
+    fits = spy(monkeypatch, "_lawson_hanson")
+    run(spec)
     grid = synthesis.GRID
     rows = 2 * len(spec.indices) - 1
     column, gradient, cols, b, _ = fits[0]
