@@ -8,6 +8,7 @@ parse(serialize(x)) reproduces x field for field.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -85,14 +86,20 @@ def measure_from_doc(doc: dict) -> AtomicMeasure:
     return AtomicMeasure(n, atoms.reshape(-1, n), weights, scale=scale)
 
 
+def _finite_or_null(x: float) -> float | None:
+    """x, or None (JSON null) for inf and nan, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def report_to_doc(rep: Report) -> dict:
+    """The report as a JSON object; a non-finite value becomes null."""
     return {
-        "max_residual": rep.max_residual,
-        "total_mass": rep.total_mass,
-        "support_radius": rep.support_radius,
+        "max_residual": _finite_or_null(rep.max_residual),
+        "total_mass": _finite_or_null(rep.total_mass),
+        "support_radius": _finite_or_null(rep.support_radius),
         "atom_count": rep.atom_count,
         "residuals": [
-            {"k": list(k), "abs_err": r}
+            {"k": list(k), "abs_err": _finite_or_null(r)}
             for k, r in zip(rep.indices, rep.residuals)
         ],
         "config": None if rep.config is None else {"tol": rep.config.tol},

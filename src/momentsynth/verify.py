@@ -19,12 +19,10 @@ if TYPE_CHECKING:
 class Verdict:
     """Outcome of the solvability gate.
 
-    kind is one of "solvable", "zero", "unsolvable".  For solvable specs
-    `sqrt_mass` carries the square root of the prescribed total mass.
+    kind is one of "solvable", "zero", "unsolvable".
     """
 
     kind: str
-    sqrt_mass: float | None = None
     reason: str | None = None
 
     @property
@@ -40,7 +38,7 @@ class Verdict:
         return self.kind == "unsolvable"
 
 
-def solvability(spec: MomentSpec, tol_im: float = 1e-12) -> Verdict:
+def solvability(spec: MomentSpec) -> Verdict:
     """Decide whether the spec admits a nonnegative representing measure.
 
     A positive real mass is sufficient; the all-zero spec is represented
@@ -51,7 +49,8 @@ def solvability(spec: MomentSpec, tol_im: float = 1e-12) -> Verdict:
     if spec.is_zero():
         return Verdict("zero")
     s0 = spec.mass
-    if abs(s0.imag) > tol_im * max(1.0, abs(s0)):
+    # an imaginary part within 1e-12 * max(1, |s0|) is read as rounding
+    if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)):
         return Verdict("unsolvable", reason=f"mass {s0} is not real")
     if s0.real <= 0.0:
         if s0.real == 0.0:
@@ -60,7 +59,7 @@ def solvability(spec: MomentSpec, tol_im: float = 1e-12) -> Verdict:
                 reason="zero mass with a nonzero moment prescribed",
             )
         return Verdict("unsolvable", reason=f"mass {s0.real} is negative")
-    return Verdict("solvable", sqrt_mass=float(np.sqrt(s0.real)))
+    return Verdict("solvable")
 
 
 # entries in each per-block work array of measure_moments (2 MB in clongdouble),
@@ -132,7 +131,10 @@ def measure_moments(
             if j < n - 1:
                 lead *= powers[heads[j]]
         acc += np.dot(lead, powers.T)
-    return tuple(acc[row, exps[:, -1]].astype(complex).tolist())
+    # a moment beyond a double reads as inf, as `report` documents
+    with np.errstate(over="ignore"):
+        moments = acc[row, exps[:, -1]].astype(complex)
+    return tuple(moments.tolist())
 
 
 def _modulus(z: complex) -> float:
@@ -188,6 +190,7 @@ def random_instance(
     in (0, 1].  The returned spec prescribes the measure's moments over the
     full box, so the measure is a known solution of the spec.
     """
+    indices = box(n, degree)  # checks n and degree before any draw
     if natoms < 1:
         raise ValueError("at least one atom required")
     if radius <= 0.0:
@@ -198,7 +201,6 @@ def random_instance(
     atoms = moduli * np.exp(1j * angles)
     weights = 1.0 - rng.random(natoms)
     measure = AtomicMeasure(n, atoms, weights, scale=radius)
-    indices = box(n, degree)
     values = measure_moments(measure, indices)
     return MomentSpec(n, indices, values), measure
 

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from momentsynth.lattice import MomentSpec, box
 
-# Property tests draw the same examples on every run, so the suite's verdict
-# does not depend on the run; no example database is written.
-settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
-settings.load_profile("deterministic")
+# the share of draws that land on each end of a `bounded` range
+ENDS = 0.05
+
+
+def bounded(rng, low, high):
+    """A float in [low, high]: each end with probability ENDS, uniform
+    otherwise, so that every sweep of a property test reaches the extremes."""
+    u = rng.random()
+    if u < ENDS:
+        return low
+    if u < 2 * ENDS:
+        return high
+    return rng.uniform(low, high)
 
 
 def random_box_spec(rng, n=None, degree=None, magnitude=10.0, mass_floor=0.5):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from momentsynth.documents import (
 )
 from momentsynth.errors import ConvergenceFailure, NNLSStall, NotPSD
 from momentsynth.lattice import MomentSpec
+from momentsynth.measures import AtomicMeasure
 from momentsynth.synthesis import SolverConfig
 from momentsynth.verify import random_instance
 
@@ -279,6 +281,31 @@ def test_verify_report_is_machine_readable(tmp_path, capsys):
     body = out[out.index("{"):]
     doc = json.loads(body)
     assert "max_residual" in doc and "residuals" in doc
+
+
+def _strict_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_verify_report_writes_a_moment_beyond_a_double_as_null(tmp_path, capsys):
+    # z**2 of an atom at 1e200 is beyond a double: its residual reads as inf
+    problem, measure = tmp_path / "prob.json", tmp_path / "far.json"
+    _write_problem(problem, MomentSpec(1, ((0,), (2,)), (1, 0.5)))
+    write_doc(measure, measure_to_doc(AtomicMeasure(1, [[1e200]], [1.0], scale=1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(problem), str(measure)]) == 4
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out[captured.out.index("{"):], parse_constant=_strict_json)
+    assert doc["max_residual"] is None
+    assert [entry["abs_err"] for entry in doc["residuals"]] == [0.0, None]
+    assert captured.err == ""
+
+
+def test_random_rejects_dimension_zero(tmp_path, capsys):
+    assert main(["random", str(tmp_path / "x.json"), "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: dimension must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_batch_mode(tmp_path):

@@ -5,16 +5,20 @@ checked by direct extended-precision power sums, or refused with a
 documented failure: `Unsolvable` exactly when the mass is not positive and
 real, `ConvergenceFailure` with a reason otherwise.  No other exception may
 escape, and the CLI's exit code follows the same outcome.
+
+Each spec is a pure function of its seed (`draw_spec`), so a test id such as
+`[seed17]` replays the same draw whether the file runs alone or in the full
+suite.
 """
 
 import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+import numpy as np
+import pytest
 
-from conftest import extended_residual
+from conftest import bounded, extended_residual
 from momentsynth.cli import main
 from momentsynth.documents import problem_to_doc, write_doc
 from momentsynth.errors import ConvergenceFailure, Unsolvable
@@ -25,55 +29,47 @@ from momentsynth.synthesis import SolverConfig, synthesize
 # of p = (d+1)**n entries, so the box is capped for memory and time
 MAX_BOX = 256
 
-
-def _magnitude(low, high):
-    return st.floats(low, high).map(lambda e: 10.0**e)
-
-
-def _polar(size, phase):
-    return size * complex(math.cos(phase), math.sin(phase))
+PATTERNS = ("subset", "total", "single", "full")
+# five parts positive to one part each of the masses that are not
+MASSES = ("positive",) * 5 + ("negative", "zero", "complex")
 
 
-_PHASE = st.floats(0.0, 2.0 * math.pi)
+def _polar(rng, low, high):
+    """A complex value of modulus 10**e, e in [low, high], at a random phase."""
+    return complex(10.0 ** bounded(rng, low, high) * np.exp(2j * math.pi * rng.random()))
 
 
-@st.composite
-def _mass(draw):
-    kind = draw(st.sampled_from(["positive"] * 5 + ["negative", "zero", "complex"]))
-    size = draw(_magnitude(-12.0, 3.0))
-    if kind == "positive":
-        return complex(size)
-    if kind == "negative":
-        return complex(-size)
+def _mass(rng):
+    kind = MASSES[rng.integers(len(MASSES))]
     if kind == "zero":
         return 0j
-    return _polar(size, draw(_PHASE))
+    if kind == "complex":
+        return _polar(rng, -12.0, 3.0)
+    size = 10.0 ** bounded(rng, -12.0, 3.0)
+    return complex(size if kind == "positive" else -size)
 
 
-@st.composite
-def specs(draw):
-    """A spec in n = 1..8 variables on a box of degree d, (d+1)**n <= MAX_BOX:
-    a random subset of the box, total degree <= d, a single moment beside
-    the mass, or the full box; the mass over 15 decades (or not positive and
-    real), every other value over 24."""
-    n = draw(st.integers(1, 8))
+def draw_spec(seed):
+    """The spec of one seed: n = 1..8 variables on a box of degree d,
+    (d+1)**n <= MAX_BOX; a random subset of the box, total degree <= d, a
+    single moment beside the mass, or the full box; the mass over 15
+    decades (or not positive and real), every other value over 24."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
     top = max(d for d in range(1, MAX_BOX) if (d + 1) ** n <= MAX_BOX)
-    degree = draw(st.integers(1, top))
+    degree = int(rng.integers(1, top + 1))
     full = box(n, degree)
-    pattern = draw(st.sampled_from(["subset", "total", "single", "full"]))
+    pattern = PATTERNS[rng.integers(len(PATTERNS))]
     if pattern == "subset":
-        keep = draw(st.lists(st.booleans(), min_size=len(full) - 1, max_size=len(full) - 1))
+        keep = rng.random(len(full) - 1) < 0.5
         indices = [full[0]] + [k for k, kept in zip(full[1:], keep) if kept]
     elif pattern == "total":
         indices = [k for k in full if sum(k) <= degree]
     elif pattern == "single":
-        indices = [full[0], draw(st.sampled_from(full[1:]))]
+        indices = [full[0], full[1 + rng.integers(len(full) - 1)]]
     else:
         indices = list(full)
-    values = [draw(_mass())] + [
-        _polar(draw(_magnitude(-12.0, 12.0)), draw(_PHASE))
-        for _ in indices[1:]
-    ]
+    values = [_mass(rng)] + [_polar(rng, -12.0, 12.0) for _ in indices[1:]]
     return MomentSpec(n, tuple(indices), tuple(values))
 
 
@@ -96,22 +92,25 @@ def _outcome(spec) -> int:
     return 0
 
 
-@settings(max_examples=120)
-@given(specs())
+SWEEP = {f"seed{seed}": draw_spec(seed) for seed in range(400)}
 # atoms of modulus 2257 whose degree-6 moment sums round at 2.4e-5 in
 # extended precision: their residual, read as 2.7e-7, is 1.7e-6 exactly
-@example(MomentSpec(7, ((0,) * 7, (1, 1, 1, 1, 1, 0, 1)),
-                    (1.6621302500819474e-06, 1.6621302500819474e-06 + 4.057094263576609e-17j)))
+SWEEP["n7-radius-2257"] = MomentSpec(
+    7, ((0,) * 7, (1, 1, 1, 1, 1, 0, 1)),
+    (1.6621302500819474e-06, 1.6621302500819474e-06 + 4.057094263576609e-17j))
 # the unscaled torus has radius 1.6e12, where max(1, r)**26 is beyond a
 # double: the rounding level must not raise OverflowError
-@example(MomentSpec(1, ((0,), (26,)), (1, 1e12)))
+SWEEP["n1-moment-26-of-1e12"] = MomentSpec(1, ((0,), (26,)), (1, 1e12))
+
+
+@pytest.mark.parametrize("spec", list(SWEEP.values()), ids=list(SWEEP))
 def test_answer_within_contract_or_documented_failure(spec):
     _outcome(spec)
 
 
-@settings(max_examples=4)
-@given(specs())
-def test_cli_exit_code_follows_the_outcome(spec):
+@pytest.mark.parametrize("seed", range(400, 404), ids="seed{}".format)
+def test_cli_exit_code_follows_the_outcome(seed):
+    spec = draw_spec(seed)
     expected = _outcome(spec)
     with tempfile.TemporaryDirectory() as tmp:
         problem = Path(tmp) / "problem.json"

@@ -4,11 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import momentsynth.synthesis as synthesis
-from conftest import extended_relative_residual, random_box_spec
+from conftest import bounded, extended_relative_residual, random_box_spec
 from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
@@ -227,14 +225,13 @@ def test_grid_nnls_three_variables_full_grid(rng):
     assert table_residual(fine, table) <= 1e-8 * scale
 
 
-@st.composite
-def nnls_problems(draw):
+def nnls_problem(seed):
     """Least-squares problems with entries in [-1, 1]: general right-hand
     sides, designs with duplicated columns, exact fits b = A x0 with a
     sparse x0 >= 0, and b = 0."""
-    m, cols = draw(st.integers(1, 40)), draw(st.integers(1, 200))
-    kind = draw(st.sampled_from(["general", "duplicated", "exact", "zero"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
+    m, cols = int(rng.integers(1, 41)), int(rng.integers(1, 201))
+    kind = ("general", "duplicated", "exact", "zero")[rng.integers(4)]
     A = rng.uniform(-1.0, 1.0, (m, cols))
     if kind == "duplicated":
         # the last half of the columns repeat columns of the first half
@@ -247,11 +244,11 @@ def nnls_problems(draw):
     return A, rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-3, 4)
 
 
-@given(nnls_problems())
-def test_lawson_hanson_matches_scipy(problem):
+@pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
+def test_lawson_hanson_matches_scipy(seed):
     from scipy.optimize import nnls
 
-    A, b = problem
+    A, b = nnls_problem(seed)
     # the core with dense callbacks: column j of A, and A.T @ r
     x = synthesis._lawson_hanson(lambda j: A[:, j], lambda r: A.T @ r, A.shape[1], b,
                                  float(np.abs(A).max()))
@@ -343,22 +340,24 @@ def test_grid_nnls_allocation_peak_stays_below_a_megabyte():
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def box_tables(draw):
+def box_table(seed):
     """Fourier table of an arbitrary spec: positive mass, free complex tail,
     magnitudes over twelve decades, grids of at most 729 points."""
-    n = draw(st.integers(1, 4))
-    degree = draw(st.integers(1, 4).filter(lambda d: (2 * d + 1) ** n <= 729))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    top = max(d for d in range(1, 5) if (2 * d + 1) ** n <= 729)
+    degree = int(rng.integers(1, top + 1))
     idx = box(n, degree)
-    magnitude = st.floats(1e-6, 1e6)
-    phase = st.floats(0.0, 2 * np.pi)
-    values = [draw(magnitude) * np.exp(1j * draw(phase)) for _ in idx[1:]]
-    espec = EmbeddedSpec(n, degree, np.array([draw(magnitude)] + values, dtype=complex))
+    mass = 10.0 ** bounded(rng, -6.0, 6.0)
+    values = [mass] + [10.0 ** bounded(rng, -6.0, 6.0) * np.exp(2j * np.pi * rng.random())
+                       for _ in idx[1:]]
+    espec = EmbeddedSpec(n, degree, np.array(values, dtype=complex))
     return fourier_table(build_tuple(espec), degree)
 
 
-@given(box_tables())
-def test_grid_quadrature_weights_nonnegative_and_exact(table):
+@pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
+def test_grid_quadrature_weights_nonnegative_and_exact(seed):
+    table = box_table(seed)
     # every grid point is kept, so these are the weights before pruning
     measure = grid_quadrature(table, weight_prune=-np.inf)
     assert len(measure) == (2 * table.radius + 1) ** table.n
@@ -690,41 +689,40 @@ def test_synthesize_stops_a_refinement_at_its_rounding_guard(monkeypatch):
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
 
 
-@st.composite
-def torus_moments(draw):
+def torus_moments(seed):
     """A measure on the torus of radius r in [0.1, 50], n = 1..3, weights
     over 12 decades, with prescribed moments each moved by at most the
     allowance: at a random phase, or straight outward by the whole
     allowance, where the weight bound is tightest."""
-    n = draw(st.integers(1, 3))
-    radius = draw(st.floats(0.1, 50.0))
-    count = draw(st.integers(1, 5))
-    angles = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
-                                    min_size=count * n, max_size=count * n))).reshape(count, n)
-    weights = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=count, max_size=count)))
-    exponents = st.tuples(*[st.integers(0, 4)] * n)
-    indices = [(0,) * n] + [k for k in draw(st.lists(exponents, min_size=1, max_size=8, unique=True))
-                            if any(k)]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    radius = bounded(rng, 0.1, 50.0)
+    count = int(rng.integers(1, 6))
+    angles = 2.0 * np.pi * rng.random((count, n))
+    weights = 10.0 ** np.array([bounded(rng, -6.0, 6.0) for _ in range(count)])
+    # one to eight distinct exponents with entries 0..4
+    drawn = dict.fromkeys(map(tuple, rng.integers(0, 5, (rng.integers(1, 9), n)).tolist()))
+    indices = [(0,) * n] + [k for k in drawn if any(k)]
     atoms = (radius * np.exp(1j * angles)).astype(np.clongdouble)
     exact = np.array([np.prod(atoms ** np.array(k), axis=1) @ weights.astype(np.longdouble)
                       for k in indices])
-    allowance = 10.0 ** draw(st.floats(-12.0, 0.0)) * max(1.0, float(np.max(np.abs(exact))))
-    outward = draw(st.booleans())
+    allowance = 10.0 ** bounded(rng, -12.0, 0.0) * max(1.0, float(np.max(np.abs(exact))))
+    outward = rng.random() < 0.5
     moved = []
     for value in exact:
         if outward:
             phase = np.angle(complex(value)) if value != 0 else 0.0
             size = 1.0
         else:
-            phase = draw(st.floats(0.0, 2.0 * np.pi))
-            size = draw(st.floats(0.0, 1.0))
+            phase = 2.0 * np.pi * rng.random()
+            size = bounded(rng, 0.0, 1.0)
         moved.append(complex(value + allowance * size * np.exp(1j * phase)))
     return radius, indices, moved, allowance, float(np.sum(weights))
 
 
-@given(torus_moments())
-def test_weight_floor_never_exceeds_the_true_weight(case):
-    radius, indices, values, allowance, weight = case
+@pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
+def test_weight_floor_never_exceeds_the_true_weight(seed):
+    radius, indices, values, allowance, weight = torus_moments(seed)
     floor = synthesis._log_weight_floor(
         np.abs(np.array(values)), np.array([sum(k) for k in indices], dtype=float),
         allowance, radius)

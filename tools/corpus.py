@@ -18,8 +18,7 @@ same exception classes.
 `--against FILE` compares this run with such a dump: it prints every spec
 whose outcome differs, then per group every answer whose atom count
 differs and how many specs solved on both sides with different answers,
-and how many of those differ in their bytes only.  Dumps written before the
-atom count was recorded have four fields; their counts read as unknown.
+and how many of those differ in their bytes only.
 
 The exit status is 1 when any answer is over the contract, or when
 `--against` finds a spec that solved in the dump and now raises; otherwise
@@ -80,10 +79,7 @@ def main(argv=None) -> int:
     from momentsynth.synthesis import SolverConfig, synthesize
     from momentsynth.verify import report
 
-    config = SolverConfig()
-    # a tree older than SolverConfig.allowance gets the same formula here
-    allowance = getattr(config, "allowance", None) or (
-        lambda spec: config.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values)))))
+    allowance = SolverConfig().allowance
     lines = []
     over = 0
     for name, specs in corpus():
@@ -118,9 +114,9 @@ def compare(lines: list[str], reference: list[str]) -> int:
     solved in the dump and raise now."""
     before = {}
     for line in reference:
-        name, index, outcome, digest, *count = line.split("\t")
-        before[name, index] = (outcome, digest, count[0] if count else "?")
-    groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0, "unknown": 0} for line in lines}
+        name, index, outcome, digest, count = line.split("\t")
+        before[name, index] = (outcome, digest, count)
+    groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0} for line in lines}
     outcomes = lost = 0
     for line in lines:
         name, index, outcome, digest, count = line.split("\t")
@@ -132,17 +128,15 @@ def compare(lines: list[str], reference: list[str]) -> int:
         elif old[1] != digest:
             tally = groups[name]
             tally["answers"] += 1
-            if old[2] == "?":
-                tally["unknown"] += 1
-            elif old[2] == count:
+            if old[2] == count:
                 tally["bytes"] += 1
             else:
                 print(f"atom count differs: {name} #{index}: {old[2]} -> {count}")
     print(f"{outcomes} outcome(s) differ, {lost} of them solved in the dump and raise now")
     for name, tally in groups.items():
-        counted = tally["answers"] - tally["bytes"] - tally["unknown"]
+        counted = tally["answers"] - tally["bytes"]
         print(f"{name}: {tally['answers']} differing answer(s), {counted} in atom count,"
-              f" {tally['bytes']} in bytes only, {tally['unknown']} with the count unknown")
+              f" {tally['bytes']} in bytes only")
     return lost
 
 
