@@ -8,16 +8,17 @@ tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .documents import (
+    collector_paused,
     measure_from_doc,
     measure_to_doc,
     problem_from_doc,
     problem_to_doc,
     read_doc,
+    report_json,
     report_to_doc,
     write_doc,
 )
@@ -50,7 +51,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     output = Path(args.output)
     try:
         write_doc(output, measure_to_doc(measure))
-        write_doc(_report_path(output), report_to_doc(rep))
+        _report_path(output).write_text(report_json(report_to_doc(rep)) + "\n", encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -65,8 +66,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         config = SolverConfig(tol=args.tol)
-        spec = problem_from_doc(read_doc(Path(args.problem)))
-        measure = measure_from_doc(read_doc(Path(args.measure)))
+        # the decoded trees are freed before the collector resumes, so no
+        # collection walks them
+        with collector_paused():
+            spec = problem_from_doc(read_doc(Path(args.problem)))
+            measure = measure_from_doc(read_doc(Path(args.measure)))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -87,7 +91,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{'PASS' if passed else 'FAIL'}: max residual {rep.max_residual:.3e} "
         f"vs allowance {allowance:.3e}"
     )
-    print(json.dumps(report_to_doc(rep), indent=2))
+    print(report_json(report_to_doc(rep)))
     return 0 if passed else 4
 
 

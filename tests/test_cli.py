@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -14,15 +15,17 @@ from momentsynth.cli import main
 from momentsynth.documents import (
     measure_from_doc,
     measure_to_doc,
+    problem_from_doc,
     problem_to_doc,
     read_doc,
+    report_to_doc,
     write_doc,
 )
 from momentsynth.errors import ConvergenceFailure, NNLSStall, NotPSD
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
 from momentsynth.synthesis import SolverConfig
-from momentsynth.verify import random_instance
+from momentsynth.verify import random_instance, report
 
 
 def _write_problem(path, spec):
@@ -199,6 +202,49 @@ def test_solve_byte_stable(tmp_path):
     assert main(["solve", str(problem), str(out1)]) == 0
     assert main(["solve", str(problem), str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("tol", [None, "1e-7"])
+def test_solve_report_file_is_the_indented_json_of_the_report(tmp_path, tol):
+    problem, out = tmp_path / "prob.json", tmp_path / "sol.json"
+    main(["random", str(problem), "--n", "2", "--d", "3", "--atoms", "4", "--seed", "9"])
+    assert main(["solve", str(problem), str(out)] + ([] if tol is None else ["--tol", tol])) == 0
+    spec = problem_from_doc(read_doc(problem))
+    config = SolverConfig(tol=None if tol is None else float(tol))
+    rep = report(spec, measure_from_doc(read_doc(out)), config)
+    expect = json.dumps(report_to_doc(rep), indent=2) + "\n"
+    assert (tmp_path / "sol.report").read_bytes() == expect.encode("utf-8")
+
+
+def test_verify_reads_its_documents_with_the_collector_paused(tmp_path, monkeypatch):
+    # the decoded trees die before the collector resumes, so none is walked
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "2", "--d", "2", "--atoms", "3", "--seed", "5"])
+    seen = []
+    parse = cli.measure_from_doc
+    monkeypatch.setattr(cli, "measure_from_doc", lambda doc: seen.append(gc.isenabled()) or parse(doc))
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert main(["verify", str(problem), str(tmp_path / "prob.measure.json")]) == 0
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] and after
+
+
+def test_verify_number_written_as_a_string_exit_1(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "5"])
+    measure_path = tmp_path / "prob.measure.json"
+    doc = read_doc(measure_path)
+    doc["atoms"][0]["w"] = str(doc["atoms"][0]["w"])
+    write_doc(measure_path, doc)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(measure_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed measure document: w '")
 
 
 def test_verify_detects_perturbed_weight(tmp_path):

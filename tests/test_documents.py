@@ -1,13 +1,17 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from momentsynth import documents
 from momentsynth.documents import (
     measure_from_doc,
     measure_to_doc,
     problem_from_doc,
     problem_to_doc,
+    read_doc,
+    report_json,
     report_to_doc,
 )
 from momentsynth.lattice import MomentSpec
@@ -122,10 +126,45 @@ def _measure_doc(**atom):
     pytest.param({"n": 2, "scale": 1.0, "atoms": {"z": [], "w": 1.0}}, id="atoms object"),
     pytest.param(_measure_doc(z=3.0), id="z not a list"),
     pytest.param(_measure_doc(z=[[1.0, 0.0], [0.0, 1.0]]), id="z entries lists"),
+    pytest.param(_measure_doc(z=[{"re": "0.5", "im": 0.0}, {"re": 0.0, "im": 1.0}]), id="re string"),
+    pytest.param(_measure_doc(z=[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": False}]), id="im false"),
+    pytest.param(_measure_doc(w="0.25"), id="w string"),
+    pytest.param(_measure_doc(w=True), id="w true"),
+    pytest.param({**_measure_doc(), "scale": "2"}, id="scale string"),
+    pytest.param({**_measure_doc(), "scale": True}, id="scale true"),
 ])
 def test_measure_doc_malformed(doc):
     with pytest.raises(ValueError, match="malformed measure document"):
         measure_from_doc(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("re", "1.5", id="re string"),
+    pytest.param("im", True, id="im true"),
+    pytest.param("re", False, id="re false"),
+    pytest.param("im", None, id="im null"),
+])
+def test_problem_doc_rejects_a_number_field_that_is_no_json_number(field, value):
+    # float() would have read "1.5" as 1.5 and true as 1.0
+    doc = {"n": 1, "moments": [{"k": [0], "re": 1.0, "im": 0.0}, {"k": [1], "re": 0.5, "im": 0.0, field: value}]}
+    with pytest.raises(ValueError, match="malformed problem document"):
+        problem_from_doc(doc)
+
+
+def test_documents_read_json_integers_as_their_floats():
+    big = [2**53 + 1, 2**63 + 1, 2**64 + 3, -(2**63) - 1, 10**300 + 7]
+    spec = problem_from_doc({"n": 1, "moments": [{"k": [0], "re": 2, "im": 0}] + [
+        {"k": [j + 1], "re": v, "im": -v} for j, v in enumerate(big)
+    ]})
+    assert spec.values == (2.0,) + tuple(complex(float(v), -float(v)) for v in big)
+    measure = measure_from_doc({"n": 1, "scale": 2, "atoms": [
+        {"z": [{"re": v, "im": -v}], "w": abs(v)} for v in big
+    ]})
+    assert measure.scale == 2.0
+    assert measure.weights.tolist() == [float(abs(v)) for v in big]
+    assert measure.atoms[:, 0].tolist() == [complex(float(v), -float(v)) for v in big]
+    with pytest.raises(ValueError, match="malformed measure document"):
+        measure_from_doc({"n": 1, "scale": 1.0, "atoms": [{"z": [{"re": 10**400, "im": 0}], "w": 1}]})
 
 
 def test_measure_doc_without_atoms_is_the_zero_measure():
@@ -188,3 +227,56 @@ def test_report_doc_without_config():
     spec, truth = random_instance(1, 1, 1, seed=4)
     doc = report_to_doc(report(spec, truth))
     assert doc["config"] is None
+
+
+def _reports():
+    """Report documents of random_instance specs at n = 1..4, exact and perturbed."""
+    for n, degree, atoms, seed in ((1, 12, 5, 1), (2, 20, 40, 2), (3, 3, 6, 3), (4, 2, 5, 4)):
+        spec, truth = random_instance(n, degree, atoms, seed)
+        tampered = AtomicMeasure(n, truth.atoms, truth.weights * 1.001, scale=truth.scale)
+        for measure in (truth, tampered):
+            for config in (None, SolverConfig(), SolverConfig(tol=1e-7)):
+                yield report_to_doc(report(spec, measure, config))
+
+
+def test_report_json_is_json_dumps_byte_for_byte():
+    docs = list(_reports())
+    assert any(len(doc["residuals"]) == 441 for doc in docs)  # n=2, d=20
+    for doc in docs:
+        assert report_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_report_json_writes_a_moment_beyond_a_double_as_null():
+    spec = MomentSpec(1, ((0,), (2,)), (1, 0.5))
+    far = AtomicMeasure(1, [[1e200]], [1.0], scale=1e200)
+    for config in (None, SolverConfig(tol=1e-7)):
+        doc = report_to_doc(report(spec, far, config))
+        assert doc["residuals"][1]["abs_err"] is None
+        assert report_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("text", ['{"n": 1, "atoms": [[1.5]]}', '{"n": ', None], ids=["valid", "invalid", "missing"])
+def test_read_doc_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled, text):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    decoding = []
+    loads = json.loads
+    monkeypatch.setattr(documents.json, "loads", lambda s: decoding.append(gc.isenabled()) or loads(s))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if text is None:
+            with pytest.raises(OSError):
+                read_doc(path)
+        elif text.endswith("}"):
+            assert read_doc(path) == {"n": 1, "atoms": [[1.5]]}
+        else:
+            with pytest.raises(ValueError, match="invalid JSON"):
+                read_doc(path)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert decoding == ([] if text is None else [False])
