@@ -56,15 +56,14 @@ def problem_from_doc(doc: dict) -> MomentSpec:
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
     try:
-        n = _integer(doc["n"])
+        # the spec checks n and every moment, and its errors get the prefix too
         moments = doc["moments"]
-        items = [
-            (tuple(map(_integer, entry["k"])), complex(re, im))
+        return MomentSpec.from_items(doc["n"], [
+            (entry["k"], complex(re, im))
             for entry, re, im in zip(moments, _reals(moments, "re"), _reals(moments, "im"))
-        ]
+        ])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
-    return MomentSpec.from_items(n, items)
 
 
 def measure_to_doc(measure: AtomicMeasure) -> dict:
@@ -72,11 +71,10 @@ def measure_to_doc(measure: AtomicMeasure) -> dict:
         "n": measure.n,
         "scale": measure.scale,
         "atoms": [
-            {
-                "z": [{"re": z.real, "im": z.imag} for z in row],
-                "w": float(w),
-            }
-            for row, w in zip(measure.atoms, measure.weights)
+            {"z": [{"re": re, "im": im} for re, im in zip(res, ims)], "w": w}
+            for res, ims, w in zip(
+                measure.atoms.real.tolist(), measure.atoms.imag.tolist(), measure.weights.tolist()
+            )
         ],
     }
 

@@ -26,21 +26,13 @@ SignedIndex = tuple[int, ...]
 def _integer(value) -> int:
     """An integer exponent or count; an integral float such as 2.0 passes.
 
-    `int()` alone would truncate 1.5 to 1 and read the string "3" as 3.
+    `int()` alone would truncate 1.5 to 1, read the string "3" as 3 and
+    true as 1, so a boolean, Python's or numpy's, is rejected too.
     """
     integer = int(value)
-    if integer != value:
+    if integer != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{value!r} is not an integer")
     return integer
-
-
-def _check_multi_index(k, n: int) -> MultiIndex:
-    k = tuple(map(_integer, k))
-    if len(k) != n:
-        raise ValueError(f"index {k} has length {len(k)}, expected {n}")
-    if any(e < 0 for e in k):
-        raise ValueError(f"index {k} has a negative entry")
-    return k
 
 
 def box(n: int, degree: int) -> tuple[MultiIndex, ...]:
@@ -69,33 +61,38 @@ class MomentSpec:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = _integer(self.n)
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        indices = tuple(_check_multi_index(k, self.n) for k in self.indices)
+        indices = tuple(tuple(map(_integer, k)) for k in self.indices)
         values = tuple(complex(v) for v in self.values)
         if len(indices) != len(values):
             raise ValueError("indices and values must have equal length")
-        if not indices or indices[0] != (0,) * self.n:
+        for k in indices:
+            if len(k) != n:
+                raise ValueError(f"index {k} has length {len(k)}, expected {n}")
+            if any(e < 0 for e in k):
+                raise ValueError(f"index {k} has a negative entry")
+        if not indices or indices[0] != (0,) * n:
             raise ValueError("the zero multi-index must be present and first")
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate multi-index in spec")
         for v in values:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError("moment values must be finite")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def from_items(cls, n: int, items) -> "MomentSpec":
-        """Build a spec from (index, value) pairs, moving the zero index first."""
-        pairs = [(tuple(map(_integer, k)), complex(v)) for k, v in items]
-        zero = (0,) * n
-        head = [p for p in pairs if p[0] == zero]
-        if not head:
-            raise ValueError("the zero multi-index must be prescribed")
-        tail = [p for p in pairs if p[0] != zero]
-        ordered = head + tail
-        return cls(n, tuple(k for k, _ in ordered), tuple(v for _, v in ordered))
+        """Build a spec from (index, value) pairs given in any order.
+
+        A stable sort puts the pairs whose index has no nonzero entry first
+        and converts nothing; `__post_init__` does all the checking.
+        """
+        pairs = sorted(items, key=lambda item: any(item[0]))
+        return cls(n, tuple(k for k, _ in pairs), tuple(v for _, v in pairs))
 
     def value_of(self, k: MultiIndex) -> complex:
         return self.values[self.indices.index(k)]

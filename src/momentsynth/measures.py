@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _integer
+
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
@@ -23,7 +25,8 @@ class AtomicMeasure:
     scale: float = 0.0
 
     def __post_init__(self) -> None:
-        atoms = np.asarray(self.atoms, dtype=complex).reshape(-1, self.n)
+        n = _integer(self.n)
+        atoms = np.asarray(self.atoms, dtype=complex).reshape(-1, n)
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError("one weight per atom required")
@@ -33,6 +36,7 @@ class AtomicMeasure:
             raise ValueError("atoms and weights must be finite")
         atoms.setflags(write=False)
         weights.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale", float(self.scale))

@@ -289,6 +289,43 @@ def test_verify_non_integral_exponent_exit_1(tmp_path, capsys):
     assert captured.err.startswith("error: malformed problem document: 1.5 is not an integer")
 
 
+def test_verify_repeated_moment_exit_1(tmp_path, capsys):
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "5"])
+    doc = read_doc(problem)
+    doc["moments"].append(doc["moments"][1])
+    write_doc(problem, doc)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(tmp_path / "prob.measure.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed problem document: duplicate multi-index in spec\n"
+
+
+@pytest.mark.parametrize("document, field", [
+    ("prob.json", "n"),
+    ("prob.json", "k"),
+    ("prob.measure.json", "n"),
+], ids=["problem n", "problem k", "measure n"])
+def test_verify_boolean_integer_exit_1(tmp_path, capsys, document, field):
+    # int() reads true as 1, so each of these documents verified at n=1
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "5"])
+    path = tmp_path / document
+    doc = read_doc(path)
+    if field == "n":
+        doc["n"] = True
+    else:
+        doc["moments"][1]["k"] = [True]
+    write_doc(path, doc)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(tmp_path / "prob.measure.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    kind = "measure" if "measure" in document else "problem"
+    assert captured.err == f"error: malformed {kind} document: True is not an integer\n"
+
+
 def test_verify_exponent_beyond_an_array_index_exit_1(tmp_path, capsys):
     # an integral float parses, but no array index holds it; the document
     # is only verified, since solving it would embed a box of degree 1e20

@@ -33,11 +33,24 @@ def test_problem_round_trip_exact():
     assert back.values == spec.values
 
 
-def test_problem_round_trip_random(rng):
-    spec, _ = random_instance(3, 1, 4, seed=17)
-    back = problem_from_doc(json.loads(json.dumps(problem_to_doc(spec))))
-    assert back.indices == spec.indices
-    assert back.values == spec.values
+@pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
+def test_problem_round_trip_random(seed):
+    # moments in any order, exponents written as integral floats in half of
+    # the draws: the document still reads as the source spec
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    spec, _ = random_instance(n, int(rng.integers(1, 6)), 3, seed=seed)
+    doc = json.loads(json.dumps(problem_to_doc(spec)))
+    rng.shuffle(doc["moments"])
+    if rng.random() < 0.5:
+        for entry in doc["moments"]:
+            entry["k"] = [float(e) for e in entry["k"]]
+    back = problem_from_doc(json.loads(json.dumps(doc)))
+    assert back.n == n and type(back.n) is int
+    assert back.indices[0] == (0,) * n
+    assert sorted(back.indices) == sorted(spec.indices)
+    assert all(type(e) is int for k in back.indices for e in k)
+    assert dict(zip(back.indices, back.values)) == dict(zip(spec.indices, spec.values))
 
 
 def test_measure_round_trip_exact():
@@ -63,13 +76,25 @@ def test_problem_doc_rejects_duplicates():
             {"k": [1], "re": 2.0, "im": 0.0},
         ],
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed problem document: "):
         problem_from_doc(doc)
 
 
 def test_problem_doc_requires_zero_index():
     doc = {"n": 1, "moments": [{"k": [1], "re": 1.0, "im": 0.0}]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed problem document: "):
+        problem_from_doc(doc)
+
+
+@pytest.mark.parametrize("k, re", [
+    pytest.param([-1], 0.5, id="negative entry"),
+    pytest.param([1, 0], 0.5, id="wrong length"),
+    pytest.param([1], float("inf"), id="infinite value"),
+    pytest.param([1], float("nan"), id="nan value"),
+])
+def test_problem_doc_reports_a_spec_error_as_malformed(k, re):
+    doc = {"n": 1, "moments": [{"k": [0], "re": 1.0, "im": 0.0}, {"k": k, "re": re, "im": 0.0}]}
+    with pytest.raises(ValueError, match="^malformed problem document: "):
         problem_from_doc(doc)
 
 
@@ -180,15 +205,19 @@ def test_measure_doc_without_atoms_is_the_zero_measure():
     pytest.param(1, "3", id="k string"),
     pytest.param(1, float("inf"), id="k inf"),
     pytest.param(float("nan"), 1, id="n nan"),
+    pytest.param(True, 1, id="n true"),
+    pytest.param(1, True, id="k true"),
+    pytest.param(1, False, id="k false"),
 ])
 def test_problem_doc_rejects_non_integral_numbers(n, k):
-    # int() would have truncated 1.5 to 1, a moment nobody prescribed
+    # int() would have truncated 1.5 to 1, a moment nobody prescribed, and
+    # read true as 1
     doc = {"n": n, "moments": [{"k": [0], "re": 1.0, "im": 0.0}, {"k": [k], "re": 0.5, "im": 0.0}]}
     with pytest.raises(ValueError, match="malformed problem document"):
         problem_from_doc(doc)
 
 
-@pytest.mark.parametrize("n", [1.7, float("inf"), "1"])
+@pytest.mark.parametrize("n", [1.7, float("inf"), "1", True])
 def test_measure_doc_rejects_non_integral_dimension(n):
     with pytest.raises(ValueError, match="malformed measure document"):
         measure_from_doc({"n": n, "scale": 1.0, "atoms": [{"z": [{"re": 1.0, "im": 0.0}], "w": 1.0}]})
@@ -202,6 +231,55 @@ def test_documents_accept_integral_floats():
     assert all(type(e) is int for k in spec.indices for e in k)
     measure = measure_from_doc({"n": 1.0, "scale": 1.0, "atoms": [{"z": [{"re": 1.0, "im": 0.0}], "w": 1.0}]})
     assert measure.n == 1 and type(measure.n) is int
+
+
+def test_documents_write_a_numpy_integer_dimension_as_an_int():
+    spec = MomentSpec(np.int64(1), ((0,), (np.int64(2),)), (1, 2))
+    measure = AtomicMeasure(np.int64(1), [[1j]], [0.5])
+    assert type(spec.n) is int and type(measure.n) is int
+    assert json.loads(json.dumps(problem_to_doc(spec)))["n"] == 1
+    assert json.loads(json.dumps(measure_to_doc(measure)))["n"] == 1
+
+
+def test_measure_doc_holds_plain_floats():
+    atoms = [[complex(0.5, -0.0), complex(-0.0, 2.0)], [1e300, 1.0 / 3.0]]
+    measure = AtomicMeasure(2, atoms, [0.25, 0.0], scale=2.5)
+    doc = measure_to_doc(measure)
+    numbers = [doc["scale"]] + [a["w"] for a in doc["atoms"]]
+    numbers += [z[part] for a in doc["atoms"] for z in a["z"] for part in ("re", "im")]
+    assert {type(x) for x in numbers} == {float}
+    assert json.dumps(doc, indent=2) == """{
+  "n": 2,
+  "scale": 2.5,
+  "atoms": [
+    {
+      "z": [
+        {
+          "re": 0.5,
+          "im": -0.0
+        },
+        {
+          "re": -0.0,
+          "im": 2.0
+        }
+      ],
+      "w": 0.25
+    },
+    {
+      "z": [
+        {
+          "re": 1e+300,
+          "im": 0.0
+        },
+        {
+          "re": 0.3333333333333333,
+          "im": 0.0
+        }
+      ],
+      "w": 0.0
+    }
+  ]
+}"""
 
 
 def test_measure_doc_rejects_negative_weight():

@@ -88,12 +88,33 @@ def test_spec_from_items_reorders():
     assert spec.value_of((1, 0)) == 2
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.7, "3", "1"])
+@pytest.mark.parametrize("bad", [1.5, 2.7, "3", "1", True, False, pytest.param(np.True_, id="numpy True")])
 def test_spec_rejects_non_integral_exponents(bad):
     with pytest.raises(ValueError, match="not an integer"):
         MomentSpec(1, ((0,), (bad,)), (1, 2))
     with pytest.raises(ValueError, match="not an integer"):
         MomentSpec.from_items(1, [((0,), 1), ((bad,), 2)])
+
+
+def test_spec_rejects_boolean_indices_and_dimension():
+    # `int()` reads False as 0 and True as 1: a zero index nobody wrote
+    with pytest.raises(ValueError, match="not an integer"):
+        MomentSpec.from_items(1, [((False,), 1), ((True,), 2)])
+    with pytest.raises(ValueError, match="not an integer"):
+        MomentSpec(True, ((0,),), (1,))
+
+
+def test_spec_from_items_checks_in_the_spec():
+    # the zero index moves first, the rest keep their order, and only
+    # __post_init__ checks and converts
+    spec = MomentSpec.from_items(np.int64(1), [((2.0,), 2), ((1,), 3j), ((0.0,), "1")])
+    assert spec.n == 1 and type(spec.n) is int
+    assert spec.indices == ((0,), (2,), (1,))
+    assert spec.values == (1, 2, 3j)
+    with pytest.raises(ValueError, match="zero multi-index"):
+        MomentSpec.from_items(1, [((1,), 1)])
+    with pytest.raises(ValueError, match="duplicate"):
+        MomentSpec.from_items(1, [((1,), 1), ((0,), 1), ((0.0,), 2)])
 
 
 def test_spec_accepts_integral_floats():
