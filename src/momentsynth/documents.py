@@ -6,10 +6,16 @@ parse(serialize(x)) reproduces x field for field.  Every `re`, `im`, `w`
 and `scale` must be a JSON number: a string such as "1.5" or a boolean is
 a parse error.
 
-`read_doc` decodes with the cyclic garbage collector paused (see
-`collector_paused`).  `report_json` writes a report document directly,
-with the bytes of `json.dumps(doc, indent=2)`, whose indented form runs
-the standard library's pure-Python encoder.
+`read_doc` decodes a file's bytes with orjson, with the cyclic garbage
+collector paused (see `collector_paused`).  orjson reads strict JSON:
+NaN, Infinity and a number beyond a double (1e400) are invalid, an
+integer beyond 64 bits reads as the nearest double, and a document nested
+deeper than `MAX_DEPTH` is refused before it is decoded.  The writers stay
+on the standard library, whose float spelling (1e-05, 1e+300) every
+written file and printed report keeps: `write_doc` calls `json.dumps`, and
+`report_json` writes a report document directly, with the bytes of
+`json.dumps(doc, indent=2)`, whose indented form runs the standard
+library's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -17,12 +23,14 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .lattice import MomentSpec, _integer
 from .measures import AtomicMeasure
@@ -102,9 +110,11 @@ def measure_from_doc(doc: dict) -> AtomicMeasure:
         atoms.real = np.array(_reals(coords, "re"), dtype=float)
         atoms.imag = np.array(_reals(coords, "im"), dtype=float)
         weights = np.array(_reals(entries, "w"), dtype=float)
+        # the measure checks n, the weights' signs and finiteness, and its
+        # errors get the prefix too
+        return AtomicMeasure(n, atoms, weights, scale=scale)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measure document: {exc}") from exc
-    return AtomicMeasure(n, atoms.reshape(-1, n), weights, scale=scale)
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -181,11 +191,47 @@ def collector_paused():
             gc.enable()
 
 
+# The deepest nesting of arrays and objects a document may have.  orjson
+# 3.8 builds its Python objects recursively and has no depth limit of its
+# own: a document nested 200,000 deep overflows the C stack.
+MAX_DEPTH = 1024
+
+# Brackets step the depth by +1 and -1 (0xff as int8); quotes stay, and
+# every other byte is deleted.
+_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nesting_depth(data: bytes) -> int:
+    """How deep the arrays and objects of a JSON text nest, read from its bytes.
+
+    A bracket inside a string does not count.  On invalid JSON the result
+    still bounds the depth of every prefix the decoder reads before it
+    stops at the error.
+    """
+    if b"\\" in data:
+        # drop each escape sequence, so that every quote left opens or closes a string
+        data = re.sub(rb"\\.", b"", data, flags=re.DOTALL)
+    # Deleting two adjacent quotes keeps the parity of every later quote, so
+    # once the strings without a bracket (all of a written document's) are
+    # gone, the even pieces between quotes are the brackets outside strings.
+    marks = data.translate(_STEPS, _NOT_STRUCTURAL).replace(b'""', b"")
+    outside = b"".join(marks.split(b'"')[::2])
+    return int(np.cumsum(np.frombuffer(outside, dtype=np.int8)).max(initial=0))
+
+
 def read_doc(path: Path) -> dict:
-    """Decode a JSON file, with the collector paused while it decodes."""
-    text = path.read_text(encoding="utf-8")
+    """Decode a JSON file, with the collector paused while it decodes.
+
+    The bytes are decoded by orjson, which refuses what is not JSON:
+    NaN, Infinity, a number beyond a double, text that is not UTF-8.
+    A document nested deeper than `MAX_DEPTH` is refused before decoding.
+    """
+    data = path.read_bytes()
+    if _nesting_depth(data) > MAX_DEPTH:
+        raise ValueError(f"{path}: invalid JSON: nested deeper than {MAX_DEPTH} levels")
     try:
         with collector_paused():
-            return json.loads(text)
-    except json.JSONDecodeError as exc:
+            return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc

@@ -26,6 +26,8 @@ class AtomicMeasure:
 
     def __post_init__(self) -> None:
         n = _integer(self.n)
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
         atoms = np.asarray(self.atoms, dtype=complex).reshape(-1, n)
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if atoms.shape[0] != weights.shape[0]:

@@ -410,6 +410,57 @@ def test_batch_rejects_missing_directory(tmp_path):
     assert main(["batch", str(tmp_path / "nope")]) == 1
 
 
+def _write_deep(path, depth=100_000):
+    """A valid JSON array nested `depth` deep, far beyond the decoder's limit."""
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_deeply_nested_document_is_invalid_json_exit_1(tmp_path, capsys, command):
+    # the recursive decoder ended the run with a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    _write_deep(deep)
+    other = deep if command == "verify" else tmp_path / "out.json"
+    assert main([command, str(deep), str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {deep}: invalid JSON: ")
+
+
+def test_batch_goes_on_after_a_deeply_nested_document(tmp_path, capsys):
+    _write_deep(tmp_path / "a_deep.json")
+    main(["random", str(tmp_path / "b_case.json"), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "1"])
+    capsys.readouterr()
+    assert main(["batch", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "a_deep.json: exit 1" and lines[-1] == "b_case.json: exit 0"
+    assert captured.err.startswith(f"error: {tmp_path / 'a_deep.json'}: invalid JSON: ")
+    assert (tmp_path / "b_case.solution.json").exists()
+
+
+def test_deeply_nested_document_prints_no_traceback(tmp_path):
+    deep = tmp_path / "deep.json"
+    _write_deep(deep)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "momentsynth", "verify", str(deep), str(deep)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {deep}: invalid JSON: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_solve_text_that_is_not_utf8_is_invalid_json_exit_1(tmp_path, capsys):
+    # read as text, it failed with the codec's own message
+    problem = tmp_path / "latin1.json"
+    problem.write_bytes('{"n": 1, "moments": [], "note": "café"}'.encode("latin-1"))
+    assert main(["solve", str(problem), str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {problem}: invalid JSON: ")
+
+
 COLD_START = textwrap.dedent("""
     import sys
     from pathlib import Path

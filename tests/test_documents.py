@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ def _measure_doc(**atom):
 ])
 def test_measure_doc_malformed(doc):
     with pytest.raises(ValueError, match="malformed measure document"):
+        measure_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_measure_doc(w=-0.5), "weights must be nonnegative", id="negative w"),
+    pytest.param(
+        _measure_doc(z=[{"re": float("inf"), "im": 0.0}, {"re": 0.0, "im": 1.0}]),
+        "atoms and weights must be finite", id="inf re",
+    ),
+    pytest.param({"n": 0, "scale": 1.0, "atoms": []}, "dimension must be at least 1", id="n 0"),
+    pytest.param({"n": -2, "scale": 1.0, "atoms": []}, "dimension must be at least 1", id="n -2"),
+])
+def test_measure_doc_reports_a_measure_error_as_malformed(doc, message):
+    with pytest.raises(ValueError, match=f"^malformed measure document: {message}$"):
         measure_from_doc(doc)
 
 
@@ -340,8 +355,8 @@ def test_read_doc_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, ena
     if text is not None:
         path.write_text(text, encoding="utf-8")
     decoding = []
-    loads = json.loads
-    monkeypatch.setattr(documents.json, "loads", lambda s: decoding.append(gc.isenabled()) or loads(s))
+    loads = documents.orjson.loads
+    monkeypatch.setattr(documents.orjson, "loads", lambda data: decoding.append(gc.isenabled()) or loads(data))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -358,3 +373,104 @@ def test_read_doc_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, ena
         (gc.enable if was else gc.disable)()
     assert after is enabled
     assert decoding == ([] if text is None else [False])
+
+
+# Doubles that a decoder most easily gets wrong: the smallest subnormal, the
+# largest subnormal and the smallest normal, the largest double, both zeros.
+_EDGE_DOUBLES = (
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+)
+
+
+def _decoder_agreement_text(rng) -> str:
+    """A JSON text of numbers spelled many ways, and objects with repeated keys."""
+    bits = rng.integers(0, 2**64, size=60, dtype=np.uint64)
+    bits[:20] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # exponent field zero: subnormals
+    doubles = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)] + list(_EDGE_DOUBLES)
+    spellings = [spell % x for x in doubles for spell in ("%r", "%.17g", "%.25e")]
+    integers = rng.integers(0, 2**64, size=20, dtype=np.uint64).tolist()
+    integers += [-v for v in rng.integers(0, 2**63, size=20).tolist()]
+    integers += [0, 2**64 - 1, -(2**63)]
+    objects = []
+    for _ in range(10):
+        keys = rng.choice(list("abc"), size=int(rng.integers(1, 7)))
+        members = ", ".join(f'"{key}": {rng.choice(spellings)}' for key in keys)
+        objects.append("{" + members + "}")
+    return (
+        '{"doubles": [' + ", ".join(spellings) + "],\n"
+        + '"integers": [' + ",".join(map(str, integers)) + "],\n"
+        + '"objects": [' + ", ".join(objects) + '], "doubles": [1.5, -0.0]}'
+    )
+
+
+@pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
+def test_read_doc_decodes_as_the_standard_library_does(tmp_path, seed):
+    text = _decoder_agreement_text(np.random.default_rng(seed))
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    got, want = read_doc(path), json.loads(text)
+    # repr tells -0.0 from 0.0 and 1 from 1.0, and shows the order of keys
+    assert got == want and repr(got) == repr(want)
+
+
+def test_read_doc_reads_an_integer_beyond_64_bits_as_its_float(tmp_path):
+    big = [2**64, -(2**63) - 1, 10**30 + 1, 2**64 - 1, -(2**63)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(big), encoding="utf-8")
+    got = read_doc(path)
+    assert got == [float(2**64), float(-(2**63) - 1), float(10**30 + 1), 2**64 - 1, -(2**63)]
+    assert list(map(type, got)) == [float, float, float, int, int]
+
+
+@pytest.mark.parametrize("data", [
+    b"NaN", b"[Infinity]", b'{"w": -Infinity}', b"[1e400]", b"[-1e400]", b'{"n": 1, "moments": [\xff]}',
+], ids=["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "not utf-8"])
+def test_read_doc_refuses_what_is_not_strict_json(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{path}: invalid JSON: "):
+        read_doc(path)
+
+
+# brackets and escaped quotes inside strings, which add no depth
+_BRACKETY = '"]]]{{[\\"[\\\\"'
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"k": ', "}")], ids=["arrays", "objects"])
+def test_read_doc_reads_nesting_up_to_max_depth(tmp_path, opening, closing):
+    path = tmp_path / "doc.json"
+    depth = documents.MAX_DEPTH
+    path.write_text(opening * depth + _BRACKETY + closing * depth, encoding="utf-8")
+    got = read_doc(path)
+    for _ in range(depth):
+        got = got[0] if isinstance(got, list) else got["k"]
+    assert got == json.loads(_BRACKETY)
+    path.write_text(opening * (depth + 1) + _BRACKETY + closing * (depth + 1), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: invalid JSON: nested deeper than {depth} levels$"):
+        read_doc(path)
+
+
+def _nested(rng, level: int):
+    """A random JSON value whose strings hold brackets, quotes and backslashes."""
+    kind = rng.integers(0, 3) if level < 8 else 0
+    if kind == 0:
+        return "".join(rng.choice(list('ab[]{}"\\'), size=int(rng.integers(0, 5))))
+    size = int(rng.integers(0, 4))
+    if kind == 1:
+        return [_nested(rng, level + 1) for _ in range(size)]
+    return {_nested(rng, 8): _nested(rng, level + 1) for _ in range(size)}
+
+
+def _depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return 1 + max(map(_depth, value), default=0) if isinstance(value, list) else 0
+
+
+@pytest.mark.parametrize("seed", range(50), ids="seed{}".format)
+def test_nesting_depth_is_the_depth_of_the_tree(seed):
+    rng = np.random.default_rng(seed)
+    value = _nested(rng, 0)
+    text = json.dumps(value, indent=int(rng.integers(0, 2)) or None)
+    assert documents._nesting_depth(text.encode()) == _depth(value)
