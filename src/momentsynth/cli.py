@@ -82,7 +82,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     allowance = config.allowance(spec)
     try:
-        rep = report(spec, measure)
+        rep = report(spec, measure, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -67,6 +71,14 @@ def solvability(spec: MomentSpec) -> Verdict:
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        return os.cpu_count() or 1
+
+
 def measure_moments(
     measure: AtomicMeasure, indices: Sequence[MultiIndex]
 ) -> tuple[complex, ...]:
@@ -76,15 +88,28 @@ def measure_moments(
     is rounded once to complex: in double precision a degree-d moment of
     atoms of modulus r carries an error near eps * r**d times the mass,
     which on the solver's tori is as large as the 1e-8 contract by d=12.
-    Atoms and weights are cast to `clongdouble` once, then taken in blocks
-    so that memory stays bounded.  In a block the powers of each coordinate
-    are running products, one `np.multiply.accumulate` over a table 1, z,
-    z, ... of coordinate-major atoms.  Each distinct exponent of all but
-    the last coordinate (a head) is coded as one integer and gives one row
-    of weight times head powers; the powers of the last coordinate enter
-    through one matrix product.  The results are bit-identical to those of
-    the former `np.cumprod` kernel: every product takes the same operands
-    in the same order.  An exponent above 65,535 raises ValueError.
+    The atoms are taken in blocks so that memory stays bounded, and each
+    block is cast to `clongdouble` as it is read.  In a block the powers of
+    each coordinate are running products, one `np.multiply.accumulate`
+    over a table 1, z, z, ... of coordinate-major atoms.  Each distinct
+    exponent of all but the last coordinate (a head) is coded as one
+    integer and gives one row of weight times head powers; the powers of
+    the last coordinate enter through one matrix product.  An exponent
+    above 65,535 raises ValueError.
+
+    The blocks' products run in a thread pool with one worker per CPU in
+    the process's affinity mask (`os.cpu_count()` where there is no mask),
+    and no more workers than blocks; so a call that fits one block, or a
+    process on one CPU, runs in the calling thread and starts no thread.
+    Workers take blocks in turn from the pool's queue, at most two blocks
+    per worker ahead of the sum.  The calling thread allocates every work
+    array, one scratch buffer per worker and one product buffer per block
+    in flight, and the workers only write into them: memory that a worker
+    thread allocates and frees stays in that thread's malloc arena.
+    The calling thread adds the products in block order, so every moment
+    takes the same operands in the same order as in one serial loop over
+    the blocks, whatever the worker count, and the results are
+    bit-identical to that loop's.
     """
     n = measure.n
     for k in indices:
@@ -115,22 +140,73 @@ def measure_moments(
         _, first, row = np.unique(code, return_index=True, return_inverse=True)
     heads = exps[first, :-1].T
     count = len(first)
-    width = max(1, _BLOCK_ENTRIES // (count + int(top.max()) + 1))
+    rows = int(top.max()) + 1  # of the largest power table
+    width = min(len(measure), max(1, _BLOCK_ENTRIES // (count + rows)))
+    starts = range(0, len(measure), width)
+    workers = min(_cpus(), len(starts))
     acc = np.zeros((count, top[-1] + 1), dtype=np.clongdouble)
-    atoms = measure.atoms.T.astype(np.clongdouble)
-    weights = measure.weights.astype(np.clongdouble)
-    for lo in range(0, len(measure), width):
-        z = atoms[:, lo:lo + width]
-        lead = np.empty((count, z.shape[1]), dtype=np.clongdouble)
-        lead[:] = weights[lo:lo + width]
-        for j in range(n):
-            powers = np.empty((top[j] + 1, z.shape[1]), dtype=np.clongdouble)
-            powers[0] = 1
-            powers[1:] = z[j]
-            np.multiply.accumulate(powers, axis=0, out=powers)
-            if j < n - 1:
-                lead *= powers[heads[j]]
-        acc += np.dot(lead, powers.T)
+    # products of the blocks in flight; block b writes slot b % len(parts)
+    parts = np.empty((min(2 * workers, len(starts)),) + acc.shape, dtype=np.clongdouble)
+    # Each worker's scratch holds its lead rows, its gathered head rows and
+    # a power table.  One allocation holds them all: freed, it goes back to
+    # the system whole, where separate buffers can leave holes in the heap.
+    size = (2 * count + rows) * width
+    work = np.empty(workers * size, dtype=np.clongdouble)
+    scratch = queue.SimpleQueue()
+    for i in range(workers):
+        scratch.put(work[i * size:(i + 1) * size])
+
+    def block(b: int) -> None:
+        # Flat buffers give C-contiguous views of the block's width, which
+        # np.take and np.dot fill in place: every write below goes into them.
+        buffer = scratch.get()
+        try:
+            z = measure.atoms[starts[b]:starts[b] + width]
+            w = measure.weights[starts[b]:starts[b] + width]
+            m = len(w)
+            lead = buffer[:count * m].reshape(count, m)
+            taken = buffer[count * width:count * (width + m)].reshape(count, m)
+            table = buffer[2 * count * width:]
+            lead[:] = w
+            for j in range(n):
+                powers = table[:(top[j] + 1) * m].reshape(top[j] + 1, m)
+                powers[0] = 1
+                powers[1:2] = z[:, j]  # one cast, then copies
+                powers[2:] = powers[1:2]
+                np.multiply.accumulate(powers, axis=0, out=powers)
+                if j < n - 1:
+                    # mode="raise" would check the indices through a copy
+                    np.take(powers, heads[j], axis=0, out=taken, mode="clip")
+                    lead *= taken
+            np.dot(lead, powers.T, out=parts[b % len(parts)])
+        finally:
+            scratch.put(buffer)
+
+    if workers == 1:
+        for b in range(len(starts)):
+            block(b)
+            acc += parts[b % len(parts)]
+    else:
+        # imported here, so that importing the package loads no executor
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            pending = deque()
+            try:
+                # block b reuses the slot of block b - len(parts), so it is
+                # queued only once that block's product has been added
+                for b in range(len(starts) + len(parts)):
+                    if b >= len(parts):
+                        pending.popleft().result()
+                        acc += parts[b % len(parts)]
+                    if b < len(starts):
+                        # in a copy of the caller's context, where its
+                        # np.errstate holds
+                        run = contextvars.copy_context().run
+                        pending.append(pool.submit(run, block, b))
+            finally:
+                for future in pending:
+                    future.cancel()
     # a moment beyond a double reads as inf, as `report` documents
     with np.errstate(over="ignore"):
         moments = acc[row, exps[:, -1]].astype(complex)

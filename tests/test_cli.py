@@ -366,6 +366,16 @@ def test_verify_report_is_machine_readable(tmp_path, capsys):
     assert "max_residual" in doc and "residuals" in doc
 
 
+@pytest.mark.parametrize("flags, config", [([], {"tol": None}), (["--tol", "1e-7"], {"tol": 1e-7})])
+def test_verify_report_echoes_its_config(tmp_path, capsys, flags, config):
+    problem = tmp_path / "prob.json"
+    main(["random", str(problem), "--n", "2", "--d", "2", "--atoms", "3", "--seed", "4"])
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(tmp_path / "prob.measure.json"), *flags]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["config"] == config
+
+
 def _strict_json(constant):
     raise ValueError(f"{constant} is not JSON")
 

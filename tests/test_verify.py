@@ -1,11 +1,16 @@
+import concurrent.futures
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import momentsynth.verify as verify
 from momentsynth.errors import Unsolvable
 from momentsynth.lattice import MomentSpec, box
 from momentsynth.measures import AtomicMeasure
+from momentsynth.synthesis import synthesize
 from momentsynth.verify import (
     functional_representation,
     measure_moments,
@@ -183,6 +188,153 @@ def test_moments_with_heads_too_many_for_one_integer_code():
         mono = np.prod([z[:, j] ** e for j, e in enumerate(k)], axis=0)
         expect = complex(mono @ measure.weights.astype(np.longdouble))
         assert abs(got - expect) <= 2.0**-52 + 4 * sum(k) * u
+
+
+def _serial_moments(measure, indices):
+    """measure_moments as one serial loop over the atom blocks: the reference
+    that the threaded blocks must match bit for bit."""
+    n = measure.n
+    exps = np.array(indices, dtype=np.intp).reshape(-1, n)
+    top = exps.max(axis=0)
+    row, first = np.zeros(len(exps), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for j in range(n - 1):
+        code = np.ravel_multi_index((row, exps[:, j]), (len(exps), top[j] + 1))
+        _, first, row = np.unique(code, return_index=True, return_inverse=True)
+    heads = exps[first, :-1].T
+    count = len(first)
+    width = max(1, verify._BLOCK_ENTRIES // (count + int(top.max()) + 1))
+    acc = np.zeros((count, top[-1] + 1), dtype=np.clongdouble)
+    atoms = measure.atoms.T.astype(np.clongdouble)
+    weights = measure.weights.astype(np.clongdouble)
+    for lo in range(0, len(measure), width):
+        z = atoms[:, lo:lo + width]
+        lead = np.empty((count, z.shape[1]), dtype=np.clongdouble)
+        lead[:] = weights[lo:lo + width]
+        for j in range(n):
+            powers = np.empty((top[j] + 1, z.shape[1]), dtype=np.clongdouble)
+            powers[0] = 1
+            powers[1:] = z[j]
+            np.multiply.accumulate(powers, axis=0, out=powers)
+            if j < n - 1:
+                lead *= powers[heads[j]]
+        acc += np.dot(lead, powers.T)
+    with np.errstate(over="ignore"):
+        moments = acc[row, exps[:, -1]].astype(complex)
+    return tuple(moments.tolist())
+
+
+def _random_measure(rng, n, count, radius):
+    moduli = radius * np.sqrt(rng.random((count, n)))
+    atoms = moduli * np.exp(2j * np.pi * rng.random((count, n)))
+    return AtomicMeasure(n, atoms, rng.random(count))
+
+
+def _block_width(indices):
+    """Atoms in one block of measure_moments for these exponents."""
+    heads = {tuple(k[:-1]) for k in indices}
+    return max(1, verify._BLOCK_ENTRIES // (len(heads) + max(map(max, indices)) + 1))
+
+
+@pytest.mark.parametrize("seed", range(50), ids=lambda s: f"seed{s}")
+def test_threaded_blocks_match_one_serial_loop(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    # 1 to 4 workers, whatever this machine's CPU count
+    workers = int(rng.integers(1, 5))
+    monkeypatch.setattr(verify, "_cpus", lambda: workers)
+    n = 1 + seed % 4
+    degree = int(rng.integers(1, (60, 10, 5, 3)[n - 1] + 1))
+    indices = sorted({(0,) * n} | {tuple(map(int, k)) for k in rng.integers(0, degree + 1, size=(20, n))})
+    blocks = (1, 2, 3, int(rng.integers(4, 21)))[seed // 4 % 4]
+    width = _block_width(indices)
+    count = int(rng.integers((blocks - 1) * width + 1, blocks * width + 1))
+    measure = _random_measure(rng, n, count, float(rng.uniform(0.1, 10.0)))
+    expect = _serial_moments(measure, indices)
+    assert measure_moments(measure, indices) == expect
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_threaded_blocks_match_one_serial_loop_with_eight_variables(blocks, monkeypatch):
+    # the shape of test_moments_with_heads_too_many_for_one_integer_code
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    indices = [(e,) * 8 for e in range(601)] + [(600, 0, 0, 0, 0, 0, 0, 1)]
+    width = _block_width(indices)
+    rng = np.random.default_rng(blocks)
+    measure = AtomicMeasure(
+        8, np.exp(2j * np.pi * rng.random(((blocks - 1) * width + 1, 8))),
+        rng.random((blocks - 1) * width + 1),
+    )
+    expect = _serial_moments(measure, indices)
+    assert measure_moments(measure, indices) == expect
+
+
+def test_moments_from_more_threads_than_cores(monkeypatch):
+    # four callers with two workers each: twelve threads
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    rng = np.random.default_rng(7)
+    cases = []
+    for n, degree in ((1, 40), (2, 8), (3, 4), (2, 12)):
+        indices = box(n, degree)
+        cases.append((_random_measure(rng, n, 4 * _block_width(indices), 1.5), indices))
+    expect = [_serial_moments(measure, indices) for measure, indices in cases]
+    got = [None] * len(cases)
+
+    def run(i):
+        got[i] = measure_moments(*cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expect
+
+
+def test_block_error_reaches_the_caller_and_stops_every_thread(monkeypatch):
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    indices = box(2, 6)
+    measure = _random_measure(np.random.default_rng(3), 2, 5 * _block_width(indices), 1.0)
+    dot, calls, lock = np.dot, [], threading.Lock()
+
+    def failing_dot(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            second = len(calls) == 2
+        if second:
+            raise FloatingPointError("second block")
+        return dot(*args, **kwargs)
+
+    before = threading.active_count()
+    monkeypatch.setattr(verify.np, "dot", failing_dot)
+    with pytest.raises(FloatingPointError, match="second block"):
+        measure_moments(measure, indices)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blocks_keep_the_callers_floating_point_errstate(cpus, monkeypatch):
+    # 14 blocks of 3 atoms whose 20,000th powers overflow even `clongdouble`
+    monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+    measure = AtomicMeasure(1, np.full((40, 1), 1e300 + 0j), np.ones(40))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        measure_moments(measure, [(0,), (20000,)])
+
+
+def test_one_block_calls_start_no_thread(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a one-block call started a thread")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    spec, measure = random_instance(2, 5, 60, 0)
+    assert measure_moments(measure, spec.indices) == _serial_moments(measure, spec.indices)
+    spec, _ = random_instance(1, 6, 4, 0)
+    synthesize(spec)
 
 
 def test_report_zero_case():
