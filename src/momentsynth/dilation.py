@@ -6,8 +6,9 @@ definite function on the integer lattice.  Those values are the Fourier
 coefficients of every measure this package synthesizes.  They have a
 closed form in the prescribed moments, so the table is filled without
 applying a single matrix, as one array in the layout of numpy's FFT
-(index k at k mod (2R+1) along each axis, R the table radius): the grid
-quadrature transforms it as it stands.  `psd_check` tests Toeplitz
+(index k at k mod (2R+1) along each axis, R the table radius): one
+`numpy.fft.fftn` of it as it stands gives the weights of its
+(2R+1)**n product-grid quadrature.  `psd_check` tests Toeplitz
 sections of the table for positive semidefiniteness with one LAPACK
 Cholesky factorization, and `min_eigenvalue` reads their smallest
 eigenvalue off one LAPACK eigenvalue call.

@@ -1,22 +1,26 @@
-"""Atomic measure synthesis on the scaled torus.
+"""Atomic measure synthesis on a torus.
 
-Given the Fourier table of a solvable instance, this module constructs an
-explicit finitely-atomic nonnegative measure whose atoms sit on the torus
-of radius equal to the contraction scale (times any moment pre-scaling)
-and whose monomial moments reproduce the prescribed values.
+Given a solvable instance, this module constructs an explicit
+finitely-atomic nonnegative measure whose atoms sit on one torus and whose
+monomial moments reproduce the prescribed values.
 
-One complex variable admits an exact route: the Toeplitz section of the
-Fourier data splits into a Vandermonde part (atoms from the roots of a
-null-vector polynomial) plus a multiple of the identity (mass spread over
-equispaced atoms).  Two variables use nonnegative least squares on the
-product grid of GRID candidate angles per variable followed by a damped
-Gauss-Newton refinement of angles and weights.  Both fit only the
-prescribed moments, the only ones the acceptance check reads, so a
-two-variable answer from them has at most 2*|spec| - 1 atoms, one per
-real constraint.  Every
-dimension has an exact fallback: the Fourier table is positive definite
-and vanishes beyond its radius R, so one FFT gives nonnegative weights on
-the (2R+1)**n product grid that reproduce the whole table.
+Every instance is answered by one stage, `lattice_quadrature`: the spec's
+own trigonometric polynomial, its coefficients s_k divided by r**|k|, is
+at least a floor at every node of a rank-1 lattice that separates the
+frequencies of spec u -spec, for the least such r; its node values are the
+weights of atoms r e^(i theta) on those nodes, and they reproduce every
+prescribed moment exactly in exact arithmetic.  One FFT computes them.
+
+Up to two variables one older attempt runs first, on the Fourier table of
+the paper's construction: one complex variable admits an exact route, the
+Toeplitz section of the Fourier data splits into a Vandermonde part (atoms
+from the roots of a null-vector polynomial) plus a multiple of the identity
+(mass spread over equispaced atoms); two variables use nonnegative least
+squares on the product grid of GRID candidate angles per variable.  Both
+are followed by a damped Gauss-Newton refinement of angles and weights,
+and both fit only the prescribed moments, the only ones the acceptance
+check reads, so a two-variable answer from them has at most 2*|spec| - 1
+atoms, one per real constraint.
 
 The two least-squares stages use two nonnegative least-squares solvers
 that share no code.  The grid fit uses `_lawson_hanson`, this module's own
@@ -53,6 +57,7 @@ from .verify import report, solvability
 GRID = 64
 
 _LOG_LONG_EPS = math.log(float(np.finfo(np.longdouble).eps))
+_LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -456,26 +461,6 @@ def grid_nnls(
     return _unit_measure(2.0 * np.pi * points[keep] / grid, weights[keep], n)
 
 
-def grid_quadrature(table: FourierTable, *, weight_prune: float | None = None) -> AtomicMeasure:
-    """Exact torus measure on the (2R+1)**n product grid, R the table radius.
-
-    The table is positive definite on the whole lattice and zero beyond its
-    radius, so sum_k c_k e^(-ik.theta) is a nonnegative trigonometric
-    polynomial.  Its samples at theta = 2 pi g / (2R+1), divided by
-    (2R+1)**n, are atom weights whose moments reproduce every table entry:
-    no two frequencies within the radius alias on that grid.  One FFT
-    (numpy's fftn, whose kernel is e^(-ik.theta)) computes them all.
-    Weights below the prune threshold (rounding can leave some slightly
-    negative) are dropped.
-    """
-    n, size = table.n, 2 * table.radius + 1
-    prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, table.mass)
-    weights = np.fft.fftn(table.coeffs).real.reshape(-1) / size**n
-    angles = (2.0 * np.pi / size) * np.indices((size,) * n).reshape(n, -1).T
-    keep = weights > prune
-    return _unit_measure(angles[keep], weights[keep], n)
-
-
 REFINE_ITERS = 200
 DAMPING_CAP = 1e12
 # refine fails at once when its rounding level exceeds its target this many times
@@ -616,22 +601,151 @@ def refine(
 
 
 # ---------------------------------------------------------------------------
+# any number of variables: one FFT on a rank-1 lattice
+# ---------------------------------------------------------------------------
+
+# the lattice stage's node values are at least this share of the mass
+NODE_FLOOR = 1e-3
+# node counts below this multiple of |P| are searched for a Korobov
+# lattice; past them the product lattice is taken
+SEARCH_SPAN = 2
+# frequencies whose keys screen every Korobov candidate before the full test
+_PROBE = 64
+# entries of one block of a key matrix (4 MB of int64)
+_KEY_ENTRIES = 1 << 19
+# fractions of its bracket at which each step of the radius search tries a
+# shift, all at once, and the number of steps: they narrow the bracket
+# 32**3 times
+_STEPS = np.arange(1, 33) / 32.0
+_STEP_ROUNDS = 3
+
+
+def _injective(freqs: np.ndarray, bases: np.ndarray, size: int) -> np.ndarray:
+    """For each a in `bases`, whether k -> k.z mod size is injective on the
+    rows k of `freqs`, z = (1, a, a**2, ...) mod size the Korobov vector of a.
+
+    The keys form one row per candidate; a sorted row with no two equal
+    neighbours has distinct keys.
+    """
+    powers = np.ones((len(bases), freqs.shape[1]), dtype=np.int64)
+    for c in range(1, freqs.shape[1]):
+        powers[:, c] = powers[:, c - 1] * bases % size
+    keys = powers @ freqs.T % size
+    keys.sort(axis=1)
+    return np.all(keys[:, 1:] != keys[:, :-1], axis=1)
+
+
+def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
+    """Node count N and generating vector z of a lattice on which
+    k -> k.z mod N is injective over the rows of `freqs`.
+
+    N counts up from len(freqs), and for each N the Korobov vectors
+    z = (1, a, ..., a**(n-1)) mod N, 0 < a < N, are tested in blocks of
+    candidates, 8 first and 8 times more in each next block, up to
+    _KEY_ENTRIES keys: first on the keys of the first _PROBE frequencies,
+    which turn most candidates down, then on all.  The first a that passes
+    wins.  From SEARCH_SPAN * len(freqs) on, or once N reaches its size,
+    the product lattice z_c = prod over c' < c of (2 d_c' + 1) is taken,
+    d_c the largest |k_c|: balanced mixed-radix digits are unique, so it
+    is injective, and it has the (2 d_c + 1) product grid as its nodes.
+    """
+    count, n = freqs.shape
+    extent = np.abs(freqs).max(axis=0).tolist()
+    product = math.prod(2 * d + 1 for d in extent)
+    # a probe of fewer than half the frequencies saves more than it costs
+    probe = freqs[:_PROBE] if count > 2 * _PROBE else freqs
+    widest = max(1, _KEY_ENTRIES // count)
+    for size in range(count, min(SEARCH_SPAN * count, product)):
+        bases = np.arange(1, 2 if n == 1 else size, dtype=np.int64)
+        first, width = 0, 8
+        while first < len(bases):
+            block = bases[first:first + width]
+            block = block[_injective(probe, block, size)]
+            if len(probe) < count and block.size:
+                block = block[_injective(freqs, block, size)]
+            if block.size:
+                a = int(block[0])
+                return size, np.array([pow(a, c, size) for c in range(n)], dtype=np.int64)
+            first, width = first + width, min(8 * width, widest)
+    return product, np.cumprod([1] + [2 * d + 1 for d in extent[:-1]]).astype(np.int64)
+
+
+def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
+    """Exact answer on the nodes of a rank-1 lattice: its atoms on the unit
+    torus with their weights, and the log-radius t of the torus it lives on.
+
+    P = spec u -spec holds |P| = 2*|spec| - 1 frequencies.  `_rank1_lattice`
+    gives N and z with k -> k.z mod N injective on P, so the N nodes
+    theta_g = 2 pi (g z mod N) / N separate its frequencies (Kaemmerer,
+    SIAM J. Numer. Anal. 51, 2013).  With r = e^t, the trigonometric
+    polynomial P_t(theta) = s0 + 2 Re sum_(k != 0) s_k e^(-t|k|) e^(-ik.theta)
+    has node values whose N-th parts, as weights of the atoms r e^(i theta_g),
+    have moment r^|k| s_k e^(-t|k|) = s_k at every prescribed k, exactly in
+    exact arithmetic.
+
+    t is the least shift, found to a few parts in 10^5 of its bracket, at
+    which every node value is at least NODE_FLOOR * s0, so all N weights
+    are positive.  No answer has a shift below
+    t_lo = max_k log(|s_k| / s0) / |k|: the mean of a nonnegative P_t over
+    the nodes is s0, which bounds each of its coefficients.  The closed
+    form 2 sum |s_k| e^(-t|k|) <= (1 - NODE_FLOOR) s0 makes P_t at least
+    the floor everywhere, and it holds from t_lo + log(2m / (1 - NODE_FLOOR))
+    on, m the count of nonzero s_k, where each of the m terms is at most
+    2 s0 e^(t_lo - t); that shift caps the search.  P_t's node values less
+    s0 are polynomials in e^-(t - t_lo) with coefficients no larger than
+    s0: an N x (top degree) node matrix, one length-N FFT per degree, gives
+    them at many shifts in one matrix product, and at t it gives the
+    weights, so they are the values the search found positive.  All of it
+    runs in logs, so a large radius overflows nothing; the caller screens
+    e^t before taking any power of it.  Without a nonzero moment besides
+    the mass, t is 0 and every weight is s0 / N.
+    """
+    n = spec.n
+    karr = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, n)
+    size, z = _rank1_lattice(np.concatenate([np.zeros((1, n), dtype=np.int64), karr, -karr]))
+    s0 = spec.mass.real
+    values = np.asarray(spec.values[1:], dtype=complex)
+    live = values != 0
+    t, weights = 0.0, np.full(size, s0 / size)
+    if live.any():
+        values, degrees = values[live], karr[live].sum(axis=1)
+        log_sizes = np.log(np.abs(values))
+        low = float(np.max((log_sizes - math.log(s0)) / degrees))
+        parts = np.zeros((int(degrees.max()), size), dtype=complex)
+        parts[degrees - 1, (karr[live] @ z) % size] = np.exp(log_sizes - low * degrees) * (
+            values / np.abs(values))
+        nodes = 2.0 * np.fft.fft(parts, axis=1).real.T  # node values less s0
+        orders = np.arange(1, len(parts) + 1)[:, None]
+
+        def tails(shifts: np.ndarray) -> np.ndarray:
+            return nodes @ np.exp(orders * (low - shifts))
+
+        # each step tries _STEPS of the bracket at once and keeps the part
+        # that ends at the first shift whose node values clear the floor
+        below, t = low, low + math.log(2.0 * len(values) / (1.0 - NODE_FLOOR))
+        for _ in range(_STEP_ROUNDS):
+            shifts = below + (t - below) * _STEPS
+            clear = tails(shifts).min(axis=0) >= (NODE_FLOOR - 1.0) * s0
+            clear[-1] = True  # the top of the bracket, whatever its rounding
+            first = int(np.argmax(clear))
+            below, t = (float(shifts[first - 1]) if first else below), float(shifts[first])
+        weights = (s0 + tails(np.array([t]))[:, 0]) / size
+    angles = (2.0 * np.pi / size) * (np.outer(np.arange(size, dtype=np.int64), z) % size)
+    return _unit_measure(angles, weights, n), t
+
+
+# ---------------------------------------------------------------------------
 # end-to-end synthesis
 # ---------------------------------------------------------------------------
 
 
-def _prescale_factor(espec: EmbeddedSpec, mass_relative: bool = False) -> float:
-    """Dilation factor that tames the moment magnitudes.
-
-    The mass-relative variant balances each moment against sqrt(mass),
-    which keeps the synthesized torus radius small enough that monomial
-    sums do not cancel catastrophically when the mass is tiny.
-    """
-    ref = float(np.sqrt(espec.mass.real)) if mass_relative else 1.0
+def _prescale_factor(espec: EmbeddedSpec) -> float:
+    """Dilation factor that tames the moment magnitudes: the largest
+    |s_k|**(1/|k|), clipped to [1e-3, 1e3]."""
     best = 0.0
     for total, v in zip(espec.box.sum(axis=1).tolist(), np.asarray(espec.values)):
         if total and abs(v) > 0.0:
-            best = max(best, float(abs(v) / ref) ** (1.0 / total))
+            best = max(best, float(abs(v)) ** (1.0 / total))
     if best == 0.0:
         return 1.0
     return float(np.clip(best, 1e-3, 1e3))
@@ -643,21 +757,21 @@ def _rescaled(espec: EmbeddedSpec, factor: float) -> EmbeddedSpec:
     return EmbeddedSpec(espec.n, espec.degree, values)
 
 
-def _log_rounding_level(log_weight: float, radius: float, top: int) -> float:
-    """Natural log of u * W * max(1, radius)**top, W = exp(log_weight) and u
-    the `np.longdouble` epsilon: the unit rounding level of the
-    extended-precision sums that measure a measure of total weight W on the
-    torus of that radius at degree `top`.  Taken in logs, where no power
-    can overflow."""
-    return _LOG_LONG_EPS + log_weight + top * math.log(max(1.0, radius))
+def _log_rounding_level(log_weight: float, log_radius: float, top: int) -> float:
+    """Natural log of u * W * max(1, r)**top, W = exp(log_weight),
+    r = exp(log_radius) and u the `np.longdouble` epsilon: the unit
+    rounding level of the extended-precision sums that measure a measure of
+    total weight W on the torus of radius r at degree `top`.  Taken in
+    logs, where no power can overflow."""
+    return _LOG_LONG_EPS + log_weight + top * max(0.0, log_radius)
 
 
 def _log_weight_floor(
-    magnitudes: np.ndarray, degrees: np.ndarray, allowance: float, radius: float
+    magnitudes: np.ndarray, degrees: np.ndarray, allowance: float, log_radius: float
 ) -> float:
     """Natural log of the least total weight W of a measure on the torus of
-    `radius` whose moments come within `allowance` of prescribed moments of
-    these magnitudes and total degrees.
+    radius exp(log_radius) whose moments come within `allowance` of
+    prescribed moments of these magnitudes and total degrees.
 
     Such a moment has modulus at most W * radius**|k|, so
     W >= (|s_k| - allowance) / radius**|k| at every k; the bound is the
@@ -670,7 +784,7 @@ def _log_weight_floor(
     live = excess > 0.0
     if not live.any():
         return -math.inf
-    return float(np.max(np.log(excess[live]) - degrees[live] * math.log(radius)))
+    return float(np.max(np.log(excess[live]) - degrees[live] * log_radius))
 
 
 def _exp_text(log_value: float) -> str:
@@ -686,31 +800,31 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     """Solve a truncated moment problem by an explicit atomic measure.
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
-    zero measure), builds the commuting contraction tuple and its Fourier
-    table, then synthesizes torus atoms.  The moments are pre-scaled in
-    turn by 1 and by a magnitude-taming factor (unscaled first for one
-    variable, scaled first beyond), then by a mass-relative factor.  Each
-    pre-scaling tries, in order: the Toeplitz split for one variable or
-    grid nonnegative least squares at GRID points for two, then the FFT
-    quadrature of the table (the only stage beyond two variables).  For
-    n <= 2 a stage that misses the target is refined; beyond, the
-    quadrature has (2R+1)**n atoms, too many for dense Gauss-Newton, and a
-    miss moves on at once; a refinement whose target lies below its own
-    rounding level fails at once too (see `refine`).  A refinement that
-    returns its input untouched (its double-precision residual met the
+    zero measure).  Up to two variables one attempt of the older stage
+    comes first, on the paper's construction: the commuting contraction
+    tuple of the moments pre-scaled by 1 for one variable and by the
+    magnitude-taming factor for two, its Fourier table, then the Toeplitz
+    split (one variable) or grid nonnegative least squares at GRID points
+    (two), refined when it misses the target (see `refine`).  A refinement
+    that returns its input untouched (its double-precision residual met the
     target) ends the attempt without checking the same atoms again.  The
-    first candidate whose residual meets the target is returned, unless the
+    benchmark's smoke test (perfbench/test_smoke.py) requires these stages
+    to run; every other answer comes from `lattice_quadrature`, the only
+    stage beyond two variables, which never builds the tuple or the table.
+
+    A candidate is returned when its residual meets the target, unless the
     target lies below u * W * max(1, r)**|k|, the rounding level of the
     `np.longdouble` sums that measure it at the top degree |k| (W its total
     weight, r the torus radius, u the long double epsilon).  The same rule
-    screens each pre-scaling before its table is built: an answer on the
-    torus of radius r that meets the allowance a at every prescribed k
-    weighs W >= max_k (|s_k| - a) / r**|k|, so when that bound puts the
-    rounding level above 2a (the 2 covers the rounding of the computed
-    weight sum and residuals) no candidate of the pre-scaling can be
-    accepted and none is built; the attempt is recorded as its "radius".
-    Otherwise the raised ConvergenceFailure lists every attempt in order,
-    as its pre-scale factor, stage and reason.
+    screens each torus before any candidate on it is built or measured: an
+    answer on the torus of radius r that meets the allowance a at every
+    prescribed k weighs W >= max_k (|s_k| - a) / r**|k|, so when that bound
+    puts the rounding level above 2a (the 2 covers the rounding of the
+    computed weight sum and residuals) no candidate can be accepted.  The
+    older stage then runs no table and no stage, and its attempt is
+    recorded as "radius"; the lattice answer is never measured.  Otherwise
+    the raised ConvergenceFailure lists both attempts in order, each with
+    its reason.
 
     The returned measure's moments match the spec within the config's
     `allowance(spec)`.
@@ -725,18 +839,22 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     n = spec.n
     tol = cfg.resolved_tol(n)
     allowance = cfg.allowance(spec)
-    espec = embed(spec)
-    prune = 1e-12 * spec.mass.real
     magnitudes = np.abs(np.asarray(spec.values))
     degrees = np.array([sum(k) for k in spec.indices], dtype=float)
     top = int(degrees.max())
     log_allowance = math.log(allowance)
 
-    # later rungs are fallbacks: poorly scaled data can sit at the edge of
-    # double precision in one parametrization and be comfortable in another
-    plain, magnitude = 1.0, _prescale_factor(espec)
-    preferred = [plain, magnitude] if n == 1 else [magnitude, plain]
-    factors = dict.fromkeys(preferred + [_prescale_factor(espec, mass_relative=True)])
+    def refusal(log_radius: float) -> str | None:
+        """Why no answer on the torus of radius exp(log_radius) can be
+        accepted, or None when one can."""
+        if log_radius > _LOG_DOUBLE_MAX:
+            return f"radius {_exp_text(log_radius)} is beyond the range of a double"
+        floor = _log_rounding_level(
+            _log_weight_floor(magnitudes, degrees, allowance, log_radius), log_radius, top)
+        if not floor > math.log(2.0) + log_allowance:
+            return None
+        return (f"moment sums on radius {_exp_text(log_radius)} round at {_exp_text(floor)}"
+                f" or more, above the residual target {allowance:.3e}")
 
     def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, float]:
         """The unit measure on the torus of atom_radius, and its residual."""
@@ -744,57 +862,66 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         candidate = AtomicMeasure(n, atoms, unit.weights, scale=atom_radius)
         return candidate, report(spec, candidate).max_residual
 
-    attempts: list[tuple[float, str, str]] = []  # (pre-scale factor, stage, reason)
-    for factor in factors:
+    def rejection(candidate: AtomicMeasure, residual: float, log_radius: float) -> str | None:
+        """Why the candidate on the torus of radius exp(log_radius) is
+        refused, or None when it is accepted."""
+        if residual > allowance:
+            return "synthesized measure misses the residual target"
+        weight = candidate.total_mass
+        level = _log_rounding_level(math.log(weight) if weight > 0.0 else -math.inf,
+                                    log_radius, top)
+        if level > log_allowance:
+            return f"its moment sums round at {_exp_text(level)}, above the residual target"
+        return None
+
+    attempts: list[tuple[str, str]] = []  # (attempt, reason)
+    if n <= 2:
+        espec = embed(spec)
+        factor = 1.0 if n == 1 else _prescale_factor(espec)
+        stage = "split" if n == 1 else "grid"
         ops = build_tuple(_rescaled(espec, factor))
         atom_radius = ops.scale * factor
-        # when even the least weight an answer on this torus can have rounds
-        # above the target, the post-check below refuses every candidate
-        floor = _log_rounding_level(
-            _log_weight_floor(magnitudes, degrees, allowance, atom_radius), atom_radius, top)
-        if floor > math.log(2.0) + log_allowance:
-            attempts.append((factor, "radius", (
-                f"moment sums on radius {atom_radius:.6g} round at {_exp_text(floor)} or more,"
-                f" above the residual target {allowance:.3e}")))
-            continue
-        table = fourier_table(ops, ops.degree)
-        # n <= 2 runs its older stage before the quadrature: the benchmark's
-        # smoke test (perfbench/test_smoke.py) requires that stage to run
-        for stage in {1: ["split"], 2: ["grid"]}.get(n, []) + ["quadrature"]:
+        log_radius = math.log(atom_radius)
+        reason = refusal(log_radius)
+        if reason is not None:
+            attempts.append((f"prescale {factor:.6g}, radius", reason))
+        else:
             try:
-                if stage == "split":
+                table = fourier_table(ops, ops.degree)
+                prune = 1e-12 * spec.mass.real
+                if n == 1:
                     line = table.coeffs[:ops.degree + 1]
                     unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
-                elif stage == "grid":
-                    unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
                 else:
-                    unit = grid_quadrature(table, weight_prune=prune)
+                    unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
                 candidate, residual = finish(unit, atom_radius)
-                if residual > allowance and n <= 2:
+                if residual > allowance:
                     refined = refine(unit, table, tol, indices=spec.indices,
                                      weight_base=atom_radius)
                     if refined is unit:
                         # refine's own double-precision check passed; the
                         # same atoms would fail the same check again
-                        attempts.append((factor, stage, (
-                            "refine's double-precision residual met the target;"
-                            f" the extended-precision check did not ({residual:.3e})")))
-                        continue
-                    candidate, residual = finish(refined, atom_radius)
+                        reason = ("refine's double-precision residual met the target;"
+                                  f" the extended-precision check did not ({residual:.3e})")
+                    else:
+                        candidate, residual = finish(refined, atom_radius)
+                if reason is None:
+                    reason = rejection(candidate, residual, log_radius)
+                    if reason is None:
+                        return candidate
             except SolverError as exc:
-                attempts.append((factor, stage, str(exc)))
-                continue
-            if residual > allowance:
-                attempts.append((factor, stage, "synthesized measure misses the residual target"))
-                continue
-            weight = candidate.total_mass
-            level = _log_rounding_level(
-                math.log(weight) if weight > 0.0 else -math.inf, atom_radius, top)
-            if level <= log_allowance:
-                return candidate
-            attempts.append((factor, stage, (
-                f"its moment sums round at {_exp_text(level)}, above the residual target")))
+                reason = str(exc)
+            attempts.append((f"prescale {factor:.6g}, {stage}", reason))
+
+    unit, log_radius = lattice_quadrature(spec)
+    reason = refusal(log_radius)
+    if reason is None:
+        candidate, residual = finish(unit, math.exp(log_radius))
+        reason = rejection(candidate, residual, log_radius)
+        if reason is None:
+            return candidate
+    attempts.append((f"lattice, {len(unit)} nodes", reason))
     raise ConvergenceFailure(
         "synthesis could not reach the residual target: "
-        + "; ".join(f"(prescale {f:.6g}, {stage}) {reason}" for f, stage, reason in attempts)
+        + "; ".join(f"({attempt}) {reason}" for attempt, reason in attempts)
     )

@@ -51,13 +51,20 @@ def test_solve_unsolvable_exit_2(tmp_path, capsys):
 
 
 def test_solve_convergence_failure_exit_3(tmp_path, capsys):
-    problem = tmp_path / "wide.json"
-    _write_problem(problem, MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)))
-    # an exception escaping main would be a traceback and fail the test
-    code = main(["solve", str(problem), str(tmp_path / "out.json")])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("convergence failure:")
-    assert not (tmp_path / "out.json").exists()
+    # the rows of ROADMAP.md's Baseline that no one-radius answer solves
+    for name, spec in (
+        ("wide", MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j))),
+        ("mass", MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j))),
+    ):
+        problem = tmp_path / f"{name}.json"
+        _write_problem(problem, spec)
+        # an exception escaping main would be a traceback and fail the test
+        code = main(["solve", str(problem), str(tmp_path / "out.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure:")
+        assert "; (lattice, 5 nodes) moment sums on radius" in err
+        assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("error", [ConvergenceFailure, NNLSStall, NotPSD])

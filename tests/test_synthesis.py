@@ -7,6 +7,7 @@ import pytest
 
 import momentsynth.synthesis as synthesis
 from conftest import bounded, extended_relative_residual, random_box_spec
+from test_contract import draw_spec
 from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
@@ -16,7 +17,7 @@ from momentsynth.synthesis import (
     SolverConfig,
     cf_atoms_1d,
     grid_nnls,
-    grid_quadrature,
+    lattice_quadrature,
     refine,
     solve_zero,
     synthesize,
@@ -336,7 +337,7 @@ def test_grid_nnls_allocation_peak_stays_below_a_megabyte():
 
 
 # ---------------------------------------------------------------------------
-# grid quadrature
+# grid quadrature of the Fourier table
 # ---------------------------------------------------------------------------
 
 
@@ -357,21 +358,92 @@ def box_table(seed):
 
 @pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
 def test_grid_quadrature_weights_nonnegative_and_exact(seed):
+    # The table is positive definite and zero beyond its radius R, so its
+    # samples on the (2R+1)**n product grid, one FFT, are the weights of an
+    # exact quadrature of the whole table.  The solver does not use this
+    # grid; the check is one of the table's positivity.
     table = box_table(seed)
-    # every grid point is kept, so these are the weights before pruning
-    measure = grid_quadrature(table, weight_prune=-np.inf)
-    assert len(measure) == (2 * table.radius + 1) ** table.n
+    size = 2 * table.radius + 1
+    weights = np.fft.fftn(table.coeffs).real.reshape(-1) / size**table.n
+    angles = (2.0 * np.pi / size) * np.indices((size,) * table.n).reshape(table.n, -1).T
+    measure = AtomicMeasure(table.n, np.exp(1j * angles), weights, scale=1.0)
+    assert len(measure) == size**table.n
     assert measure.weights.min() >= 0.0
     assert table_residual(measure, table) <= 1e-12 * table.mass
 
 
-def test_grid_quadrature_prunes_zero_weights():
-    # one atom at angle 0: 1 + 2 cos(theta) vanishes at the two other grid
-    # points, and all the weight lands on the atom
-    table = circle_table(1, 1, np.zeros((1, 1)), np.ones(1))
-    measure = grid_quadrature(table)
-    assert len(measure) == 1
-    assert measure.weights[0] == pytest.approx(1.0)
+# ---------------------------------------------------------------------------
+# rank-1 lattice quadrature
+# ---------------------------------------------------------------------------
+
+
+def with_positive_mass(spec):
+    """The spec with its mass replaced by its modulus, or by 1 when it is 0."""
+    mass = abs(spec.mass) or 1.0
+    return MomentSpec(spec.n, spec.indices, (mass,) + spec.values[1:])
+
+
+def lattice_of(unit):
+    """Node count N and generating vector z of a lattice answer: node g of
+    the unit measure has angles 2 pi (g z mod N) / N."""
+    size = len(unit)
+    z = np.rint(np.angle(unit.atoms[1 % size]) * size / (2.0 * np.pi)).astype(np.int64) % size
+    return size, z
+
+
+@pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
+def test_lattice_quadrature_is_exact_and_positive_on_the_sweep(seed):
+    # draw_spec of tests/test_contract.py: one to eight variables, values
+    # over 24 decades, sparse and full boxes
+    spec = with_positive_mass(draw_spec(seed))
+    unit, t = lattice_quadrature(spec)
+    size, z = lattice_of(unit)
+    karr = np.array(spec.indices, dtype=np.int64)
+    freqs = np.concatenate([karr, -karr[1:]])
+    # k -> k.z mod N is injective on P = spec u -spec, and every node is an atom
+    assert len(set(((freqs @ z) % size).tolist())) == len(freqs) == 2 * len(spec.indices) - 1
+    nodes = (np.outer(np.arange(size), z) % size) * (2.0 * np.pi / size)
+    assert np.abs(np.exp(1j * nodes) - unit.atoms).max() <= 1e-12
+    # a Korobov lattice below 2|P| nodes, or else the product lattice
+    assert size < 2 * len(freqs) or size == np.prod(2 * karr.max(axis=0) + 1)
+    # every weight is positive, at least the node floor's share
+    s0 = spec.mass.real
+    assert unit.weights.min() * size >= synthesis.NODE_FLOOR * s0 * (1.0 - 1e-9)
+    # on the unit torus the answer reproduces s_k e^(-t|k|) at every
+    # prescribed k, up to the rounding of its N weights
+    got = np.exp(1j * (karr @ np.angle(unit.atoms).T)).astype(np.clongdouble) @ unit.weights
+    values = np.array(spec.values)
+    with np.errstate(divide="ignore"):  # a zero value has log -inf, and wants 0
+        wanted = np.exp(np.log(np.abs(values)) - t * karr.sum(axis=1)) * np.exp(1j * np.angle(values))
+    assert np.abs(got - wanted).max() <= 1e-12 * s0
+
+
+def test_lattice_quadrature_radius_is_the_node_positivity_radius():
+    # (0),(40) on three nodes: P_t = 1 + 0.5 e^(-40t) * 2 cos(40 theta) has
+    # its least node value 1 - 0.5 e^(-40t) at theta = 2 pi / 3 and 4 pi / 3
+    spec = MomentSpec.from_items(1, [((0,), 1.0), ((40,), 0.5)])
+    unit, t = lattice_quadrature(spec)
+    assert len(unit) == 3
+    least = np.log(0.5 / (1.0 - synthesis.NODE_FLOOR)) / 40.0
+    # the search narrows [t_lo, t_lo + log(2 / (1 - floor))] 32**3 times
+    assert least <= t <= least + np.log(2.0 / (1.0 - synthesis.NODE_FLOOR)) / 32**3
+    assert unit.weights.min() >= synthesis.NODE_FLOOR / 3.0
+
+
+def test_lattice_quadrature_mass_alone_is_one_atom():
+    unit, t = lattice_quadrature(MomentSpec(3, ((0, 0, 0),), (2.5,)))
+    assert (len(unit), t) == (1, 0.0)
+    assert unit.weights[0] == pytest.approx(2.5)
+
+
+def test_lattice_falls_back_to_the_product_lattice():
+    # |P| = 3, and 60 is 0 mod 3, 4 and 5, so no node count below 2|P|
+    # separates 0, 60 and -60; the product lattice has 2 * 60 + 1 nodes
+    spec = MomentSpec.from_items(1, [((0,), 1.0), ((60,), 0.25)])
+    unit, t = lattice_quadrature(spec)
+    assert len(unit) == 121
+    measure = AtomicMeasure(1, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
+    assert extended_relative_residual(spec, measure) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +498,10 @@ def test_refine_fails_fast_below_its_rounding_level(monkeypatch):
     assert fits == [] and solves == []
 
 
-@pytest.mark.parametrize("degree, seed", [(12, 1), (12, 35), (13, 4), (13, 36), (14, 11), (14, 27)])
+@pytest.mark.parametrize("degree, seed", [(12, 1), (12, 35), (13, 4), (13, 36), (14, 0), (14, 2)])
 def test_refine_solves_what_the_split_alone_misses(degree, seed, monkeypatch):
-    # with refine stubbed out every one of these specs fails; the guard
-    # must leave the refinements that succeed untouched
+    # the split alone misses on every one of these specs, so refine runs;
+    # its guard must leave the refinements that succeed untouched
     outcomes = refine_outcomes(monkeypatch)
     spec, _ = random_instance(1, degree, 4, seed)
     measure = synthesize(spec)
@@ -571,63 +643,103 @@ def test_synthesize_degree_13_meets_contract_in_extended_precision():
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, older",
     [
-        # wins on the second pre-scaling
-        scaled_spec(
+        # won on the second pre-scaling; the grid fit misses on the first
+        (scaled_spec(
             random_instance(2, 2, 3, 468350122, radius=0.4188368971922585)[0],
             561.6401249734669,
-        ),
-        # wins on the third pre-scaling
-        scaled_spec(
+        ), 1),
+        # won on the third pre-scaling; the radius check refuses the first
+        (scaled_spec(
             random_instance(1, 4, 4, 263167733, radius=24.038088336133328)[0],
             685.7122838804714,
-        ),
+        ), 0),
     ],
     ids=["n2-second-prescale", "n1-third-prescale"],
 )
-def test_synthesize_fallback_attempts_solve(spec, monkeypatch):
+def test_synthesize_fallback_attempts_solve(spec, older, monkeypatch):
+    # the older stage does not solve it on its one pre-scaling; the lattice does
+    tuples = spy(monkeypatch, "build_tuple")
     splits = spy(monkeypatch, "cf_atoms_1d")
     grids = spy(monkeypatch, "grid_nnls")
+    lattices = spy(monkeypatch, "lattice_quadrature")
     measure = synthesize(spec)
-    assert len(splits) + len(grids) > 1  # the first attempt alone does not solve it
+    assert (len(tuples), len(splits) + len(grids), len(lattices)) == (1, older, 1)
     tol = SolverConfig().resolved_tol(spec.n)
     assert extended_relative_residual(spec, measure) <= tol
+    assert len(measure) == len(lattices[0][0].indices) * 2 - 1
+
+
+# stages of the paper's construction and of the older attempt, none of
+# which runs beyond two variables
+CONSTRUCTION = ("embed", "build_tuple", "fourier_table", "cf_atoms_1d", "grid_nnls", "refine")
 
 
 def test_synthesize_three_variables_one_quadrature(monkeypatch):
     spec = random_instance(3, 2, 2, 674418157, radius=0.8544370464638581)[0]
-    stages = {name: spy(monkeypatch, name)
-              for name in ("cf_atoms_1d", "grid_nnls", "refine", "grid_quadrature")}
+    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION + ("lattice_quadrature",)}
     measure = synthesize(spec)
     assert {name: len(calls) for name, calls in stages.items()} == {
-        "cf_atoms_1d": 0, "grid_nnls": 0, "refine": 0, "grid_quadrature": 1,
+        **dict.fromkeys(CONSTRUCTION, 0), "lattice_quadrature": 1,
     }
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(3)
 
 
 def test_synthesize_one_variable_ladder_skips_the_grid(monkeypatch):
+    # the split and its refinement miss; one lattice stage solves it
     grids = spy(monkeypatch, "grid_nnls")
-    quadratures = spy(monkeypatch, "grid_quadrature")
+    splits = spy(monkeypatch, "cf_atoms_1d")
+    lattices = spy(monkeypatch, "lattice_quadrature")
     spec, _ = random_instance(1, 16, 4, 3)
-    with pytest.raises(ConvergenceFailure):
-        synthesize(spec)
+    measure = synthesize(spec)
     assert grids == []
-    assert len(quadratures) == 3  # one per pre-scaling
+    assert (len(splits), len(lattices)) == (1, 1)
+    assert len(measure) == 33
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(1)
+
+
+def attempts_of(exc):
+    """(attempt, reason) of every attempt a ConvergenceFailure lists."""
+    return re.findall(r"\(([^)]*)\) (.*?)(?=; \(|$)", str(exc).split(": ", 1)[1])
 
 
 def test_convergence_failure_lists_every_attempt():
-    spec, _ = random_instance(1, 16, 4, 3)
+    # the Baseline rows that no one-radius answer solves
+    for spec, first in (
+        (MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j)), "prescale 1, radius"),
+        (MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)), "prescale 1000, radius"),
+    ):
+        with pytest.raises(ConvergenceFailure) as failure:
+            synthesize(spec)
+        (attempt, reason), (lattice, why) = attempts_of(failure.value)
+        assert (attempt, lattice) == (first, "lattice, 5 nodes")
+        # each torus is refused for its rounding level, the lattice's at the
+        # least radius at which its node values stay above the floor
+        for text in (reason, why):
+            assert text.startswith("moment sums on radius")
+            assert text.endswith(f"above the residual target {SolverConfig().allowance(spec):.3e}")
+
+
+def off_the_doubles(spec):
+    """A lattice stage stub whose one node lies on a torus beyond a double."""
+    return AtomicMeasure(spec.n, np.ones((1, spec.n)), [spec.mass.real], 1.0), 800.0
+
+
+def test_convergence_failure_lists_a_failed_stage(monkeypatch):
+    monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
     with pytest.raises(ConvergenceFailure) as failure:
-        synthesize(spec)
-    attempts = re.findall(r"\(prescale ([^,]+), (\w+)\) ", str(failure.value))
-    assert [stage for _, stage in attempts] == ["split", "quadrature"] * 3
-    assert len({factor for factor, _ in attempts}) == 3
+        synthesize(random_instance(1, 16, 4, 3)[0])
+    (attempt, reason), (lattice, why) = attempts_of(failure.value)
+    assert (attempt, lattice) == ("prescale 1, split", "lattice, 1 nodes")
+    assert reason.startswith("refinement stalled at residual")
+    assert why.startswith("radius 2.") and why.endswith("is beyond the range of a double")
 
 
-# On every pre-scaling of these specs the least total weight an answer on
-# its torus can have puts the rounding level of its moment sums above the
-# residual target, so the pre-scaling is refused before its table is built.
+# On the first pre-scaling of these specs the least total weight an answer
+# on its torus can have puts the rounding level of its moment sums above
+# the residual target, so the older stage is refused before its table is
+# built; the lattice answers all but the last two.
 GATED = {
     "n1-d18": random_instance(1, 18, 4, 3)[0],
     "n1-d24": random_instance(1, 24, 4, 3)[0],
@@ -642,19 +754,19 @@ GATED = {
 
 @pytest.mark.parametrize("spec", list(GATED.values()), ids=list(GATED))
 def test_synthesize_skips_rungs_that_cannot_resolve_the_target(spec, monkeypatch):
-    stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "grid_quadrature",
-              "refine", "_nnls", "_lawson_hanson")
-    calls = {name: spy(monkeypatch, name) for name in stages}
-    with pytest.raises(ConvergenceFailure) as failure:
-        synthesize(spec)
-    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(stages, 0)
-    attempts = re.findall(r"\(prescale ([^,]+), (\w+)\) ", str(failure.value))
-    espec = embed(spec)
-    rungs = {f"{factor:.6g}" for factor in (
-        1.0, synthesis._prescale_factor(espec), synthesis._prescale_factor(espec, mass_relative=True))}
-    # one attempt per distinct pre-scaling, and each is the radius check
-    assert sorted(factor for factor, _ in attempts) == sorted(rungs)
-    assert {stage for _, stage in attempts} == {"radius"}
+    stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "refine", "_nnls", "_lawson_hanson")
+    calls = {name: spy(monkeypatch, name) for name in stages + ("build_tuple", "lattice_quadrature")}
+    try:
+        measure = synthesize(spec)
+    except ConvergenceFailure as exc:
+        (rung, _), (lattice, _) = attempts_of(exc)
+        assert rung.endswith(", radius") and lattice.startswith("lattice")
+    else:
+        assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+    # one pre-scaling is considered, and it builds no table and runs no stage
+    assert {name: len(made) for name, made in calls.items()} == {
+        **dict.fromkeys(stages, 0), "build_tuple": 1, "lattice_quadrature": 1,
+    }
 
 
 def wide_corpus_spec(index):
@@ -725,19 +837,20 @@ def test_weight_floor_never_exceeds_the_true_weight(seed):
     radius, indices, values, allowance, weight = torus_moments(seed)
     floor = synthesis._log_weight_floor(
         np.abs(np.array(values)), np.array([sum(k) for k in indices], dtype=float),
-        allowance, radius)
+        allowance, np.log(radius))
     # the floor is exact on one atom moved outward, up to the rounding of its logs
     assert np.exp(floor) <= weight * (1.0 + 1e-12)
 
 
 def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
-    # the grid fit and its refinement miss here, so the quadrature runs
+    # the grid fit and its refinement miss here, so the lattice stage runs
     grids = spy(monkeypatch, "grid_nnls")
-    quadratures = spy(monkeypatch, "grid_quadrature")
+    lattices = spy(monkeypatch, "lattice_quadrature")
     spec, _ = random_instance(2, 5, 4, 1)
     measure = synthesize(spec)
     assert [args[1] for args in grids] == [synthesis.GRID]
-    assert len(quadratures) == 1
+    assert len(lattices) == 1
+    assert len(measure) == 2 * len(spec.indices) - 1
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
 
 
@@ -746,10 +859,10 @@ def test_synthesize_two_variables_solves_without_the_quadrature(monkeypatch):
     # the contract at the first pre-scaling
     grids = spy(monkeypatch, "grid_nnls")
     refines = spy(monkeypatch, "refine")
-    quadratures = spy(monkeypatch, "grid_quadrature")
+    lattices = spy(monkeypatch, "lattice_quadrature")
     spec, _ = random_instance(2, 5, 4, 0)
     measure = synthesize(spec)
-    assert (len(grids), len(refines), len(quadratures)) == (1, 1, 0)
+    assert (len(grids), len(refines), len(lattices)) == (1, 1, 0)
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
 
 
@@ -782,32 +895,21 @@ def test_synthesize_checks_an_untouched_refinement_once(monkeypatch):
 
 
 def test_convergence_failure_names_an_untouched_refinement(monkeypatch):
-    # only the first grid fit runs; every later stage is stubbed to fail
+    # the one grid fit runs; the lattice stage is stubbed to fail
     untouched = refine_returns_its_input(monkeypatch)
-    original = synthesis.grid_nnls
-    grids = []
-
-    def first_grid_only(*args, **kwargs):
-        grids.append(args)
-        if len(grids) > 1:
-            raise ConvergenceFailure("stubbed grid")
-        return original(*args, **kwargs)
-
-    def no_quadrature(*args, **kwargs):
-        raise ConvergenceFailure("stubbed quadrature")
-
-    monkeypatch.setattr(synthesis, "grid_nnls", first_grid_only)
-    monkeypatch.setattr(synthesis, "grid_quadrature", no_quadrature)
+    grids = spy(monkeypatch, "grid_nnls")
+    monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
     spec, _ = random_instance(2, 5, 4, 6)
     with pytest.raises(ConvergenceFailure) as failure:
         synthesize(spec)
-    assert untouched == [True]
+    assert (untouched, len(grids)) == ([True], 1)
     found = re.search(
         r"\(prescale [^,]+, grid\) refine's double-precision residual met the target;"
         r" the extended-precision check did not \(([^)]+)\)",
         str(failure.value),
     )
     assert found
+    assert "; (lattice, 1 nodes) radius " in str(failure.value)
     target = SolverConfig().resolved_tol(2) * max(1.0, max(abs(v) for v in spec.values))
     assert float(found.group(1)) > target
 
@@ -861,13 +963,13 @@ def test_synthesize_two_variables_atoms_within_the_constraint_count(degree, seed
 
 
 def test_synthesize_three_variables_never_refines(monkeypatch):
-    # a miss on (2R+1)**n quadrature atoms fails instead of running dense
-    # Gauss-Newton on all of them
-    refines = spy(monkeypatch, "refine")
+    # the lattice answers with one atom per real constraint, unrefined
+    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION}
     spec, _ = random_instance(3, 4, 4, 3)
-    with pytest.raises(ConvergenceFailure):
-        synthesize(spec)
-    assert refines == []
+    measure = synthesize(spec)
+    assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(CONSTRUCTION, 0)
+    assert len(measure) == 249 == 2 * len(spec.indices) - 1
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(3)
 
 
 @pytest.mark.parametrize(
@@ -883,6 +985,36 @@ def test_synthesize_three_variables_never_refines(monkeypatch):
 def test_synthesize_beyond_two_variables_meets_contract(spec):
     measure = synthesize(spec)
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+
+
+# Baseline rows of ROADMAP.md that the pre-scale ladder and its product-grid
+# quadrature failed, with the lattice's atom count: one per real constraint,
+# |P| = 2 * |spec| - 1, but for (9,9), whose keys 9 + 9a all vanish mod 3
+LADDER_FAILURES = {
+    "n1-d16": (random_instance(1, 16, 4, 3)[0], 33),
+    "n1-d32": (random_instance(1, 32, 4, 3)[0], 65),
+    "n1-only-40": (MomentSpec.from_items(1, [((0,), 1.0), ((40,), 0.5)]), 3),
+    "n2-only-9-9": (MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]), 4),
+    "n3-d4": (random_instance(3, 4, 4, 3)[0], 249),
+    "n5-d2": (random_instance(5, 2, 4, 3)[0], 485),
+    "n1-moment-26-of-1e12": (MomentSpec(1, ((0,), (26,)), (1, 1e12)), 3),
+}
+
+
+@pytest.mark.parametrize("spec, atoms", list(LADDER_FAILURES.values()), ids=list(LADDER_FAILURES))
+def test_synthesize_solves_what_the_ladder_failed(spec, atoms):
+    measure = synthesize(spec)
+    assert len(measure) == atoms
+    assert measure.weights.min() > 0.0
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_synthesize_radius_beyond_a_double_fails_cleanly(n):
+    # |s_1| / s0 = 1e310: no answer has atoms of modulus within a double
+    spec = MomentSpec(n, ((0,) * n, (1,) + (0,) * (n - 1)), (1e-300, 1e10))
+    with pytest.raises(ConvergenceFailure, match=r"\(lattice, 3 nodes\) radius 1\.\d+e\+310 is beyond"):
+        synthesize(spec)
 
 
 def test_config_validation():

@@ -1,11 +1,14 @@
-"""Run `synthesize` over the 784-spec scratch corpus of ROADMAP.md.
+"""Run `synthesize` over the 984-spec scratch corpus of ROADMAP.md.
 
     python3 tools/corpus.py [--src DIR] [--dump FILE] [--against FILE]
 
 Prints, per group, how many specs solved within the residual contract,
 returned an answer over it, or raised, and the group's seconds.  The specs
 are drawn from numpy.random.default_rng(11..14) in the order listed in
-`GROUPS`, with `random_box_spec` from tests/conftest.py of this checkout.
+`corpus`, with `random_box_spec` from tests/conftest.py of this checkout,
+then come the 200 specs of the high-degree group:
+`random_instance(n, d, 4, s)` for s = 0..19 at n=1 d=24, 32, 48, 64, 96,
+n=2 d=8, 10, 12 and n=3 d=5, 6.
 
 `--src` imports momentsynth from another source tree (default: this
 checkout's src/), so two trees run on the same specs.  An answer is within
@@ -64,6 +67,9 @@ def corpus():
         n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         specs.append(random_instance(n, d, 4, int(rng.integers(2**31)))[0])
     groups.append(("random_instance n=2..4 d=1..3, rng 14", specs))
+    degrees = [(1, d) for d in (24, 32, 48, 64, 96)] + [(2, d) for d in (8, 10, 12)] + [(3, 5), (3, 6)]
+    groups.append(("high degree random_instance n=1..3 s=0..19",
+                   [random_instance(n, d, 4, s)[0] for n, d in degrees for s in range(20)]))
     return groups
 
 
