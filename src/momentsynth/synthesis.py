@@ -4,12 +4,13 @@ Given a solvable instance, this module constructs an explicit
 finitely-atomic nonnegative measure whose atoms sit on one torus and whose
 monomial moments reproduce the prescribed values.
 
-Every instance is answered by one stage, `lattice_quadrature`: the spec's
-own trigonometric polynomial, its coefficients s_k divided by r**|k|, is
-at least a floor at every node of a rank-1 lattice that separates the
-frequencies of spec u -spec, for the least such r; its node values are the
-weights of atoms r e^(i theta) on those nodes, and they reproduce every
-prescribed moment exactly in exact arithmetic.  One FFT computes them.
+One stage, `lattice_quadrature`, answers any number of variables: the
+spec's own trigonometric polynomial, its coefficients s_k divided by
+r**|k|, is at least a floor at every node of a rank-1 lattice that
+separates the frequencies of spec u -spec, for the least such r; its node
+values, one length-N FFT per degree away, are the weights of atoms
+r e^(i theta) on those nodes, and they reproduce every prescribed moment
+exactly in exact arithmetic.
 
 Up to two variables one older attempt runs first, on the Fourier table of
 the paper's construction: one complex variable admits an exact route, the
