@@ -13,28 +13,27 @@ r e^(i theta) on those nodes, and they reproduce every prescribed moment
 exactly in exact arithmetic.
 
 Up to two variables one older attempt runs first, on the Fourier table of
-the paper's construction: one complex variable admits an exact route, the
+the paper's construction.  One complex variable admits an exact route: the
 Toeplitz section of the Fourier data splits into a Vandermonde part (atoms
 from the roots of a null-vector polynomial) plus a multiple of the identity
-(mass spread over equispaced atoms); two variables use nonnegative least
-squares on the product grid of GRID candidate angles per variable.  Both
-are followed by a damped Gauss-Newton refinement of angles and weights,
-and both fit only the prescribed moments, the only ones the acceptance
-check reads, so a two-variable answer from them has at most 2*|spec| - 1
-atoms, one per real constraint.
+(mass spread over equispaced atoms), and a miss goes to the lattice stage.
+Two variables use nonnegative least squares on the product grid of GRID
+candidate angles per variable, refined on a miss by damped Gauss-Newton on
+angles and weights; both fit only the prescribed moments, the only ones
+the acceptance check reads, so an answer has at most 2*|spec| - 1 atoms.
 
-The two least-squares stages use two nonnegative least-squares solvers
-that share no code.  The grid fit uses `_lawson_hanson`, this module's own
+The two-variable attempt uses two nonnegative least-squares solvers that
+share no code.  The grid fit uses `_lawson_hanson`, this module's own
 numpy Lawson-Hanson, which never forms its design: it has thousands of
 columns of roots of unity, so a step costs one separable transform of the
 residual on the small exponent box (a matrix product per coordinate), a
 column is built only when it is tried for entry, and the rest is work on
 the few passive columns.  The refinement uses scipy's compiled `nnls`: its
-systems are small (33 x 33 at one variable and degree 16) and badly
-row-scaled (condition near 1e10), and there the compiled loop costs about
-30 times less per call than the numpy one.  scipy is imported the first
-time a refinement runs, so importing the package, and any solve that needs
-no refinement, loads numpy alone.
+systems are small (71 x 71 at degree 5) and badly row-scaled (condition
+near 1e10), and there the compiled loop costs about 30 times less per call
+than the numpy one.  scipy is imported the first time a refinement runs,
+so importing the package, and any solve that needs no refinement (every
+one-variable solve), loads numpy alone.
 """
 
 from __future__ import annotations
@@ -479,15 +478,15 @@ def refine(
     """Jointly polish atom angles and weights by damped Gauss-Newton.
 
     Minimizes the squared residual against the Fourier table at `indices`
-    (synthesis passes the prescribed exponents, the only moments its
+    (synthesis passes a two-variable grid fit that missed, never a
+    one-variable split, and the prescribed exponents, the only moments its
     acceptance check reads), or over the whole canonical half box when
     None, each frequency weighted by weight_base**|k| so the objective
     tracks the original moment magnitudes.  The target is `tol` times
     max(1, largest weighted entry).  Weights are clamped nonnegative after
     every step and atoms stuck at zero weight for three accepted steps are
-    removed.  Returns the input untouched when it already meets
-    the target; raises ConvergenceFailure after REFINE_ITERS iterations or
-    a stall otherwise.
+    removed.  Returns the input untouched when it already meets the target;
+    raises ConvergenceFailure after REFINE_ITERS iterations or a stall.
 
     Before its first solve it raises ConvergenceFailure when the target is
     out of reach of double precision: the weighted moment sums carry a
@@ -645,10 +644,11 @@ def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
     candidates, 8 first and 8 times more in each next block, up to
     _KEY_ENTRIES keys: first on the keys of the first _PROBE frequencies,
     which turn most candidates down, then on all.  The first a that passes
-    wins.  From SEARCH_SPAN * len(freqs) on, or once N reaches its size,
-    the product lattice z_c = prod over c' < c of (2 d_c' + 1) is taken,
-    d_c the largest |k_c|: balanced mixed-radix digits are unique, so it
-    is injective, and it has the (2 d_c + 1) product grid as its nodes.
+    wins.  From SEARCH_SPAN * len(freqs) on (beyond one variable, which
+    has one candidate per N), or once N reaches its size, the product
+    lattice z_c = prod over c' < c of (2 d_c' + 1) is taken, d_c the
+    largest |k_c|: balanced mixed-radix digits are unique, so it is
+    injective, and it has the (2 d_c + 1) product grid as its nodes.
     """
     count, n = freqs.shape
     extent = np.abs(freqs).max(axis=0).tolist()
@@ -656,7 +656,7 @@ def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
     # a probe of fewer than half the frequencies saves more than it costs
     probe = freqs[:_PROBE] if count > 2 * _PROBE else freqs
     widest = max(1, _KEY_ENTRIES // count)
-    for size in range(count, min(SEARCH_SPAN * count, product)):
+    for size in range(count, product if n == 1 else min(SEARCH_SPAN * count, product)):
         bases = np.arange(1, 2 if n == 1 else size, dtype=np.int64)
         first, width = 0, 8
         while first < len(bases):
@@ -806,12 +806,12 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     tuple of the moments pre-scaled by 1 for one variable and by the
     magnitude-taming factor for two, its Fourier table, then the Toeplitz
     split (one variable) or grid nonnegative least squares at GRID points
-    (two), refined when it misses the target (see `refine`).  A refinement
-    that returns its input untouched (its double-precision residual met the
-    target) ends the attempt without checking the same atoms again.  The
-    benchmark's smoke test (perfbench/test_smoke.py) requires these stages
-    to run; every other answer comes from `lattice_quadrature`, the only
-    stage beyond two variables, which never builds the tuple or the table.
+    refined on a miss (two; see `refine`).  A refinement that returns its
+    input untouched (its double-precision residual met the target) ends
+    the attempt without checking the same atoms again.  The benchmark's
+    smoke test (perfbench/test_smoke.py) requires these stages to run;
+    every other answer comes from `lattice_quadrature`, the only stage
+    beyond two variables, which never builds the tuple or the table.
 
     A candidate is returned when its residual meets the target, unless the
     target lies below u * W * max(1, r)**|k|, the rounding level of the
@@ -896,7 +896,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                 else:
                     unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
                 candidate, residual = finish(unit, atom_radius)
-                if residual > allowance:
+                if residual > allowance and n == 2:
                     refined = refine(unit, table, tol, indices=spec.indices,
                                      weight_base=atom_radius)
                     if refined is unit:

@@ -498,6 +498,11 @@ COLD_START = textwrap.dedent("""
     assert cli.main(["solve", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
     assert "scipy.optimize" not in sys.modules, "loaded by the two-variable grid"
     assert cli.main(["verify", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
+    # the split misses this one, and the lattice stage answers unrefined
+    split = str(work / "split.json")
+    assert cli.main(["random", split, "--n", "1", "--d", "16", "--atoms", "4", "--seed", "3"]) == 0
+    assert cli.main(["solve", split, str(work / "split.sol.json")]) == 0
+    assert "scipy.optimize" not in sys.modules, "loaded by a one-variable solve"
     # the grid fit misses this one, so a refinement runs
     refined = str(work / "refined.json")
     assert cli.main(["random", refined, "--n", "2", "--d", "4", "--atoms", "1", "--seed", "8"]) == 0

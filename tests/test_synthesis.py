@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import momentsynth.synthesis as synthesis
-from conftest import bounded, extended_relative_residual, random_box_spec
+from conftest import bounded, extended_relative_residual, extended_residual, random_box_spec
 from test_contract import draw_spec
 from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
@@ -404,8 +404,13 @@ def test_lattice_quadrature_is_exact_and_positive_on_the_sweep(seed):
     assert len(set(((freqs @ z) % size).tolist())) == len(freqs) == 2 * len(spec.indices) - 1
     nodes = (np.outer(np.arange(size), z) % size) * (2.0 * np.pi / size)
     assert np.abs(np.exp(1j * nodes) - unit.atoms).max() <= 1e-12
-    # a Korobov lattice below 2|P| nodes, or else the product lattice
-    assert size < 2 * len(freqs) or size == np.prod(2 * karr.max(axis=0) + 1)
+    if spec.n == 1:
+        # one candidate per node count: N is the least from |P| on that separates P
+        assert not any(len(set((freqs[:, 0] % m).tolist())) == len(freqs)
+                       for m in range(len(freqs), size))
+    else:
+        # a Korobov lattice below 2|P| nodes, or else the product lattice
+        assert size < 2 * len(freqs) or size == np.prod(2 * karr.max(axis=0) + 1)
     # every weight is positive, at least the node floor's share
     s0 = spec.mass.real
     assert unit.weights.min() * size >= synthesis.NODE_FLOOR * s0 * (1.0 - 1e-9)
@@ -437,13 +442,24 @@ def test_lattice_quadrature_mass_alone_is_one_atom():
 
 
 def test_lattice_falls_back_to_the_product_lattice():
-    # |P| = 3, and 60 is 0 mod 3, 4 and 5, so no node count below 2|P|
-    # separates 0, 60 and -60; the product lattice has 2 * 60 + 1 nodes
-    spec = MomentSpec.from_items(1, [((0,), 1.0), ((60,), 0.25)])
+    # |P| = 3, and 60 is 0 mod 3, 4 and 5, so no Korobov vector of a node
+    # count below 2|P| separates (0,0), (60,0) and (-60,0); the product
+    # lattice has (2 * 60 + 1) * 1 nodes
+    spec = MomentSpec.from_items(2, [((0, 0), 1.0), ((60, 0), 0.25)])
     unit, t = lattice_quadrature(spec)
     assert len(unit) == 121
-    measure = AtomicMeasure(1, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
+    measure = AtomicMeasure(2, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
     assert extended_relative_residual(spec, measure) <= 1e-12
+
+
+def test_synthesize_one_variable_searches_every_node_count():
+    # one variable has one candidate per node count, so the search goes on
+    # past 2|P| = 6 to N = 7, the least from 3 on that divides neither 60
+    # nor 120, short of the 121-node product lattice
+    spec = MomentSpec.from_items(1, [((0,), 1.0), ((60,), 0.25)])
+    measure = synthesize(spec)
+    assert len(measure) == 7
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +514,50 @@ def test_refine_fails_fast_below_its_rounding_level(monkeypatch):
     assert fits == [] and solves == []
 
 
+@pytest.mark.parametrize("args", [(2, 4, 1, 8), (2, 5, 4, 4), (2, 5, 4, 0)],
+                         ids="n{0[0]}-d{0[1]}-atoms{0[2]}-seed{0[3]}".format)
+def test_refine_solves_what_the_grid_fit_alone_misses(args, monkeypatch):
+    # the grid fit alone misses on every one of these specs, so refine runs;
+    # its guard must leave the refinements that succeed untouched, and its
+    # answer is accepted without the lattice stage
+    outcomes = refine_outcomes(monkeypatch)
+    lattices = spy(monkeypatch, "lattice_quadrature")
+    spec, _ = random_instance(*args)
+    measure = synthesize(spec)
+    assert (outcomes, lattices) == ([None], [])
+    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
+
+
 @pytest.mark.parametrize("degree, seed", [(12, 1), (12, 35), (13, 4), (13, 36), (14, 0), (14, 2)])
 def test_refine_solves_what_the_split_alone_misses(degree, seed, monkeypatch):
-    # the split alone misses on every one of these specs, so refine runs;
-    # its guard must leave the refinements that succeed untouched
+    # the split alone misses on every one of these specs; synthesize sends
+    # the miss to the lattice stage, but refine, run on the split as its own
+    # attempt did, must still end without its guard stopping it
     outcomes = refine_outcomes(monkeypatch)
     spec, _ = random_instance(1, degree, 4, seed)
+    ops = build_tuple(embed(spec))
+    table = fourier_table(ops, ops.degree)
+    split = cf_atoms_1d(table.coeffs[:ops.degree + 1], tol=1e-8 * max(1.0, table.mass),
+                        weight_prune=1e-12 * spec.mass.real)
+    atoms = ops.scale * np.exp(1j * np.angle(split.atoms))
+    tol = SolverConfig().resolved_tol(1)
+    assert extended_relative_residual(
+        spec, AtomicMeasure(1, atoms, split.weights, scale=ops.scale)) > tol
+    synthesis.refine(split, table, tol, indices=spec.indices, weight_base=ops.scale)
     measure = synthesize(spec)
-    assert None in outcomes
-    assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(1)
+    assert outcomes == [None]
+    assert extended_relative_residual(spec, measure) <= tol
+
+
+@pytest.mark.parametrize("degree", range(11, 16))
+def test_synthesize_one_variable_never_refines(degree, monkeypatch):
+    # the corpus's first group: the split answers or the lattice stage does
+    refines = spy(monkeypatch, "refine")
+    for seed in range(40):
+        spec, _ = random_instance(1, degree, 4, seed)
+        measure = synthesize(spec)
+        assert extended_residual(spec, measure) <= SolverConfig().allowance(spec), seed
+    assert refines == []
 
 
 def test_refine_stops_damping_at_its_cap(monkeypatch):
@@ -687,7 +738,7 @@ def test_synthesize_three_variables_one_quadrature(monkeypatch):
 
 
 def test_synthesize_one_variable_ladder_skips_the_grid(monkeypatch):
-    # the split and its refinement miss; one lattice stage solves it
+    # the split misses; one lattice stage solves it
     grids = spy(monkeypatch, "grid_nnls")
     splits = spy(monkeypatch, "cf_atoms_1d")
     lattices = spy(monkeypatch, "lattice_quadrature")
@@ -732,7 +783,8 @@ def test_convergence_failure_lists_a_failed_stage(monkeypatch):
         synthesize(random_instance(1, 16, 4, 3)[0])
     (attempt, reason), (lattice, why) = attempts_of(failure.value)
     assert (attempt, lattice) == ("prescale 1, split", "lattice, 1 nodes")
-    assert reason.startswith("refinement stalled at residual")
+    # the split's own miss: no refinement runs at one variable
+    assert reason == "synthesized measure misses the residual target"
     assert why.startswith("radius 2.") and why.endswith("is beyond the range of a double")
 
 
@@ -778,9 +830,9 @@ def wide_corpus_spec(index):
 
 
 def test_synthesize_stops_a_refinement_at_its_rounding_guard(monkeypatch):
-    # no spec of the corpus's first group reaches refine's own guard once
-    # the radius check runs; this wide-magnitude one does, on a grid fit of
-    # a pre-scaling the check lets through, and a later attempt solves it
+    # no one-variable spec reaches refine; this wide-magnitude one reaches
+    # its guard, on a grid fit of a pre-scaling the radius check lets
+    # through, and a later attempt solves it
     fits = spy(monkeypatch, "_nnls")
     original = synthesis.refine
     guarded = []
