@@ -21,19 +21,6 @@ Two variables use nonnegative least squares on the product grid of GRID
 candidate angles per variable, refined on a miss by damped Gauss-Newton on
 angles and weights; both fit only the prescribed moments, the only ones
 the acceptance check reads, so an answer has at most 2*|spec| - 1 atoms.
-
-The two-variable attempt uses two nonnegative least-squares solvers that
-share no code.  The grid fit uses `_lawson_hanson`, this module's own
-numpy Lawson-Hanson, which never forms its design: it has thousands of
-columns of roots of unity, so a step costs one separable transform of the
-residual on the small exponent box (a matrix product per coordinate), a
-column is built only when it is tried for entry, and the rest is work on
-the few passive columns.  The refinement uses scipy's compiled `nnls`: its
-systems are small (71 x 71 at degree 5) and badly row-scaled (condition
-near 1e10), and there the compiled loop costs about 30 times less per call
-than the numpy one.  scipy is imported the first time a refinement runs,
-so importing the package, and any solve that needs no refinement (every
-one-variable solve), loads numpy alone.
 """
 
 from __future__ import annotations
@@ -369,15 +356,16 @@ def _lawson_hanson(
     raise NNLSStall(f"nonnegative least squares did not finish in {max(10 * cols, 1000)} steps")
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # deferred: scipy.optimize would be most of the package's import time
-    from scipy.optimize import nnls
+def _clamped_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution of A w = b, its negative entries set to 0.
 
-    try:
-        w, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
-    except RuntimeError as exc:
-        raise NNLSStall(str(exc)) from exc
-    return w
+    When that solution is nonnegative it also solves min ||A w - b|| over
+    w >= 0 (Lawson and Hanson, ch. 23), the fit `refine` asks for; it was
+    nonnegative on every refit of the corpus of tools/corpus.py, the
+    contract sweep and the benchmark workloads.  Where it is not, the clamp
+    still leaves weights of a measure.
+    """
+    return np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0)
 
 
 def _rows(table: FourierTable, indices: Sequence[MultiIndex] | None) -> np.ndarray:
@@ -411,10 +399,9 @@ def grid_nnls(
     when the zero exponent is among them.  Weights below the prune
     threshold are dropped.
 
-    The fit is `_lawson_hanson`, not scipy's `nnls`, which `refine` keeps,
-    and the design is never built.  Column g holds Re and Im of
-    e^(2 pi i k.g / grid) over the exponents k, so a column is one lookup
-    in the roots of unity, and the gradient A.T @ r is
+    The fit is `_lawson_hanson`, and the design is never built.  Column g
+    holds Re and Im of e^(2 pi i k.g / grid) over the exponents k, so a
+    column is one lookup in the roots of unity, and the gradient A.T @ r is
     Re sum_k e^(2 pi i k.g / grid) (r_re[k] - i r_im[k]): a separable
     transform of those coefficients on the small box that holds the
     exponents, one matrix product per coordinate with a grid x span factor
@@ -537,10 +524,10 @@ def refine(
     streak = np.zeros(len(weights), dtype=int)
 
     for _ in range(REFINE_ITERS):
-        # exact weight block first (weights enter linearly, so the
-        # constrained fit never increases the cost and zeroes out atoms
-        # made redundant by clustering)
-        refit = _nnls(weighted_design(angles), b)
+        # exact weight block first: weights enter linearly, so their least
+        # squares solves for them at fixed angles; the refit is kept only
+        # when it does not raise the cost, which its clamp could
+        refit = _clamped_least_squares(weighted_design(angles), b)
         r_refit = _stacked(gap(angles, refit), nonzero)
         cost_refit = float(r_refit @ r_refit)
         if cost_refit <= cost:

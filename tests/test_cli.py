@@ -482,9 +482,19 @@ COLD_START = textwrap.dedent("""
     import sys
     from pathlib import Path
 
-    import momentsynth
-    from momentsynth import cli
+    sys.modules["scipy"] = None  # any import of scipy now raises
 
+    import momentsynth
+    from momentsynth import cli, synthesis
+
+    refits = []
+    refit = synthesis._clamped_least_squares
+
+    def counting_refit(A, b):
+        refits.append(A.shape)
+        return refit(A, b)
+
+    synthesis._clamped_least_squares = counting_refit
     work = Path(sys.argv[1])
     for n in (3, 2):
         problem = str(work / f"n{n}.json")
@@ -493,25 +503,27 @@ COLD_START = textwrap.dedent("""
     truth = str(work / "n3.measure.json")
     assert cli.main(["verify", str(work / "n3.json"), truth]) == 0
     assert cli.main(["solve", str(work / "n3.json"), str(work / "n3.sol.json")]) == 0
-    assert "scipy.optimize" not in sys.modules, "loaded before any least-squares stage"
     # this spec solves on the grid fit, whose solver is the package's own
     assert cli.main(["solve", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
-    assert "scipy.optimize" not in sys.modules, "loaded by the two-variable grid"
     assert cli.main(["verify", str(work / "n2.json"), str(work / "n2.sol.json")]) == 0
     # the split misses this one, and the lattice stage answers unrefined
     split = str(work / "split.json")
     assert cli.main(["random", split, "--n", "1", "--d", "16", "--atoms", "4", "--seed", "3"]) == 0
     assert cli.main(["solve", split, str(work / "split.sol.json")]) == 0
-    assert "scipy.optimize" not in sys.modules, "loaded by a one-variable solve"
-    # the grid fit misses this one, so a refinement runs
+    assert refits == [], "a refinement ran before the refined spec"
+    # the grid fit misses this one, so a refinement refits its weights
     refined = str(work / "refined.json")
     assert cli.main(["random", refined, "--n", "2", "--d", "4", "--atoms", "1", "--seed", "8"]) == 0
     assert cli.main(["solve", refined, str(work / "refined.sol.json")]) == 0
-    assert "scipy.optimize" in sys.modules, "the refinement ran without it"
+    assert cli.main(["verify", refined, str(work / "refined.sol.json")]) == 0
+    assert refits, "the refinement did not run"
+    loaded = [name for name, module in sys.modules.items()
+              if name.split(".")[0] == "scipy" and module is not None]
+    assert loaded == [], loaded
 """)
 
 
-def test_scipy_loads_only_when_a_refinement_runs(tmp_path):
+def test_no_solve_loads_scipy(tmp_path):
     # a fresh interpreter: this test process has long imported scipy
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

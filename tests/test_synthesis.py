@@ -500,7 +500,7 @@ def test_refine_fails_fast_below_its_rounding_level(monkeypatch):
     angles = np.array([[0.55, 1.37]])
     table = circle_table(2, 2, angles, np.array([0.8]))
     coarse = grid_nnls(table, 4)
-    fits = spy(monkeypatch, "_nnls")
+    fits = spy(monkeypatch, "_clamped_least_squares")
     solves = []
     solve = np.linalg.solve
 
@@ -512,6 +512,45 @@ def test_refine_fails_fast_below_its_rounding_level(monkeypatch):
     with pytest.raises(ConvergenceFailure, match="rounding level"):
         refine(coarse, table, tol=1e-30)
     assert fits == [] and solves == []
+
+
+@pytest.mark.parametrize("args", [(2, 4, 1, 8), (2, 5, 4, 0), (2, 5, 4, 4)],
+                         ids="n{0[0]}-d{0[1]}-atoms{0[2]}-seed{0[3]}".format)
+def test_refine_refit_matches_scipy_nnls(args, monkeypatch):
+    from scipy.optimize import nnls
+
+    # the weighted designs refine builds on these specs are square with
+    # condition numbers 2e9-5e10; their least-squares weights are
+    # nonnegative, so they solve the constrained fit scipy's nnls solves,
+    # and both residuals are rounding: they differed by 2.5e-8 to 1.2e-7 of
+    # ||b|| when measured
+    refit = synthesis._clamped_least_squares
+    systems = spy(monkeypatch, "_clamped_least_squares")
+    synthesize(random_instance(*args)[0])
+    assert systems
+    for A, b in systems:
+        weights = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert weights.min() >= 0.0
+        assert np.array_equal(refit(A, b), weights)
+        reference, _ = nnls(A, b, maxiter=max(10 * A.shape[1], 1000))
+        gap = np.linalg.norm(A @ weights - b) - np.linalg.norm(A @ reference - b)
+        assert abs(gap) <= 1e-6 * np.linalg.norm(b)
+
+
+def test_refine_clamps_a_negative_least_squares_refit(monkeypatch):
+    # four atoms for a two-atom measure: the least-squares weights of the
+    # first refits go negative, and refine must still end with a measure
+    table = circle_table(1, 3, np.array([[0.3], [2.1]]), np.array([0.4, 0.7]))
+    angles = np.array([0.3, 1.2, 2.0, 2.2])
+    start = AtomicMeasure(1, np.exp(1j * angles), np.full(4, 0.3), scale=1.0)
+    systems = spy(monkeypatch, "_clamped_least_squares")
+    try:
+        fine = refine(start, table, tol=1e-10)
+    except ConvergenceFailure:
+        pass
+    else:
+        assert fine.weights.min() >= 0.0
+    assert any(np.linalg.lstsq(A, b, rcond=None)[0].min() < 0.0 for A, b in systems)
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 8), (2, 5, 4, 4), (2, 5, 4, 0)],
@@ -806,7 +845,8 @@ GATED = {
 
 @pytest.mark.parametrize("spec", list(GATED.values()), ids=list(GATED))
 def test_synthesize_skips_rungs_that_cannot_resolve_the_target(spec, monkeypatch):
-    stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "refine", "_nnls", "_lawson_hanson")
+    stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "refine", "_clamped_least_squares",
+              "_lawson_hanson")
     calls = {name: spy(monkeypatch, name) for name in stages + ("build_tuple", "lattice_quadrature")}
     try:
         measure = synthesize(spec)
@@ -833,7 +873,7 @@ def test_synthesize_stops_a_refinement_at_its_rounding_guard(monkeypatch):
     # no one-variable spec reaches refine; this wide-magnitude one reaches
     # its guard, on a grid fit of a pre-scaling the radius check lets
     # through, and a later attempt solves it
-    fits = spy(monkeypatch, "_nnls")
+    fits = spy(monkeypatch, "_clamped_least_squares")
     original = synthesis.refine
     guarded = []
 
@@ -895,11 +935,14 @@ def test_weight_floor_never_exceeds_the_true_weight(seed):
 
 
 def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
-    # the grid fit and its refinement miss here, so the lattice stage runs
+    # refine returns here, but the extended-precision check refuses its
+    # answer, so the lattice stage runs
+    outcomes = refine_outcomes(monkeypatch)
     grids = spy(monkeypatch, "grid_nnls")
     lattices = spy(monkeypatch, "lattice_quadrature")
-    spec, _ = random_instance(2, 5, 4, 1)
+    spec, _ = random_instance(2, 5, 4, 9)
     measure = synthesize(spec)
+    assert outcomes == [None]
     assert [args[1] for args in grids] == [synthesis.GRID]
     assert len(lattices) == 1
     assert len(measure) == 2 * len(spec.indices) - 1
