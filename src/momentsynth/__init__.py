@@ -1,13 +1,7 @@
 """Truncated complex moment problems: solvability and atomic measure synthesis."""
 
-from .errors import (
-    ConvergenceFailure,
-    NNLSStall,
-    NotPSD,
-    SolverError,
-    Unsolvable,
-)
-from .lattice import EmbeddedSpec, MomentSpec, box, embed
+from .errors import ConvergenceFailure, SolverError, Unsolvable
+from .lattice import MomentSpec
 from .measures import AtomicMeasure
 from .synthesis import SolverConfig, synthesize
 from .verify import (
@@ -25,17 +19,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure",
     "ConvergenceFailure",
-    "EmbeddedSpec",
     "MomentSpec",
-    "NNLSStall",
-    "NotPSD",
     "Report",
     "SolverConfig",
     "SolverError",
     "Unsolvable",
     "Verdict",
-    "box",
-    "embed",
     "functional_representation",
     "measure_moments",
     "random_instance",

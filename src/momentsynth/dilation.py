@@ -39,15 +39,6 @@ class FourierTable:
     scale: float
     coeffs: np.ndarray
 
-    def value(self, k) -> complex:
-        k = tuple(int(e) for e in k)
-        if len(k) != self.n:
-            raise ValueError(f"index length {len(k)} does not match dimension {self.n}")
-        # checked here because the periodic layout would alias such an index
-        if max(abs(e) for e in k) > self.radius:
-            raise ValueError(f"index {k} outside table radius {self.radius}")
-        return complex(self.coeffs[k])
-
     @property
     def mass(self) -> float:
         return float(self.coeffs[(0,) * self.n].real)
@@ -99,18 +90,6 @@ def fourier_table(ops: OperatorTuple, radius: int) -> FourierTable:
         coeffs = coeffs.take((np.arange(size) + radius) % size, axis)
     coeffs.setflags(write=False)
     return FourierTable(n, radius, ops.scale, coeffs)
-
-
-def pd_section(table: FourierTable, radius: int) -> np.ndarray:
-    """Toeplitz-style section M[p, q] = c_(p-q) over the box of `radius`.
-
-    Differences of box indices stay within sup-norm `radius`, so the table
-    must extend at least that far.  Hermitian by table symmetry.
-    """
-    if radius > table.radius:
-        raise ValueError(f"section radius {radius} exceeds table radius {table.radius}")
-    idx = np.indices((radius + 1,) * table.n).reshape(table.n, -1)
-    return table.coeffs[tuple(idx[:, :, None] - idx[:, None, :])]
 
 
 def psd_check(M: np.ndarray, tol: float) -> tuple[bool, float]:

@@ -17,10 +17,8 @@ from operator import mul
 
 import numpy as np
 
-# Exponent vector of a monomial z1^k1 ... zn^kn (entries >= 0), and its
-# signed generalization used for mixed forward/adjoint powers.
+# Exponent vector of a monomial z1^k1 ... zn^kn (entries >= 0).
 MultiIndex = tuple[int, ...]
-SignedIndex = tuple[int, ...]
 
 
 def _integer(value) -> int:
@@ -124,9 +122,6 @@ class EmbeddedSpec:
     def box(self) -> np.ndarray:
         """The box exponents as a (len(values), n) array, row i for values[i]."""
         return np.indices((self.degree + 1,) * self.n).reshape(self.n, -1).T
-
-    def value_of(self, k: MultiIndex) -> complex:
-        return complex(self.values[np.ravel_multi_index(k, (self.degree + 1,) * self.n)])
 
     @property
     def mass(self) -> complex:

@@ -11,8 +11,7 @@ act on the family as a commuting tuple of matrices; in the lexicographic
 order of the embedded box, coordinate j's shift is the identity moved down
 by the stride (degree+1)**(n-j), cut off where the j-th exponent would
 leave the box.  This module builds those matrices in an orthonormal
-basis, scales them into a strict joint contraction, and evaluates mixed
-forward/adjoint power products against the cyclic vector.
+basis and scales them into a strict joint contraction.
 
 The inner product is linear in the first slot and conjugate-linear in the
 second throughout.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import EmbeddedSpec, MultiIndex, SignedIndex, box
+from .lattice import EmbeddedSpec
 
 _EPS = float(np.finfo(float).eps)
 
@@ -77,10 +76,6 @@ class OperatorTuple:
         """The prescribed mass s0, checked real and positive by build_tuple."""
         return self.espec.mass.real
 
-    def contraction(self, coord: int) -> np.ndarray:
-        """The scaled matrix for coordinate `coord` (numbered from 1)."""
-        return self.matrices[coord - 1] / self.scale
-
 
 def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
     """Build the commuting shift tuple of an embedded spec.
@@ -132,64 +127,3 @@ def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
     scale *= 1.0 + 4.0 * _EPS
     return OperatorTuple(espec, tuple(matrices), cyclic, norm_bound, float(scale))
 
-
-def _split_signs(k: SignedIndex) -> tuple[MultiIndex, MultiIndex]:
-    plus = tuple(max(e, 0) for e in k)
-    minus = tuple(max(-e, 0) for e in k)
-    return plus, minus
-
-
-def _apply_monomial(ops: OperatorTuple, k: MultiIndex, vec: np.ndarray) -> np.ndarray:
-    out = vec
-    for coord, power in enumerate(k, start=1):
-        B = ops.contraction(coord)
-        for _ in range(power):
-            out = B @ out
-    return out
-
-
-def apply_power(ops: OperatorTuple, k: SignedIndex) -> complex:
-    """Evaluate a signed power product of the contractions at the cyclic vector.
-
-    Negative entries apply adjoint powers.  The value is the inner product
-    of the forward-power image against the adjoint-power image, which is
-    order independent because the matrices commute.
-    """
-    if len(k) != ops.n:
-        raise ValueError(f"index length {len(k)} does not match dimension {ops.n}")
-    plus, minus = _split_signs(tuple(int(e) for e in k))
-    forward = _apply_monomial(ops, plus, ops.cyclic)
-    backward = _apply_monomial(ops, minus, ops.cyclic)
-    return complex(np.vdot(backward, forward))
-
-
-def _box_vectors(ops: OperatorTuple, degree: int) -> dict[MultiIndex, np.ndarray]:
-    """Images of the cyclic vector under all box power products.
-
-    Lexicographic order guarantees each index's predecessor (first positive
-    entry decremented) was already computed, so one matrix-vector product
-    per index suffices.
-    """
-    vecs: dict[MultiIndex, np.ndarray] = {}
-    for k in box(ops.n, degree):
-        if all(e == 0 for e in k):
-            vecs[k] = ops.cyclic
-            continue
-        coord = next(i for i, e in enumerate(k) if e > 0) + 1
-        pred = k[:coord - 1] + (k[coord - 1] - 1,) + k[coord:]
-        vecs[k] = ops.contraction(coord) @ vecs[pred]
-    return vecs
-
-
-def moment_identity(ops: OperatorTuple, espec: EmbeddedSpec) -> float:
-    """Largest deviation of scale**|k| * power values from the box moments.
-
-    Exact in exact arithmetic; the returned float is pure roundoff and is
-    expected to stay below 1e-10 times the moment magnitude.
-    """
-    vecs = _box_vectors(ops, espec.degree)
-    worst = 0.0
-    for k in map(tuple, espec.box.tolist()):
-        value = ops.scale ** sum(k) * np.vdot(ops.cyclic, vecs[k])
-        worst = max(worst, abs(value - espec.value_of(k)))
-    return worst

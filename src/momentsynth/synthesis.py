@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
 from .dilation import FourierTable, fourier_table, min_eigenvalue, psd_check
-from .errors import ConvergenceFailure, NNLSStall, NotPSD, SolverError, Unsolvable
+from .errors import ConvergenceFailure, Unsolvable
 from .lattice import EmbeddedSpec, MomentSpec, MultiIndex, embed
 from .measures import AtomicMeasure
 from .operators import build_tuple
@@ -73,13 +73,6 @@ class SolverConfig:
         """The largest residual an answer to `spec` may have: the resolved
         tol times max(1, largest prescribed magnitude)."""
         return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values))))
-
-
-def solve_zero(spec: MomentSpec) -> AtomicMeasure:
-    """The zero measure, valid exactly when every prescribed value is zero."""
-    if not spec.is_zero():
-        raise ValueError("spec prescribes a nonzero value; the zero measure does not solve it")
-    return AtomicMeasure.empty(spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +162,10 @@ def cf_atoms_1d(
     """Decompose one-variable Fourier data c_0..c_m into circle atoms.
 
     The Toeplitz section T[p, q] = c_(p-q) must be positive semidefinite
-    within `tol` (NotPSD otherwise).  Subtracting the smallest eigenvalue
-    leaves a singular section whose null-vector polynomial has the atomic
-    angles among the conjugates of its roots (numpy's polyroots, the
-    eigenvalues of the companion matrix); weights come from a real
+    within `tol` (ConvergenceFailure otherwise).  Subtracting the smallest
+    eigenvalue leaves a singular section whose null-vector polynomial has
+    the atomic angles among the conjugates of its roots (numpy's polyroots,
+    the eigenvalues of the companion matrix); weights come from a real
     least-squares Vandermonde fit.  The subtracted mass returns as m+1
     equispaced atoms, which reproduce frequencies up to m exactly and are
     phase-shifted away from the atomic angles.
@@ -195,7 +188,8 @@ def cf_atoms_1d(
         T[p, :] = full[m + p::-1][: m + 1]
     ok, witness = psd_check(T, tol)
     if not ok:
-        raise NotPSD(f"Toeplitz section fails positivity, smallest eigenvalue {witness:.3e}")
+        raise ConvergenceFailure(
+            f"Toeplitz section fails positivity, smallest eigenvalue {witness:.3e}")
 
     prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, mass)
     if mass <= prune:
@@ -274,7 +268,7 @@ def _lawson_hanson(
     solution on the passive set has a nonpositive weight, x moves toward it
     until the first weight reaches zero, and the columns at zero leave.  The
     loop stops at m passive columns or when no free gradient entry lies
-    above the gradient's rounding level, and raises NNLSStall after
+    above the gradient's rounding level, and raises ConvergenceFailure after
     max(10 * cols, 1000) steps.
 
     The passive columns keep a thin QR factorization A_P = Q R and the
@@ -353,7 +347,8 @@ def _lawson_hanson(
             passive.append(j)
             break
         z = Rinv[:p + 1, :p + 1] @ qb[:p + 1]
-    raise NNLSStall(f"nonnegative least squares did not finish in {max(10 * cols, 1000)} steps")
+    raise ConvergenceFailure(
+        f"nonnegative least squares did not finish in {max(10 * cols, 1000)} steps")
 
 
 def _clamped_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -679,14 +674,16 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     form 2 sum |s_k| e^(-t|k|) <= (1 - NODE_FLOOR) s0 makes P_t at least
     the floor everywhere, and it holds from t_lo + log(2m / (1 - NODE_FLOOR))
     on, m the count of nonzero s_k, where each of the m terms is at most
-    2 s0 e^(t_lo - t); that shift caps the search.  P_t's node values less
-    s0 are polynomials in e^-(t - t_lo) with coefficients no larger than
-    s0: an N x (top degree) node matrix, one length-N FFT per degree, gives
-    them at many shifts in one matrix product, and at t it gives the
-    weights, so they are the values the search found positive.  All of it
-    runs in logs, so a large radius overflows nothing; the caller screens
-    e^t before taking any power of it.  Without a nonzero moment besides
-    the mass, t is 0 and every weight is s0 / N.
+    2 s0 e^(t_lo - t); that shift caps the search.  The search runs on
+    P_t / s0, so no mass at either end of the double range overflows a
+    node value: its node values less 1 are polynomials in e^-(t - t_lo)
+    with coefficients no larger than 1, which an N x (top degree) node
+    matrix, one length-N FFT per degree, gives at many shifts in one matrix
+    product; at t, times s0 / N, they are the weights, so they are the
+    values the search found positive.  All of it runs in logs, so a large
+    radius overflows nothing; the caller screens e^t before taking any
+    power of it.  Without a nonzero moment besides the mass, t is 0 and
+    every weight is s0 / N.
     """
     n = spec.n
     karr = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, n)
@@ -697,12 +694,13 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     t, weights = 0.0, np.full(size, s0 / size)
     if live.any():
         values, degrees = values[live], karr[live].sum(axis=1)
-        log_sizes = np.log(np.abs(values))
-        low = float(np.max((log_sizes - math.log(s0)) / degrees))
+        # log(|s_k| / s0): the search runs on P_t / s0, whose mass is 1
+        log_ratios = np.log(np.abs(values)) - math.log(s0)
+        low = float(np.max(log_ratios / degrees))
         parts = np.zeros((int(degrees.max()), size), dtype=complex)
-        parts[degrees - 1, (karr[live] @ z) % size] = np.exp(log_sizes - low * degrees) * (
-            values / np.abs(values))
-        nodes = 2.0 * np.fft.fft(parts, axis=1).real.T  # node values less s0
+        parts[degrees - 1, (karr[live] @ z) % size] = np.exp(
+            log_ratios - low * degrees + 1j * np.angle(values))
+        nodes = 2.0 * np.fft.fft(parts, axis=1).real.T  # node values less 1
         orders = np.arange(1, len(parts) + 1)[:, None]
 
         def tails(shifts: np.ndarray) -> np.ndarray:
@@ -713,11 +711,11 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
         below, t = low, low + math.log(2.0 * len(values) / (1.0 - NODE_FLOOR))
         for _ in range(_STEP_ROUNDS):
             shifts = below + (t - below) * _STEPS
-            clear = tails(shifts).min(axis=0) >= (NODE_FLOOR - 1.0) * s0
+            clear = tails(shifts).min(axis=0) >= NODE_FLOOR - 1.0
             clear[-1] = True  # the top of the bracket, whatever its rounding
             first = int(np.argmax(clear))
             below, t = (float(shifts[first - 1]) if first else below), float(shifts[first])
-        weights = (s0 + tails(np.array([t]))[:, 0]) / size
+        weights = s0 * ((1.0 + tails(np.array([t]))[:, 0]) / size)
     angles = (2.0 * np.pi / size) * (np.outer(np.arange(size, dtype=np.int64), z) % size)
     return _unit_measure(angles, weights, n), t
 
@@ -777,6 +775,8 @@ def _log_weight_floor(
 
 def _exp_text(log_value: float) -> str:
     """exp(log_value) in `.3e` notation, also beyond the range of a double."""
+    if not math.isfinite(log_value):
+        return f"{math.exp(log_value):.3e}"
     exponent = math.floor(log_value / math.log(10.0))
     mantissa = f"{math.exp(log_value - exponent * math.log(10.0)):.3f}"
     if mantissa == "10.000":
@@ -810,9 +810,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     puts the rounding level above 2a (the 2 covers the rounding of the
     computed weight sum and residuals) no candidate can be accepted.  The
     older stage then runs no table and no stage, and its attempt is
-    recorded as "radius"; the lattice answer is never measured.  Otherwise
-    the raised ConvergenceFailure lists both attempts in order, each with
-    its reason.
+    recorded as "radius"; the lattice answer is never measured.  The older
+    stage is refused the same way when its radius to the top prescribed
+    degree is not a finite double, since it takes that power in double,
+    and an overflow, a NaN or a LAPACK failure inside it ends its attempt
+    with that error as the reason.  Otherwise the raised ConvergenceFailure
+    lists both attempts in order, each with its reason; it and Unsolvable
+    are the only exceptions raised.
 
     The returned measure's moments match the spec within the config's
     `allowance(spec)`.
@@ -820,7 +824,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     cfg = config if config is not None else SolverConfig()
     verdict = solvability(spec)
     if verdict.is_zero:
-        return solve_zero(spec)
+        return AtomicMeasure.empty(spec.n)
     if verdict.is_unsolvable:
         raise Unsolvable(verdict.reason)
 
@@ -870,34 +874,42 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         ops = build_tuple(_rescaled(espec, factor))
         atom_radius = ops.scale * factor
         log_radius = math.log(atom_radius)
-        reason = refusal(log_radius)
+        # the stage raises the radius to the top degree in double
+        if not top * log_radius <= _LOG_DOUBLE_MAX:
+            reason = (f"radius {_exp_text(log_radius)} to the power {top}"
+                      " is beyond the range of a double")
+        else:
+            reason = refusal(log_radius)
         if reason is not None:
             attempts.append((f"prescale {factor:.6g}, radius", reason))
         else:
             try:
-                table = fourier_table(ops, ops.degree)
-                prune = 1e-12 * spec.mass.real
-                if n == 1:
-                    line = table.coeffs[:ops.degree + 1]
-                    unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass), weight_prune=prune)
-                else:
-                    unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
-                candidate, residual = finish(unit, atom_radius)
-                if residual > allowance and n == 2:
-                    refined = refine(unit, table, tol, indices=spec.indices,
-                                     weight_base=atom_radius)
-                    if refined is unit:
-                        # refine's own double-precision check passed; the
-                        # same atoms would fail the same check again
-                        reason = ("refine's double-precision residual met the target;"
-                                  f" the extended-precision check did not ({residual:.3e})")
+                # the stage computes in double: an overflow or a NaN ends it
+                with np.errstate(over="raise", invalid="raise"):
+                    table = fourier_table(ops, ops.degree)
+                    prune = 1e-12 * spec.mass.real
+                    if n == 1:
+                        line = table.coeffs[:ops.degree + 1]
+                        unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass),
+                                           weight_prune=prune)
                     else:
-                        candidate, residual = finish(refined, atom_radius)
-                if reason is None:
-                    reason = rejection(candidate, residual, log_radius)
+                        unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
+                    candidate, residual = finish(unit, atom_radius)
+                    if residual > allowance and n == 2:
+                        refined = refine(unit, table, tol, indices=spec.indices,
+                                         weight_base=atom_radius)
+                        if refined is unit:
+                            # refine's own double-precision check passed; the
+                            # same atoms would fail the same check again
+                            reason = ("refine's double-precision residual met the target;"
+                                      f" the extended-precision check did not ({residual:.3e})")
+                        else:
+                            candidate, residual = finish(refined, atom_radius)
                     if reason is None:
-                        return candidate
-            except SolverError as exc:
+                        reason = rejection(candidate, residual, log_radius)
+                        if reason is None:
+                            return candidate
+            except (ConvergenceFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
                 reason = str(exc)
             attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 

@@ -55,6 +55,37 @@ def extended_relative_residual(spec, measure):
     return extended_residual(spec, measure) / max(1.0, max(abs(v) for v in spec.values))
 
 
+def power_image(ops, k):
+    """T^k c for k >= 0, with T_j = matrices[j] / scale and c the cyclic vector."""
+    vec = ops.cyclic
+    for matrix, power in zip(ops.matrices, k):
+        for _ in range(int(power)):
+            vec = matrix @ vec / ops.scale
+    return vec
+
+
+def apply_power(ops, k):
+    """The power value vdot(T^(k-) c, T^(k+) c) at a signed index k, with
+    k+ = max(k, 0) and k- = max(-k, 0): the matrix-path reference for the
+    closed-form Fourier table."""
+    k = np.asarray(k)
+    minus, plus = power_image(ops, np.maximum(-k, 0)), power_image(ops, np.maximum(k, 0))
+    return complex(np.vdot(minus, plus))
+
+
+def moment_deviation(ops, espec):
+    """Largest |scale**|k| * power value at k - s_k| over the embedded box:
+    zero in exact arithmetic, since the tuple realizes the moments."""
+    return max(abs(ops.scale ** sum(k) * apply_power(ops, k) - value)
+               for k, value in zip(espec.box.tolist(), espec.values))
+
+
+def pd_section(table, radius):
+    """The Toeplitz section M[p, q] = c_(p-q) of a table over the box of `radius`."""
+    idx = np.indices((radius + 1,) * table.n).reshape(table.n, -1)
+    return table.coeffs[tuple(idx[:, :, None] - idx[:, None, :])]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

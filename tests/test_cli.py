@@ -21,7 +21,7 @@ from momentsynth.documents import (
     report_to_doc,
     write_doc,
 )
-from momentsynth.errors import ConvergenceFailure, NNLSStall, NotPSD
+from momentsynth.errors import ConvergenceFailure
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
 from momentsynth.synthesis import SolverConfig
@@ -67,7 +67,7 @@ def test_solve_convergence_failure_exit_3(tmp_path, capsys):
         assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("error", [ConvergenceFailure, NNLSStall, NotPSD])
+@pytest.mark.parametrize("error", [ConvergenceFailure])
 def test_every_solver_error_exits_3(tmp_path, capsys, monkeypatch, error):
     def failing(spec, config=None):
         raise error("stage gave up")

@@ -103,9 +103,33 @@ SWEEP["n7-radius-2257"] = MomentSpec(
 SWEEP["n1-moment-26-of-1e12"] = MomentSpec(1, ((0,), (26,)), (1, 1e12))
 
 
+# the decimal exponents of the least subnormal and the largest double
+FULL_RANGE = (-323.5, 308.2)
+
+
+def draw_full_range_spec(seed):
+    """The spec of one seed over the whole double range: n = 1..4 variables,
+    1..4 distinct nonzero exponents in {0..3}**n, the mass and every |s_k|
+    at 10**e for e uniform on FULL_RANGE, every phase uniform."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    exponents = box(n, 3)[1:]
+    count = min(int(rng.integers(1, 5)), len(exponents))
+    chosen = sorted(rng.choice(len(exponents), size=count, replace=False))
+    values = [complex(10.0 ** rng.uniform(*FULL_RANGE))] + [
+        complex(10.0 ** rng.uniform(*FULL_RANGE) * np.exp(2j * math.pi * rng.random()))
+        for _ in chosen]
+    return MomentSpec(n, ((0,) * n,) + tuple(exponents[i] for i in chosen), tuple(values))
+
+
 @pytest.mark.parametrize("spec", list(SWEEP.values()), ids=list(SWEEP))
 def test_answer_within_contract_or_documented_failure(spec):
     _outcome(spec)
+
+
+@pytest.mark.parametrize("seed", range(200), ids="full{}".format)
+def test_full_range_answer_within_contract_or_documented_failure(seed):
+    _outcome(draw_full_range_spec(seed))
 
 
 @pytest.mark.parametrize("seed", range(400, 404), ids="seed{}".format)

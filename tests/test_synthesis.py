@@ -8,8 +8,10 @@ import pytest
 import momentsynth.synthesis as synthesis
 from conftest import bounded, extended_relative_residual, extended_residual, random_box_spec
 from test_contract import draw_spec
+from momentsynth.cli import main
 from momentsynth.dilation import FourierTable, fourier_table
-from momentsynth.errors import ConvergenceFailure, NotPSD, Unsolvable
+from momentsynth.documents import problem_to_doc, write_doc
+from momentsynth.errors import ConvergenceFailure, Unsolvable
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
 from momentsynth.measures import AtomicMeasure
 from momentsynth.operators import build_tuple
@@ -19,7 +21,6 @@ from momentsynth.synthesis import (
     grid_nnls,
     lattice_quadrature,
     refine,
-    solve_zero,
     synthesize,
 )
 from momentsynth.verify import measure_moments, random_instance, report
@@ -103,15 +104,10 @@ def table_residual(measure, table):
 
 def test_solve_zero_returns_empty():
     spec = MomentSpec(2, ((0, 0), (1, 1)), (0, 0))
-    measure = solve_zero(spec)
+    measure = synthesize(spec)
     assert len(measure) == 0
     assert measure_moments(measure, spec.indices) == (0j, 0j)
     assert report(spec, measure).max_residual == 0.0
-
-
-def test_solve_zero_rejects_nonzero():
-    with pytest.raises(ValueError):
-        solve_zero(MomentSpec(1, ((0,),), (1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def test_cf_zero_mass():
 
 
 def test_cf_rejects_non_psd():
-    with pytest.raises(NotPSD):
+    with pytest.raises(ConvergenceFailure, match="Toeplitz section fails positivity"):
         cf_atoms_1d([1.0, 2.0], tol=1e-10)
 
 
@@ -1110,6 +1106,35 @@ def test_synthesize_radius_beyond_a_double_fails_cleanly(n):
     spec = MomentSpec(n, ((0,) * n, (1,) + (0,) * (n - 1)), (1e-300, 1e10))
     with pytest.raises(ConvergenceFailure, match=r"\(lattice, 3 nodes\) radius 1\.\d+e\+310 is beyond"):
         synthesize(spec)
+
+
+# ends of the double range, where the parent raised OverflowError, LinAlgError
+# or ValueError, or (under the test warning filter) a RuntimeWarning
+N3 = ((0, 0, 0), (1, 0, 0), (0, 1, 1))
+FULL_RANGE = {
+    # the older stage's contraction scale overflows to a non-finite radius
+    "n1-scale-overflows": MomentSpec(1, ((0,), (1,), (2,)), (1e-300, 5e-324, 1)),
+    # a subnormal moment's phase, taken as s / |s|, overflowed
+    "n3-subnormal-moment": MomentSpec(3, N3, (5e-324, 5e-324, 0)),
+    # the lattice node values overflowed next to a mass near the double maximum
+    "n3-mass-near-double-max": MomentSpec(3, N3, (1.7e308, 1e-300, 0)),
+    # eigvalsh fails on the Toeplitz section of a subnormal mass
+    "n1-subnormal-mass": MomentSpec(1, ((0,), (1,), (2,)), (5e-324, 5e-324, 0)),
+    # refine raised the radius to the top degree past a double
+    "n2-refine-overflows": MomentSpec(
+        2, ((0, 0), (0, 3), (2, 2)),
+        (3.764046407473006e85, 1.6596109349498412e-40 + 3.984801405059297e-40j,
+         2.030271835041763e138 - 1.515949637126127e138j)),
+}
+
+
+@pytest.mark.parametrize("spec", list(FULL_RANGE.values()), ids=list(FULL_RANGE))
+def test_synthesize_solves_at_the_ends_of_the_double_range(spec, tmp_path):
+    measure = synthesize(spec)
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+    problem = tmp_path / "problem.json"
+    write_doc(problem, problem_to_doc(spec))
+    assert main(["solve", str(problem), str(tmp_path / "solution.json")]) == 0
 
 
 def test_config_validation():
