@@ -78,6 +78,8 @@ class MomentSpec:
         for v in values:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError("moment values must be finite")
+            if math.hypot(v.real, v.imag) == math.inf:
+                raise ValueError(f"moment value {v} has a modulus beyond the range of a double")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)

@@ -810,13 +810,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     puts the rounding level above 2a (the 2 covers the rounding of the
     computed weight sum and residuals) no candidate can be accepted.  The
     older stage then runs no table and no stage, and its attempt is
-    recorded as "radius"; the lattice answer is never measured.  The older
-    stage is refused the same way when its radius to the top prescribed
-    degree is not a finite double, since it takes that power in double,
-    and an overflow, a NaN or a LAPACK failure inside it ends its attempt
-    with that error as the reason.  Otherwise the raised ConvergenceFailure
-    lists both attempts in order, each with its reason; it and Unsolvable
-    are the only exceptions raised.
+    recorded as "radius"; the lattice answer is never measured.  Any
+    overflow, NaN or LAPACK failure in the older attempt, its construction
+    included, ends the attempt with that error as its reason.  Otherwise
+    the raised ConvergenceFailure lists both attempts in order, each with
+    its reason; it and Unsolvable are the only exceptions raised.
 
     The returned measure's moments match the spec within the config's
     `allowance(spec)`.
@@ -868,24 +866,20 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
 
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
     if n <= 2:
-        espec = embed(spec)
-        factor = 1.0 if n == 1 else _prescale_factor(espec)
-        stage = "split" if n == 1 else "grid"
-        ops = build_tuple(_rescaled(espec, factor))
-        atom_radius = ops.scale * factor
-        log_radius = math.log(atom_radius)
-        # the stage raises the radius to the top degree in double
-        if not top * log_radius <= _LOG_DOUBLE_MAX:
-            reason = (f"radius {_exp_text(log_radius)} to the power {top}"
-                      " is beyond the range of a double")
-        else:
-            reason = refusal(log_radius)
-        if reason is not None:
-            attempts.append((f"prescale {factor:.6g}, radius", reason))
-        else:
-            try:
-                # the stage computes in double: an overflow or a NaN ends it
-                with np.errstate(over="raise", invalid="raise"):
+        factor, stage = 1.0, "split" if n == 1 else "grid"
+        try:
+            # an overflow, a NaN or a LAPACK failure anywhere in the attempt ends it
+            with np.errstate(over="raise", invalid="raise"):
+                espec = embed(spec)
+                if n == 2:
+                    factor = _prescale_factor(espec)
+                ops = build_tuple(_rescaled(espec, factor))
+                atom_radius = ops.scale * factor
+                log_radius = math.log(atom_radius)
+                reason = refusal(log_radius)
+                if reason is not None:
+                    stage = "radius"
+                else:
                     table = fourier_table(ops, ops.degree)
                     prune = 1e-12 * spec.mass.real
                     if n == 1:
@@ -909,9 +903,9 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                         reason = rejection(candidate, residual, log_radius)
                         if reason is None:
                             return candidate
-            except (ConvergenceFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
-                reason = str(exc)
-            attempts.append((f"prescale {factor:.6g}, {stage}", reason))
+        except (ConvergenceFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
+            reason = str(exc)
+        attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 
     unit, log_radius = lattice_quadrature(spec)
     reason = refusal(log_radius)

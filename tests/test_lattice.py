@@ -83,6 +83,14 @@ def test_spec_rejects_nonfinite_values():
         MomentSpec(1, ((0,), (1,)), (1, float("nan")))
 
 
+def test_spec_rejects_a_modulus_beyond_a_double():
+    # both parts are finite; the allowance read inf, so any measure verified
+    for values in ((1, 1.7e308 + 1.7e308j), (1.7e308 + 1.7e308j, 1)):
+        with pytest.raises(ValueError, match="has a modulus beyond the range of a double"):
+            MomentSpec(1, ((0,), (1,)), values)
+    assert MomentSpec(1, ((0,), (1,)), (1, 1e308 + 1e308j)).values[1] == 1e308 + 1e308j
+
+
 def test_spec_from_items_reorders():
     spec = MomentSpec.from_items(2, [((1, 0), 2), ((0, 0), 1)])
     assert spec.indices[0] == (0, 0)
