@@ -25,6 +25,7 @@ the acceptance check reads, so an answer has at most 2*|spec| - 1 atoms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -588,16 +589,12 @@ def refine(
 
 # the lattice stage's node values are at least this share of the mass
 NODE_FLOOR = 1e-3
-# node counts below this multiple of |P| are searched for a Korobov
-# lattice; past them the product lattice is taken
-SEARCH_SPAN = 2
 # frequencies whose keys screen every Korobov candidate before the full test
 _PROBE = 64
 # entries of one block of a key matrix (4 MB of int64)
 _KEY_ENTRIES = 1 << 19
 # fractions of its bracket at which each step of the radius search tries a
-# shift, all at once, and the number of steps: they narrow the bracket
-# 32**3 times
+# shift, all at once, and the least number of steps (32**3 times narrower)
 _STEPS = np.arange(1, 33) / 32.0
 _STEP_ROUNDS = 3
 
@@ -618,28 +615,27 @@ def _injective(freqs: np.ndarray, bases: np.ndarray, size: int) -> np.ndarray:
 
 
 def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
-    """Node count N and generating vector z of a lattice on which
-    k -> k.z mod N is injective over the rows of `freqs`.
+    """Node count N and Korobov vector z = (1, a, ..., a**(n-1)) mod N of
+    the first lattice on which k -> k.z mod N is injective over the rows of
+    `freqs`.  N counts up from len(freqs); for each N the candidates
+    0 < a < N (a = 1 alone for one variable or N = 1) are tested in blocks,
+    8 first and 8 times more in each next block, up to _KEY_ENTRIES keys:
+    first on the keys of the first _PROBE frequencies, then on all.
 
-    N counts up from len(freqs), and for each N the Korobov vectors
-    z = (1, a, ..., a**(n-1)) mod N, 0 < a < N, are tested in blocks of
-    candidates, 8 first and 8 times more in each next block, up to
-    _KEY_ENTRIES keys: first on the keys of the first _PROBE frequencies,
-    which turn most candidates down, then on all.  The first a that passes
-    wins.  From SEARCH_SPAN * len(freqs) on (beyond one variable, which
-    has one candidate per N), or once N reaches its size, the product
-    lattice z_c = prod over c' < c of (2 d_c' + 1) is taken, d_c the
-    largest |k_c|: balanced mixed-radix digits are unique, so it is
-    injective, and it has the (2 d_c + 1) product grid as its nodes.
+    The search ends.  One variable takes z = 1 at N = 2d + 1 at the latest,
+    d the largest |k|.  Beyond one, take the least prime N above every 2 d_c,
+    d_c the largest |k_c|, and above (n - 1) m (m - 1) / 2 + 1, m = len(freqs).
+    A difference of two frequencies is nonzero mod N, so its product with z
+    is a nonzero polynomial in a of degree at most n - 1 mod N: it has at
+    most n - 1 roots, so at most (n - 1) m (m - 1) / 2 of the N - 1
+    candidates fail.
     """
     count, n = freqs.shape
-    extent = np.abs(freqs).max(axis=0).tolist()
-    product = math.prod(2 * d + 1 for d in extent)
     # a probe of fewer than half the frequencies saves more than it costs
     probe = freqs[:_PROBE] if count > 2 * _PROBE else freqs
     widest = max(1, _KEY_ENTRIES // count)
-    for size in range(count, product if n == 1 else min(SEARCH_SPAN * count, product)):
-        bases = np.arange(1, 2 if n == 1 else size, dtype=np.int64)
+    for size in itertools.count(count):
+        bases = np.arange(1, 2 if n == 1 or size == 1 else size, dtype=np.int64)
         first, width = 0, 8
         while first < len(bases):
             block = bases[first:first + width]
@@ -650,7 +646,6 @@ def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
                 a = int(block[0])
                 return size, np.array([pow(a, c, size) for c in range(n)], dtype=np.int64)
             first, width = first + width, min(8 * width, widest)
-    return product, np.cumprod([1] + [2 * d + 1 for d in extent[:-1]]).astype(np.int64)
 
 
 def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
@@ -666,9 +661,9 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     have moment r^|k| s_k e^(-t|k|) = s_k at every prescribed k, exactly in
     exact arithmetic.
 
-    t is the least shift, found to a few parts in 10^5 of its bracket, at
-    which every node value is at least NODE_FLOOR * s0, so all N weights
-    are positive.  No answer has a shift below
+    t is the least shift, found to a few parts in 10^5 of its bracket and to
+    0.1 / (top degree), at which every node value is at least NODE_FLOOR * s0,
+    so all N weights are positive.  No answer has a shift below
     t_lo = max_k log(|s_k| / s0) / |k|: the mean of a nonnegative P_t over
     the nodes is s0, which bounds each of its coefficients.  The closed
     form 2 sum |s_k| e^(-t|k|) <= (1 - NODE_FLOOR) s0 makes P_t at least
@@ -677,7 +672,7 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     2 s0 e^(t_lo - t); that shift caps the search.  The search runs on
     P_t / s0, so no mass at either end of the double range overflows a
     node value: its node values less 1 are polynomials in e^-(t - t_lo)
-    with coefficients no larger than 1, which an N x (top degree) node
+    with coefficients no larger than 1, which an N x (distinct degrees) node
     matrix, one length-N FFT per degree, gives at many shifts in one matrix
     product; at t, times s0 / N, they are the weights, so they are the
     values the search found positive.  All of it runs in logs, so a large
@@ -697,19 +692,24 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
         # log(|s_k| / s0): the search runs on P_t / s0, whose mass is 1
         log_ratios = np.log(np.abs(values)) - math.log(s0)
         low = float(np.max(log_ratios / degrees))
-        parts = np.zeros((int(degrees.max()), size), dtype=complex)
-        parts[degrees - 1, (karr[live] @ z) % size] = np.exp(
+        distinct, row = np.unique(degrees, return_inverse=True)
+        parts = np.zeros((len(distinct), size), dtype=complex)
+        parts[row, (karr[live] @ z) % size] = np.exp(
             log_ratios - low * degrees + 1j * np.angle(values))
         nodes = 2.0 * np.fft.fft(parts, axis=1).real.T  # node values less 1
-        orders = np.arange(1, len(parts) + 1)[:, None]
+        orders = distinct[:, None]
 
         def tails(shifts: np.ndarray) -> np.ndarray:
             return nodes @ np.exp(orders * (low - shifts))
 
         # each step tries _STEPS of the bracket at once and keeps the part
-        # that ends at the first shift whose node values clear the floor
+        # that ends at the first shift whose node values clear the floor;
+        # past _STEP_ROUNDS steps the search goes on until the bracket is
+        # at most 0.1 / top wide, so r**top is within e**0.1 of its least
         below, t = low, low + math.log(2.0 * len(values) / (1.0 - NODE_FLOOR))
-        for _ in range(_STEP_ROUNDS):
+        top = int(karr.sum(axis=1).max())
+        rounds = max(_STEP_ROUNDS, math.ceil(math.log(10.0 * top * (t - below), len(_STEPS))))
+        for _ in range(rounds):
             shifts = below + (t - below) * _STEPS
             clear = tails(shifts).min(axis=0) >= NODE_FLOOR - 1.0
             clear[-1] = True  # the top of the bracket, whatever its rounding

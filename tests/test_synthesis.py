@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -387,6 +388,35 @@ def lattice_of(unit):
     return size, z
 
 
+def p_of(spec):
+    """P = spec u -spec as rows of frequencies, the zero frequency first."""
+    karr = np.array(spec.indices, dtype=np.int64)
+    return np.concatenate([karr, -karr[1:]])
+
+
+def korobov_bound(freqs):
+    """The least prime N with N > 2 |k_c| for every frequency k and
+    N - 1 > (n - 1) m (m - 1) / 2, m the count of frequencies: a node count
+    at which some Korobov vector separates them."""
+    count, n = freqs.shape
+    size = max(2 * int(np.abs(freqs).max()) + 1, (n - 1) * count * (count - 1) // 2 + 2)
+    while any(size % p == 0 for p in range(2, math.isqrt(size) + 1)):
+        size += 1
+    return size
+
+
+def korobov_separates(freqs, size):
+    """Whether some Korobov vector (1, a, ..., a**(n-1)) mod size, with
+    0 < a < size, takes the frequencies to distinct keys mod size."""
+    n = freqs.shape[1]
+    for a in range(1, max(size, 2)):
+        z = [pow(a, c, size) for c in range(n)]
+        keys = {sum(e * w for e, w in zip(k, z)) % size for k in freqs.tolist()}
+        if len(keys) == len(freqs):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
 def test_lattice_quadrature_is_exact_and_positive_on_the_sweep(seed):
     # draw_spec of tests/test_contract.py: one to eight variables, values
@@ -395,18 +425,22 @@ def test_lattice_quadrature_is_exact_and_positive_on_the_sweep(seed):
     unit, t = lattice_quadrature(spec)
     size, z = lattice_of(unit)
     karr = np.array(spec.indices, dtype=np.int64)
-    freqs = np.concatenate([karr, -karr[1:]])
+    freqs = p_of(spec)
     # k -> k.z mod N is injective on P = spec u -spec, and every node is an atom
     assert len(set(((freqs @ z) % size).tolist())) == len(freqs) == 2 * len(spec.indices) - 1
     nodes = (np.outer(np.arange(size), z) % size) * (2.0 * np.pi / size)
     assert np.abs(np.exp(1j * nodes) - unit.atoms).max() <= 1e-12
+    # a Korobov vector z = (1, a, ..., a**(n-1)) mod N, with N at most the
+    # node count that guarantees one
+    assert z.tolist() == [pow(int(z[1 % spec.n]), c, size) for c in range(spec.n)]
+    assert size <= korobov_bound(freqs)
     if spec.n == 1:
         # one candidate per node count: N is the least from |P| on that separates P
         assert not any(len(set((freqs[:, 0] % m).tolist())) == len(freqs)
                        for m in range(len(freqs), size))
-    else:
-        # a Korobov lattice below 2|P| nodes, or else the product lattice
-        assert size < 2 * len(freqs) or size == np.prod(2 * karr.max(axis=0) + 1)
+    elif len(freqs) <= 64:
+        # and N is the least node count with a Korobov vector that separates P
+        assert not any(korobov_separates(freqs, m) for m in range(len(freqs), size))
     # every weight is positive, at least the node floor's share
     s0 = spec.mass.real
     assert unit.weights.min() * size >= synthesis.NODE_FLOOR * s0 * (1.0 - 1e-9)
@@ -437,21 +471,65 @@ def test_lattice_quadrature_mass_alone_is_one_atom():
     assert unit.weights[0] == pytest.approx(2.5)
 
 
-def test_lattice_falls_back_to_the_product_lattice():
-    # |P| = 3, and 60 is 0 mod 3, 4 and 5, so no Korobov vector of a node
-    # count below 2|P| separates (0,0), (60,0) and (-60,0); the product
-    # lattice has (2 * 60 + 1) * 1 nodes
+def test_lattice_takes_the_first_korobov_lattice_at_every_node_count():
+    # |P| = 3, and 60 is 0 mod 3, 4 and 5, so no Korobov vector of fewer
+    # than 7 nodes separates (0,0), (60,0) and (-60,0); 7 nodes with
+    # z = (1, 1) do
     spec = MomentSpec.from_items(2, [((0, 0), 1.0), ((60, 0), 0.25)])
+    assert synthesis._rank1_lattice(p_of(spec))[0] == 7
     unit, t = lattice_quadrature(spec)
-    assert len(unit) == 121
+    assert len(unit) == 7
     measure = AtomicMeasure(2, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
     assert extended_relative_residual(spec, measure) <= 1e-12
 
 
+def test_lattice_nodes_of_a_sparse_spec_stay_few():
+    # 2520 is 0 mod 5..9, so no node count below 10 separates P; the
+    # product lattice would have 5041**2 = 25,411,681 nodes (a node matrix
+    # of about 2 TB), and the first Korobov lattice has 11
+    spec = MomentSpec.from_items(2, [((0, 0), 1.0), ((1, 0), 0.1), ((2520, 2520), 0.3 + 0.2j)])
+    assert synthesis._rank1_lattice(p_of(spec))[0] == 11
+    # the lattice stage alone: synthesize would first build the older
+    # attempt's construction on the 2521**2 exponent box
+    unit, t = lattice_quadrature(spec)
+    assert len(unit) == 11
+    measure = AtomicMeasure(2, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
+    assert extended_relative_residual(spec, measure) <= 1e-12
+
+
+def sparse_spec(n, degree):
+    """Three moments: mass 1, 0.1 at (1, 0, ..., 0), 0.3+0.2i at (d, ..., d)."""
+    return MomentSpec.from_items(
+        n, [((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.1), ((degree,) * n, 0.3 + 0.2j)])
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_lattice_node_matrix_has_one_row_per_distinct_degree(n):
+    # two distinct degrees, 1 and 65535 n; one row per degree up to the
+    # top would take 129 MB at n = 3 and 344 MB at n = 8
+    spec = sparse_spec(n, 65535)
+    tracemalloc.start()
+    try:
+        lattice_quadrature(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_radius_search_depth_follows_the_top_degree(n):
+    # at top degree 65535 n, a radius overshoot of bracket / 32**3 would
+    # put r**top at up to 1.6e9 and miss the target at n = 5 and 8; the
+    # search narrows the bracket to 0.1 / top
+    spec = sparse_spec(n, 65535)
+    measure = synthesize(spec)
+    assert extended_relative_residual(spec, measure) <= 1e-10
+
+
 def test_synthesize_one_variable_searches_every_node_count():
-    # one variable has one candidate per node count, so the search goes on
-    # past 2|P| = 6 to N = 7, the least from 3 on that divides neither 60
-    # nor 120, short of the 121-node product lattice
+    # one variable has one candidate per node count, so N = 7 is the
+    # least from |P| = 3 on that divides neither 60 nor 120
     spec = MomentSpec.from_items(1, [((0,), 1.0), ((60,), 0.25)])
     measure = synthesize(spec)
     assert len(measure) == 7
