@@ -142,7 +142,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentsynth",
-        description="Solve truncated complex moment problems with atomic measures on a scaled torus.",
+        description="Solve truncated complex moment problems with atomic measures of compact support:"
+        " few atoms from low-rank one-variable data, otherwise atoms on a scaled torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

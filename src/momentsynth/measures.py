@@ -15,8 +15,11 @@ class AtomicMeasure:
 
     `atoms` is a (count, n) complex array, `weights` a matching nonnegative
     vector; both may be empty (the zero measure).  `scale` is informational:
-    measures synthesized by this package put every atom coordinate on the
-    circle of that radius.
+    on measures synthesized by this package it is the support radius, so
+    every atom coordinate lies within the disc of that radius.  Answers on
+    a torus put every coordinate on its circle; a matrix-pencil answer to
+    low-rank one-variable data has its atoms anywhere in the disc, with
+    `scale` their largest modulus.
     """
 
     n: int

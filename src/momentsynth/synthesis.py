@@ -1,8 +1,13 @@
-"""Atomic measure synthesis on a torus.
+"""Atomic measure synthesis: a matrix pencil, or atoms on a torus.
 
 Given a solvable instance, this module constructs an explicit
-finitely-atomic nonnegative measure whose atoms sit on one torus and whose
-monomial moments reproduce the prescribed values.
+finitely-atomic nonnegative measure whose monomial moments reproduce the
+prescribed values, its atoms within a recorded support radius.
+
+One variable with exponents exactly 0..d is tried first by `_pencil`:
+when the data are the moments of m atoms with 2m <= d, their Hankel matrix
+has rank m and a matrix pencil gives those m atoms, anywhere in the disc.
+Every other answer has its atoms on one torus.
 
 One stage, `lattice_quadrature`, answers any number of variables: the
 spec's own trigonometric polynomial, its coefficients s_k divided by
@@ -721,6 +726,71 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
 
 
 # ---------------------------------------------------------------------------
+# one variable, low rank: the matrix pencil
+# ---------------------------------------------------------------------------
+
+# singular values of the Hankel matrix above this share of the largest count
+# towards its rank
+PENCIL_RANK = 1e-10
+# a pencil weight is read as real when its imaginary part is within this
+# share of the mass
+PENCIL_IMAG = 1e-9
+
+
+def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
+    """Few atoms from low-rank one-variable data: Prony's method as a matrix
+    pencil (Hua and Sarkar, IEEE Trans. ASSP 38, 1990).
+
+    Takes a one-variable spec, and applies when its exponents are exactly
+    0..d.  When s_k are the moments of m atoms z_a with 2m <= d, the Hankel
+    matrix H[i, j] = s_(i+j) of shape (d - L + 1) x (L + 1), L = d // 2,
+    has rank m, and its row space is spanned by the rows
+    (1, z_a, ..., z_a**L).  So with V the first m right singular vectors as
+    columns, V[1:] = V[:-1] C for a matrix C whose eigenvalues are the z_a.
+    The weights are the least-squares fit of the Vandermonde matrix
+    z_a**k, k = 0..d, to s.
+
+    Returns None on a shape miss, or when the rank m (the singular values
+    above PENCIL_RANK of the largest) is not within 1..L.  Otherwise it
+    returns m and the measure on those atoms, `scale` their largest
+    modulus, or the reason there is none: a weight that is not real within
+    PENCIL_IMAG of the mass and positive, or an overflow, NaN or LAPACK
+    failure.  The caller decides acceptance.
+    """
+    exponents = [k for (k,) in spec.indices]
+    d = len(exponents) - 1
+    if sorted(exponents) != list(range(d + 1)):
+        return None
+    s = np.empty(d + 1, dtype=complex)
+    s[exponents] = spec.values
+    # on s over its largest modulus no product below overflows
+    peak = float(np.max(np.abs(s)))
+    half, m = d // 2, 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hankel = (s / peak)[np.add.outer(np.arange(d - half + 1), np.arange(half + 1))]
+            _, singular, vh = np.linalg.svd(hankel)
+            m = int(np.count_nonzero(singular > PENCIL_RANK * singular[0]))
+            if not 1 <= m <= half:
+                return None
+            basis = vh[:m].T
+            atoms = np.linalg.eigvals(np.linalg.pinv(basis[:-1]) @ basis[1:])
+            vandermonde = np.vander(atoms, d + 1, increasing=True).T
+            weights = np.linalg.lstsq(vandermonde, s / peak, rcond=None)[0] * peak
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # before the rank is known nothing was attempted
+        return (m, str(exc)) if m else None
+    if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+        return m, "an atom or a weight is not finite"
+    imaginary = float(np.max(np.abs(weights.imag)))
+    if imaginary > PENCIL_IMAG * spec.mass.real:
+        return m, f"a weight is not real (imaginary part {imaginary:.3e})"
+    if not np.all(weights.real > 0.0):
+        return m, f"a weight is not positive ({weights.real.min():.3e})"
+    return m, AtomicMeasure(1, atoms, weights.real, scale=float(np.max(np.abs(atoms))))
+
+
+# ---------------------------------------------------------------------------
 # end-to-end synthesis
 # ---------------------------------------------------------------------------
 
@@ -788,14 +858,17 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     """Solve a truncated moment problem by an explicit atomic measure.
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
-    zero measure).  Up to two variables one attempt of the older stage
-    comes first, on the paper's construction: the commuting contraction
-    tuple of the moments pre-scaled by 1 for one variable and by the
-    magnitude-taming factor for two, its Fourier table, then the Toeplitz
-    split (one variable) or grid nonnegative least squares at GRID points
-    refined on a miss (two; see `refine`).  A refinement that returns its
-    input untouched (its double-precision residual met the target) ends
-    the attempt without checking the same atoms again.  The benchmark's
+    zero measure).  One variable with exponents exactly 0..d tries
+    `_pencil` first; its answer is accepted by the rule below, at the radius
+    max(1, largest atom modulus), and a rank or a shape miss is no attempt.
+    Up to two variables one attempt of the older stage comes next, on the
+    paper's construction: the commuting contraction tuple of the moments
+    pre-scaled by 1 for one variable and by the magnitude-taming factor for
+    two, its Fourier table, then the Toeplitz split (one variable) or grid
+    nonnegative least squares at GRID points refined on a miss (two; see
+    `refine`).  A refinement that returns its input untouched (its
+    double-precision residual met the target) ends the attempt without
+    checking the same atoms again.  The benchmark's
     smoke test (perfbench/test_smoke.py) requires these stages to run;
     every other answer comes from `lattice_quadrature`, the only stage
     beyond two variables, which never builds the tuple or the table.
@@ -813,8 +886,9 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     recorded as "radius"; the lattice answer is never measured.  Any
     overflow, NaN or LAPACK failure in the older attempt, its construction
     included, ends the attempt with that error as its reason.  Otherwise
-    the raised ConvergenceFailure lists both attempts in order, each with
-    its reason; it and Unsolvable are the only exceptions raised.
+    the raised ConvergenceFailure lists every attempt in order, the
+    pencil's as "pencil, m atoms", each with its reason; it and Unsolvable
+    are the only exceptions raised.
 
     The returned measure's moments match the spec within the config's
     `allowance(spec)`.
@@ -865,6 +939,17 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         return None
 
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
+    pencil = _pencil(spec) if n == 1 else None
+    if pencil is not None:
+        m, candidate = pencil
+        if isinstance(candidate, str):
+            reason = candidate
+        else:
+            residual = report(spec, candidate).max_residual
+            reason = rejection(candidate, residual, math.log(max(1.0, candidate.scale)))
+            if reason is None:
+                return candidate
+        attempts.append((f"pencil, {m} atoms", reason))
     if n <= 2:
         factor, stage = 1.0, "split" if n == 1 else "grid"
         try:

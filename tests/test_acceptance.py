@@ -153,13 +153,21 @@ def test_criterion_7_synthesis_two_variables():
 
 def test_criterion_8_compact_support():
     ok = True
-    for n, seed in ((1, 41), (2, 42)):
-        spec, _ = random_instance(n, 2, 3, seed=seed)
+    # two torus answers, then a pencil answer of three atoms
+    for n, degree, seed, torus in ((1, 2, 41, True), (2, 2, 42, True), (1, 8, 43, False)):
+        spec, _ = random_instance(n, degree, 3, seed=seed)
         measure = synthesize(spec)
         ok &= len(measure) > 0
-        gap = np.abs(np.abs(measure.atoms) - measure.scale) / measure.scale
-        ok &= float(np.max(gap)) <= 1e-12
-    _line("criterion 8: every synthesized atom sits on the torus radius", ok)
+        moduli = np.abs(measure.atoms)
+        # scale is the support radius: every atom within it
+        ok &= float(np.max(moduli)) <= measure.scale * (1.0 + 1e-12)
+        if torus:
+            gap = np.abs(moduli - measure.scale) / measure.scale
+            ok &= float(np.max(gap)) <= 1e-12
+        else:
+            ok &= len(measure) == 3 and measure.scale == float(np.max(moduli))
+    _line("criterion 8: every synthesized atom lies within the support radius `scale`,"
+          " and torus answers on it", ok)
 
 
 def test_criterion_9_dilation_covariance():

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -850,12 +851,20 @@ def test_synthesize_three_variables_one_quadrature(monkeypatch):
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(3)
 
 
+def full_rank(degree):
+    """A one-variable full box of degree + 1 atoms (instance seed 3): its
+    Hankel matrix has full rank, so the pencil's rank rule sends it on."""
+    spec = random_instance(1, degree, degree + 1, 3)[0]
+    assert synthesis._pencil(spec) is None
+    return spec
+
+
 def test_synthesize_one_variable_ladder_skips_the_grid(monkeypatch):
     # the split misses; one lattice stage solves it
     grids = spy(monkeypatch, "grid_nnls")
     splits = spy(monkeypatch, "cf_atoms_1d")
     lattices = spy(monkeypatch, "lattice_quadrature")
-    spec, _ = random_instance(1, 16, 4, 3)
+    spec = full_rank(16)
     measure = synthesize(spec)
     assert grids == []
     assert (len(splits), len(lattices)) == (1, 1)
@@ -893,7 +902,7 @@ def off_the_doubles(spec):
 def test_convergence_failure_lists_a_failed_stage(monkeypatch):
     monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
     with pytest.raises(ConvergenceFailure) as failure:
-        synthesize(random_instance(1, 16, 4, 3)[0])
+        synthesize(full_rank(16))
     (attempt, reason), (lattice, why) = attempts_of(failure.value)
     assert (attempt, lattice) == ("prescale 1, split", "lattice, 1 nodes")
     # the split's own miss: no refinement runs at one variable
@@ -906,9 +915,9 @@ def test_convergence_failure_lists_a_failed_stage(monkeypatch):
 # the residual target, so the older stage is refused before its table is
 # built; the lattice answers all but the last two.
 GATED = {
-    "n1-d18": random_instance(1, 18, 4, 3)[0],
-    "n1-d24": random_instance(1, 24, 4, 3)[0],
-    "n1-d32": random_instance(1, 32, 4, 3)[0],
+    "n1-d18": full_rank(18),
+    "n1-d24": full_rank(24),
+    "n1-d32": full_rank(32),
     "n1-only-40": MomentSpec.from_items(1, [((0,), 1.0), ((40,), 0.5)]),
     "n1-only-20": MomentSpec.from_items(1, [((0,), 1.0), ((20,), 0.5)]),
     "n1-mass-1e-12": MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j)),
@@ -1160,8 +1169,8 @@ def test_synthesize_beyond_two_variables_meets_contract(spec):
 # quadrature failed, with the lattice's atom count: one per real constraint,
 # |P| = 2 * |spec| - 1, but for (9,9), whose keys 9 + 9a all vanish mod 3
 LADDER_FAILURES = {
-    "n1-d16": (random_instance(1, 16, 4, 3)[0], 33),
-    "n1-d32": (random_instance(1, 32, 4, 3)[0], 65),
+    "n1-d16": (full_rank(16), 33),
+    "n1-d32": (full_rank(32), 65),
     "n1-only-40": (MomentSpec.from_items(1, [((0,), 1.0), ((40,), 0.5)]), 3),
     "n2-only-9-9": (MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]), 4),
     "n3-d4": (random_instance(3, 4, 4, 3)[0], 249),
@@ -1176,6 +1185,204 @@ def test_synthesize_solves_what_the_ladder_failed(spec, atoms):
     assert len(measure) == atoms
     assert measure.weights.min() > 0.0
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+
+
+# ---------------------------------------------------------------------------
+# the matrix pencil
+# ---------------------------------------------------------------------------
+
+
+def pencil_outcomes(monkeypatch):
+    """Record what every _pencil call returns."""
+    outcomes = []
+    original = synthesis._pencil
+
+    def wrapper(spec):
+        outcomes.append(original(spec))
+        return outcomes[-1]
+
+    monkeypatch.setattr(synthesis, "_pencil", wrapper)
+    return outcomes
+
+
+def without_pencil(spec, monkeypatch):
+    """What synthesize does with the pencil stubbed out: the answer's
+    bytes, or the exception's class and its attempts."""
+    with monkeypatch.context() as patch:
+        patch.setattr(synthesis, "_pencil", lambda spec: None)
+        try:
+            measure = synthesize(spec)
+        except ConvergenceFailure as exc:
+            return ConvergenceFailure, attempts_of(exc)
+    return measure.atoms.tobytes(), measure.weights.tobytes()
+
+
+def one_variable(values):
+    """The one-variable spec of s_0, s_1, ... on the full box."""
+    return MomentSpec(1, tuple((k,) for k in range(len(values))), tuple(values))
+
+
+# the Baseline rows and GATED specs of four atoms, whose Hankel matrices
+# have rank 4
+LOW_RANK = {f"n1-d{d}": random_instance(1, d, 4, 3)[0] for d in (16, 18, 24, 32)}
+
+
+@pytest.mark.parametrize("spec", list(LOW_RANK.values()), ids=list(LOW_RANK))
+def test_pencil_answers_low_rank_specs(spec, monkeypatch):
+    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION + ("lattice_quadrature",)}
+    measure = synthesize(spec)
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        **dict.fromkeys(CONSTRUCTION, 0), "lattice_quadrature": 0,
+    }
+    assert len(measure) == 4
+    assert measure.weights.min() > 0.0
+    # not on one torus: scale is the support radius
+    assert measure.scale == measure.support_radius == float(np.max(np.abs(measure.atoms)))
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+def test_pencil_answer_passes_synthesize_acceptance(monkeypatch):
+    # the pencil's four atoms miss a tol of 1e-15 (by a factor of 1.6) and
+    # of 1e-16: the lattice answers the first, and nothing the second
+    outcomes = pencil_outcomes(monkeypatch)
+    spec = LOW_RANK["n1-d16"]
+    config = SolverConfig(tol=1e-15)
+    measure = synthesize(spec, config)
+    (m, candidate), = outcomes
+    assert m == len(candidate) == 4
+    assert report(spec, candidate).max_residual > config.allowance(spec)
+    assert len(measure) == 33
+    assert extended_residual(spec, measure) <= config.allowance(spec)
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec, SolverConfig(tol=1e-16))
+    assert attempts_of(failure.value)[0] == (
+        "pencil, 4 atoms", "synthesized measure misses the residual target")
+
+
+def test_pencil_rank_miss_leaves_the_split(monkeypatch):
+    # four atoms at d = 4: a 3 x 3 Hankel matrix of rank 3 > L = 2
+    outcomes = pencil_outcomes(monkeypatch)
+    splits = spy(monkeypatch, "cf_atoms_1d")
+    lattices = spy(monkeypatch, "lattice_quadrature")
+    spec, _ = random_instance(1, 4, 4, 0)
+    measure = synthesize(spec)
+    assert (outcomes, len(splits), len(lattices)) == ([None], 1, 0)
+    assert np.allclose(np.abs(measure.atoms), measure.scale, rtol=1e-12)
+    assert (measure.atoms.tobytes(), measure.weights.tobytes()) == without_pencil(spec, monkeypatch)
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+@pytest.mark.parametrize("w1, w2, why", [
+    (1.0, -0.4, "a weight is not positive (-4.000e-01)"),
+    (0.6 + 0.2j, 0.4 - 0.2j, "a weight is not real (imaginary part 2.000e-01)"),
+], ids=["negative", "complex"])
+def test_pencil_refuses_weights_of_no_measure(w1, w2, why, monkeypatch):
+    # s_k = w1 z1**k + w2 z2**k has rank 2 <= L = 3, and the pencil finds
+    # its atoms with the weights w1 and w2
+    z1, z2 = 0.6 * np.exp(0.3j), 0.5 * np.exp(2j)
+    spec = one_variable([w1 * z1**k + w2 * z2**k for k in range(7)])
+    outcomes = pencil_outcomes(monkeypatch)
+    splits = spy(monkeypatch, "cf_atoms_1d")
+    lattices = spy(monkeypatch, "lattice_quadrature")
+    measure = synthesize(spec)
+    (m, reason), = outcomes
+    assert (m, reason) == (2, why)
+    # the split answers
+    assert (len(splits), len(lattices)) == (1, 0)
+    assert (measure.atoms.tobytes(), measure.weights.tobytes()) == without_pencil(spec, monkeypatch)
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+    # a failure lists the pencil's refusal first, then the attempts of today
+    def split_fails(*args, **kwargs):
+        raise ConvergenceFailure("stubbed")
+
+    monkeypatch.setattr(synthesis, "cf_atoms_1d", split_fails)
+    monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec)
+    attempts = attempts_of(failure.value)
+    assert attempts[0] == ("pencil, 2 atoms", reason)
+    assert (ConvergenceFailure, attempts[1:]) == without_pencil(spec, monkeypatch)
+
+
+def test_pencil_skips_a_sub_box(monkeypatch):
+    # the even moments of two atoms: a sub-box, whatever its rank
+    z1, z2 = 0.6 * np.exp(0.3j), 0.5 * np.exp(2j)
+    spec = MomentSpec(1, ((0,), (2,), (4,), (6,)),
+                      tuple(0.7 * z1**k + 0.3 * z2**k for k in range(0, 7, 2)))
+    outcomes = pencil_outcomes(monkeypatch)
+    tuples = spy(monkeypatch, "build_tuple")
+    measure = synthesize(spec)
+    assert (outcomes, len(tuples)) == ([None], 1)
+    assert (measure.atoms.tobytes(), measure.weights.tobytes()) == without_pencil(spec, monkeypatch)
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+def test_pencil_never_runs_beyond_one_variable(monkeypatch):
+    pencils = spy(monkeypatch, "_pencil")
+    for spec in (random_instance(2, 2, 1, 4)[0], random_instance(3, 2, 1, 4)[0]):
+        measure = synthesize(spec)
+        assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+    assert pencils == []
+
+
+EXTREME = {
+    # one atom at 1e60 of weight 1e-300: its Vandermonde matrix overflows
+    "vandermonde-overflows": one_variable([10.0 ** (60 * k - 300) for k in range(7)]),
+    # one atom at 1e100 of weight 1e-300, which the pencil answers
+    "atom-1e100": one_variable([10.0 ** (100 * k - 300) for k in range(4)]),
+    "subnormal": one_variable([5e-324, 5e-324, 0, 0]),
+    "mass-near-double-max": one_variable([1.7e308 * 0.5**k for k in range(5)]),
+    "atom-1e-100": one_variable([10.0 ** (-100 * k) for k in range(5)]),
+    # the atom above with s_4 = 0 for 1e100: rank 2, and a weight not real
+    "atom-1e100-cut": one_variable([10.0 ** (100 * k - 300) for k in range(4)] + [0.0]),
+    # the pencil's division by a subnormal overflows
+    "scale-overflows": one_variable([1e-300, 5e-324, 1]),
+}
+
+
+@pytest.mark.parametrize("spec", list(EXTREME.values()), ids=list(EXTREME))
+def test_pencil_at_extreme_magnitudes_warns_and_escapes_nothing(spec, monkeypatch):
+    outcome = without_pencil(spec, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            measure = synthesize(spec)
+        except ConvergenceFailure:
+            # the older attempt and the lattice fail as they did
+            assert outcome[0] is ConvergenceFailure
+            return
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+def pencil_atoms(spec):
+    """The atoms and weights of the pencil's answer to spec."""
+    measure = synthesize(spec)
+    assert len(measure) == 4
+    return measure.atoms[:, 0], measure.weights
+
+
+@pytest.mark.parametrize("degree", [8, 10, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_pencil_answers_are_exactly_symmetric(degree, seed):
+    # rotation s_k -> e^(ik phi) s_k, conjugation, and dilation
+    # s_k -> lam**k s_k map the atoms by the same map, weights unchanged
+    spec = random_instance(1, degree, 4, seed)[0]
+    atoms, weights = pencil_atoms(spec)
+    maps = [
+        (lambda k, v: v * np.exp(0.7j * k), lambda z: z * np.exp(0.7j)),
+        (lambda k, v: v.conjugate(), np.conj),
+        (lambda k, v: v * 0.5**k, lambda z: 0.5 * z),
+        (lambda k, v: v * 2.0**k, lambda z: 2.0 * z),
+    ]
+    for on_moments, on_atoms in maps:
+        image = MomentSpec(1, spec.indices,
+                           tuple(on_moments(k, v) for (k,), v in zip(spec.indices, spec.values)))
+        got, got_weights = pencil_atoms(image)
+        expected = on_atoms(atoms)
+        nearest = [int(np.argmin(np.abs(got - z))) for z in expected]
+        assert sorted(nearest) == [0, 1, 2, 3]
+        assert np.max(np.abs(got[nearest] - expected)) <= 1e-10
+        assert np.max(np.abs(got_weights[nearest] - weights)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

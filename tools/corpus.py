@@ -3,7 +3,8 @@
     python3 tools/corpus.py [--src DIR] [--dump FILE] [--against FILE]
 
 Prints, per group, how many specs solved within the residual contract,
-returned an answer over it, or raised, and the group's seconds.  The specs
+returned an answer over it, or raised, the median atom count of its
+answers and the group's seconds.  The specs
 are drawn from numpy.random.default_rng(11..14) in the order listed in
 `corpus`, with `random_box_spec` from tests/conftest.py of this checkout,
 then come the 200 specs of the high-degree group:
@@ -90,6 +91,7 @@ def main(argv=None) -> int:
     over = 0
     for name, specs in corpus():
         counts = {"solved": 0, "over": 0, "raised": 0}
+        atoms = []
         start = time.perf_counter()
         for index, spec in enumerate(specs):
             try:
@@ -99,12 +101,14 @@ def main(argv=None) -> int:
                 lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-")
                 continue
             counts["solved" if report(spec, measure).max_residual <= allowance(spec) else "over"] += 1
+            atoms.append(len(measure))
             digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
             lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}")
         seconds = time.perf_counter() - start
         over += counts["over"]
+        median = f"{np.median(atoms):g}" if atoms else "-"
         print(f"{name}: {counts['solved']} / {counts['over']} / {counts['raised']}"
-              f" (solved / over / raised), {seconds:.2f} s")
+              f" (solved / over / raised), median {median} atoms, {seconds:.2f} s")
     if args.dump is not None:
         args.dump.write_text("\n".join(lines) + "\n")
     lost = 0
