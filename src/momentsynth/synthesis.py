@@ -4,9 +4,10 @@ Given a solvable instance, this module constructs an explicit
 finitely-atomic nonnegative measure whose monomial moments reproduce the
 prescribed values, its atoms within a recorded support radius.
 
-One variable with exponents exactly 0..d is tried first by `_pencil`:
-when the data are the moments of m atoms with 2m <= d, their Hankel matrix
-has rank m and a matrix pencil gives those m atoms, anywhere in the disc.
+One variable with exponents exactly 0..d, d >= 1, is tried first by
+`_pencil`: when the data are the moments of m atoms with 2m <= d, their
+Hankel matrix has rank m and a matrix pencil gives those m atoms, anywhere
+in the disc.
 Every other answer has its atoms on one torus.
 
 One stage, `lattice_quadrature`, answers any number of variables: the
@@ -17,11 +18,12 @@ values, one length-N FFT per degree away, are the weights of atoms
 r e^(i theta) on those nodes, and they reproduce every prescribed moment
 exactly in exact arithmetic.
 
-Up to two variables one older attempt runs first, on the Fourier table of
-the paper's construction.  One complex variable admits an exact route: the
-Toeplitz section of the Fourier data splits into a Vandermonde part (atoms
-from the roots of a null-vector polynomial) plus a multiple of the identity
-(mass spread over equispaced atoms), and a miss goes to the lattice stage.
+Up to two variables a spec that fills its exponent box gets one older
+attempt first, on the Fourier table of the paper's construction.  One
+complex variable admits an exact route: the Toeplitz section of the
+Fourier data splits into a Vandermonde part (atoms from the roots of a
+null-vector polynomial) plus a multiple of the identity (mass spread over
+equispaced atoms), and a miss goes to the lattice stage.
 Two variables use nonnegative least squares on the product grid of GRID
 candidate angles per variable, refined on a miss by damped Gauss-Newton on
 angles and weights; both fit only the prescribed moments, the only ones
@@ -741,26 +743,24 @@ def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
     """Few atoms from low-rank one-variable data: Prony's method as a matrix
     pencil (Hua and Sarkar, IEEE Trans. ASSP 38, 1990).
 
-    Takes a one-variable spec, and applies when its exponents are exactly
-    0..d.  When s_k are the moments of m atoms z_a with 2m <= d, the Hankel
-    matrix H[i, j] = s_(i+j) of shape (d - L + 1) x (L + 1), L = d // 2,
-    has rank m, and its row space is spanned by the rows
-    (1, z_a, ..., z_a**L).  So with V the first m right singular vectors as
-    columns, V[1:] = V[:-1] C for a matrix C whose eigenvalues are the z_a.
-    The weights are the least-squares fit of the Vandermonde matrix
-    z_a**k, k = 0..d, to s.
+    Takes a one-variable spec whose exponents are exactly 0..d, d >= 1
+    (the caller's check).  When s_k are the moments of m atoms z_a with
+    2m <= d, the Hankel matrix H[i, j] = s_(i+j) of shape
+    (d - L + 1) x (L + 1), L = d // 2, has rank m, and its row space is
+    spanned by the rows (1, z_a, ..., z_a**L).  So with V the first m right
+    singular vectors as columns, V[1:] = V[:-1] C for a matrix C whose
+    eigenvalues are the z_a.  The weights are the least-squares fit of the
+    Vandermonde matrix z_a**k, k = 0..d, to s.
 
-    Returns None on a shape miss, or when the rank m (the singular values
-    above PENCIL_RANK of the largest) is not within 1..L.  Otherwise it
-    returns m and the measure on those atoms, `scale` their largest
-    modulus, or the reason there is none: a weight that is not real within
-    PENCIL_IMAG of the mass and positive, or an overflow, NaN or LAPACK
-    failure.  The caller decides acceptance.
+    Returns None when the rank m (the singular values above PENCIL_RANK
+    of the largest) is not within 1..L.  Otherwise it returns m and the
+    measure on those atoms, `scale` their largest modulus, or the reason
+    there is none: a weight that is not real within PENCIL_IMAG of the mass
+    and positive, or an overflow, NaN or LAPACK failure.  The caller
+    decides acceptance.
     """
     exponents = [k for (k,) in spec.indices]
     d = len(exponents) - 1
-    if sorted(exponents) != list(range(d + 1)):
-        return None
     s = np.empty(d + 1, dtype=complex)
     s[exponents] = spec.values
     # on s over its largest modulus no product below overflows
@@ -858,9 +858,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     """Solve a truncated moment problem by an explicit atomic measure.
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
-    zero measure).  One variable with exponents exactly 0..d tries
-    `_pencil` first; its answer is accepted by the rule below, at the radius
-    max(1, largest atom modulus), and a rank or a shape miss is no attempt.
+    zero measure).  Only a spec that fills the box `embed` would build,
+    every exponent of {0..D}**n with D = max(1, largest exponent), reaches
+    the pencil and the older stage; every other spec goes straight to the
+    lattice stage, since zero-filling it prescribes moments nobody asked
+    for and the construction's matrices grow with the box.  One variable
+    tries `_pencil` first; its answer is accepted by the rule below, at the
+    radius max(1, largest atom modulus), and a rank miss is no attempt.
     Up to two variables one attempt of the older stage comes next, on the
     paper's construction: the commuting contraction tuple of the moments
     pre-scaled by 1 for one variable and by the magnitude-taming factor for
@@ -883,7 +887,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     puts the rounding level above 2a (the 2 covers the rounding of the
     computed weight sum and residuals) no candidate can be accepted.  The
     older stage then runs no table and no stage, and its attempt is
-    recorded as "radius"; the lattice answer is never measured.  Any
+    recorded as "radius"; the lattice answer is never measured.  Before
+    any lattice node is built, the rule screens the lattice's bracket:
+    every lattice log-radius t exceeds t_lo = max_k log(|s_k| / s0) / |k|,
+    and the rounding level does not increase below t = 0 nor decrease
+    above it (there each term of its maximum has slope top - |k| >= 0),
+    so a refusal at max(t_lo, 0) refuses every lattice radius, and the
+    attempt is recorded as "lattice screen, radius above e**t_lo".  Any
     overflow, NaN or LAPACK failure in the older attempt, its construction
     included, ends the attempt with that error as its reason.  Otherwise
     the raised ConvergenceFailure lists every attempt in order, the
@@ -939,7 +949,10 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         return None
 
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
-    pencil = _pencil(spec) if n == 1 else None
+    # whether the spec fills the box `embed` would build: only such a spec
+    # reaches the pencil and the older attempt
+    full = len(spec.indices) == (max(1, max(map(max, spec.indices))) + 1) ** n
+    pencil = _pencil(spec) if n == 1 and full else None
     if pencil is not None:
         m, candidate = pencil
         if isinstance(candidate, str):
@@ -950,7 +963,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             if reason is None:
                 return candidate
         attempts.append((f"pencil, {m} atoms", reason))
-    if n <= 2:
+    if n <= 2 and full:
         factor, stage = 1.0, "split" if n == 1 else "grid"
         try:
             # an overflow, a NaN or a LAPACK failure anywhere in the attempt ends it
@@ -992,14 +1005,25 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             reason = str(exc)
         attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 
-    unit, log_radius = lattice_quadrature(spec)
-    reason = refusal(log_radius)
-    if reason is None:
-        candidate, residual = finish(unit, math.exp(log_radius))
-        reason = rejection(candidate, residual, log_radius)
+    # every lattice log-radius exceeds the floor of its bracket, computed
+    # here as lattice_quadrature computes it, and refusal's level does not
+    # increase below t = 0 nor decrease above it: when it refuses at the
+    # floor or at 0, whichever is larger, it refuses every lattice radius
+    live = magnitudes[1:] > 0.0
+    low = float(np.max((np.log(magnitudes[1:][live]) - math.log(spec.mass.real))
+                       / degrees[1:][live])) if live.any() else -math.inf
+    reason = refusal(max(low, 0.0))
+    if reason is not None:
+        attempts.append((f"lattice screen, radius above {_exp_text(low)}", reason))
+    else:
+        unit, log_radius = lattice_quadrature(spec)
+        reason = refusal(log_radius)
         if reason is None:
-            return candidate
-    attempts.append((f"lattice, {len(unit)} nodes", reason))
+            candidate, residual = finish(unit, math.exp(log_radius))
+            reason = rejection(candidate, residual, log_radius)
+            if reason is None:
+                return candidate
+        attempts.append((f"lattice, {len(unit)} nodes", reason))
     raise ConvergenceFailure(
         "synthesis could not reach the residual target: "
         + "; ".join(f"({attempt}) {reason}" for attempt, reason in attempts)

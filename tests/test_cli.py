@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -51,10 +52,11 @@ def test_solve_unsolvable_exit_2(tmp_path, capsys):
 
 
 def test_solve_convergence_failure_exit_3(tmp_path, capsys):
-    # the rows of ROADMAP.md's Baseline that no one-radius answer solves
-    for name, spec in (
-        ("wide", MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j))),
-        ("mass", MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j))),
+    # the rows of ROADMAP.md's Baseline that no one-radius answer solves;
+    # only the second fills its exponent box, so only it runs the older attempt
+    for name, spec, first in (
+        ("wide", MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)), "(lattice screen"),
+        ("mass", MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j)), "(prescale 1, radius)"),
     ):
         problem = tmp_path / f"{name}.json"
         _write_problem(problem, spec)
@@ -62,8 +64,11 @@ def test_solve_convergence_failure_exit_3(tmp_path, capsys):
         code = main(["solve", str(problem), str(tmp_path / "out.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("convergence failure:")
-        assert "; (lattice, 5 nodes) moment sums on radius" in err
+        assert err.startswith(f"convergence failure: synthesis could not reach the residual"
+                              f" target: {first}")
+        # the screen refuses every lattice radius before any node is built
+        assert re.search(r"\(lattice screen, radius above [^)]+\) moment sums on radius \S+"
+                         r" round at \S+ or more, above the residual target \S+\n\Z", err)
         assert not (tmp_path / "out.json").exists()
 
 

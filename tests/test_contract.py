@@ -25,8 +25,9 @@ from momentsynth.errors import ConvergenceFailure, Unsolvable
 from momentsynth.lattice import MomentSpec, box
 from momentsynth.synthesis import SolverConfig, synthesize
 
-# build_tuple holds a dense p x p matrix per variable over the exponent box
-# of p = (d+1)**n entries, so the box is capped for memory and time
+# only a spec of up to two variables that fills its exponent box of
+# p = (d+1)**n entries reaches build_tuple, which holds a dense p x p matrix
+# per variable; the box is capped for memory and time
 MAX_BOX = 256
 
 PATTERNS = ("subset", "total", "single", "full")

@@ -9,7 +9,7 @@ import pytest
 
 import momentsynth.synthesis as synthesis
 from conftest import bounded, extended_relative_residual, extended_residual, random_box_spec
-from test_contract import draw_spec
+from test_contract import draw_full_range_spec, draw_spec
 from momentsynth.cli import main
 from momentsynth.dilation import FourierTable, fourier_table
 from momentsynth.documents import problem_to_doc, write_doc
@@ -878,18 +878,21 @@ def attempts_of(exc):
 
 
 def test_convergence_failure_lists_every_attempt():
-    # the Baseline rows that no one-radius answer solves
-    for spec, first in (
-        (MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j)), "prescale 1, radius"),
-        (MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)), "prescale 1000, radius"),
+    # the Baseline rows that no one-radius answer solves: the first fills
+    # its exponent box, so the older attempt runs first; the second does not
+    for spec, older in (
+        (MomentSpec(1, ((0,), (1,), (2,)), (1e-12, 1.0, 1j)), ["prescale 1, radius"]),
+        (MomentSpec(2, ((0, 0), (1, 0), (0, 3)), (1, 1e10, -3e12j)), []),
     ):
         with pytest.raises(ConvergenceFailure) as failure:
             synthesize(spec)
-        (attempt, reason), (lattice, why) = attempts_of(failure.value)
-        assert (attempt, lattice) == (first, "lattice, 5 nodes")
+        attempts = attempts_of(failure.value)
+        assert [attempt for attempt, _ in attempts[:-1]] == older
+        screen, why = attempts[-1]
+        assert re.fullmatch(r"lattice screen, radius above \d\.\d{3}e[+-]\d+", screen)
         # each torus is refused for its rounding level, the lattice's at the
-        # least radius at which its node values stay above the floor
-        for text in (reason, why):
+        # least level of any radius above its bracket floor
+        for _, text in attempts:
             assert text.startswith("moment sums on radius")
             assert text.endswith(f"above the residual target {SolverConfig().allowance(spec):.3e}")
 
@@ -910,10 +913,12 @@ def test_convergence_failure_lists_a_failed_stage(monkeypatch):
     assert why.startswith("radius 2.") and why.endswith("is beyond the range of a double")
 
 
-# On the first pre-scaling of these specs the least total weight an answer
-# on its torus can have puts the rounding level of its moment sums above
-# the residual target, so the older stage is refused before its table is
-# built; the lattice answers all but the last two.
+# Specs the older stage never answers.  On the first pre-scaling of those
+# that fill their exponent box (n1-d*, n1-mass-1e-12) the least total
+# weight an answer on its torus can have puts the rounding level of its
+# moment sums above the residual target, so the older stage is refused
+# before its table is built; the others are sparse, so the older stage
+# never runs.  The lattice answers all but the last two.
 GATED = {
     "n1-d18": full_rank(18),
     "n1-d24": full_rank(24),
@@ -926,22 +931,126 @@ GATED = {
 }
 
 
+def fills_its_box(spec):
+    """Whether spec prescribes every exponent of the box `embed` builds."""
+    return len(spec.indices) == len(box(spec.n, max(1, max(map(max, spec.indices)))))
+
+
 @pytest.mark.parametrize("spec", list(GATED.values()), ids=list(GATED))
 def test_synthesize_skips_rungs_that_cannot_resolve_the_target(spec, monkeypatch):
     stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "refine", "_clamped_least_squares",
               "_lawson_hanson")
-    calls = {name: spy(monkeypatch, name) for name in stages + ("build_tuple", "lattice_quadrature")}
+    calls = {name: spy(monkeypatch, name)
+             for name in stages + ("embed", "build_tuple", "lattice_quadrature")}
+    full = fills_its_box(spec)
     try:
         measure = synthesize(spec)
     except ConvergenceFailure as exc:
-        (rung, _), (lattice, _) = attempts_of(exc)
-        assert rung.endswith(", radius") and lattice.startswith("lattice")
+        # the radius check refuses a full box's older stage, and the
+        # screen every lattice radius before any node is built
+        attempts = [attempt for attempt, _ in attempts_of(exc)]
+        assert attempts[:-1] == (["prescale 1, radius"] if full else [])
+        assert attempts[-1].startswith("lattice screen")
+        lattices = 0
     else:
         assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
-    # one pre-scaling is considered, and it builds no table and runs no stage
+        lattices = 1
+    # a spec that fills its box considers one pre-scaling, which builds no
+    # table and runs no stage; any other never builds the box
     assert {name: len(made) for name, made in calls.items()} == {
-        **dict.fromkeys(stages, 0), "build_tuple": 1, "lattice_quadrature": 1,
+        **dict.fromkeys(stages, 0), "embed": int(full), "build_tuple": int(full),
+        "lattice_quadrature": lattices,
     }
+
+
+# (spec, _pencil calls, embed and build_tuple calls each): only a spec
+# that fills its exponent box reaches the pencil (one variable) and the
+# older attempt (up to two); the pencil misses on n1-full
+BOX_SHAPES = {
+    "n1-full": (random_instance(1, 4, 4, 0)[0], 1, 1),
+    "n1-sub-box": (MomentSpec.from_items(1, [((0,), 1.0), ((2,), 0.3), ((4,), 0.1j)]), 0, 0),
+    "n1-mass-alone": (MomentSpec(1, ((0,),), (2.0,)), 0, 0),
+    "n2-full": (random_instance(2, 2, 3, 11)[0], 0, 1),
+    "n2-total-degree": (MomentSpec(2, ((0, 0), (1, 0), (0, 1)), (1.0, 0.2, 0.1j)), 0, 0),
+    "n2-sparse": (random_box_spec(np.random.default_rng(5), n=2, degree=3), 0, 0),
+    "n3-full": (random_instance(3, 1, 2, 3)[0], 0, 0),
+}
+
+
+@pytest.mark.parametrize("spec, pencils, boxes", list(BOX_SHAPES.values()), ids=list(BOX_SHAPES))
+def test_only_specs_that_fill_their_box_reach_the_box(spec, pencils, boxes, monkeypatch):
+    assert fills_its_box(spec) == (spec.n == 3 or boxes == 1)
+    calls = {name: spy(monkeypatch, name) for name in ("_pencil", "embed", "build_tuple")}
+    measure = synthesize(spec)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "_pencil": pencils, "embed": boxes, "build_tuple": boxes}
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+def sparse_row(n, d):
+    """ROADMAP's sparse rows: mass 1, 0.1 at (1, 0, ...) and 0.3+0.2i at (d, ..., d)."""
+    return MomentSpec.from_items(
+        n, [((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.1), ((d,) * n, 0.3 + 0.2j)])
+
+
+# the older attempt would build the whole box of each: 20,001**2 entries
+# per dense matrix at n=1 d=20,000 and a 2,521**2 box at n=2 d=2,520
+SPARSE_ROWS = [(1, 200), (1, 1000), (1, 2500), (2, 20), (2, 40), (1, 20000), (2, 2520)]
+
+
+@pytest.mark.parametrize("n, d", SPARSE_ROWS, ids=[f"n{n}-d{d}" for n, d in SPARSE_ROWS])
+def test_sparse_rows_of_high_degree_never_build_the_box(n, d, monkeypatch):
+    calls = {name: spy(monkeypatch, name)
+             for name in ("_pencil", "embed", "build_tuple", "lattice_quadrature")}
+    spec = sparse_row(n, d)
+    measure = synthesize(spec)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "_pencil": 0, "embed": 0, "build_tuple": 0, "lattice_quadrature": 1}
+    assert measure.weights.min() > 0.0
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+def test_screen_refuses_before_the_node_search(monkeypatch):
+    # n = 4 with 126 moments, whose node search takes about 0.25 s and
+    # whose lattice radius is refused
+    spec = draw_spec(125)
+    assert (spec.n, len(spec.indices)) == (4, 126)
+    searches = spy(monkeypatch, "_rank1_lattice")
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec)
+    (screen, why), = attempts_of(failure.value)
+    assert screen.startswith("lattice screen, radius above ")
+    assert why.startswith("moment sums on radius")
+    assert searches == []
+
+
+def refused(spec, log_radius):
+    """Whether synthesize's rule refuses every answer on the torus of radius
+    exp(log_radius): it is beyond a double, or the least total weight of an
+    answer within the allowance there rounds above twice the allowance."""
+    allowance = SolverConfig().allowance(spec)
+    degrees = np.array([sum(k) for k in spec.indices], dtype=float)
+    weight = synthesis._log_weight_floor(
+        np.abs(np.asarray(spec.values)), degrees, allowance, log_radius)
+    level = synthesis._log_rounding_level(weight, log_radius, int(degrees.max()))
+    return log_radius > math.log(np.finfo(float).max) or level > math.log(2.0 * allowance)
+
+
+@pytest.mark.parametrize("draw, seeds, screened", [
+    (draw_spec, range(0, 400, 8), 18),
+    (draw_full_range_spec, range(0, 1000, 20), 17),
+], ids=["sweep", "full-range"])
+def test_screen_refuses_only_what_the_lattice_radius_would(draw, seeds, screened):
+    # wherever the screen refuses, the lattice's own radius is refused too
+    refusals = []
+    for seed in seeds:
+        spec = draw(seed)
+        try:
+            synthesize(spec)
+        except (ConvergenceFailure, Unsolvable) as exc:
+            if "(lattice screen" in str(exc):
+                refusals.append(refused(spec, lattice_quadrature(spec)[1]))
+    assert refusals == [True] * screened
 
 
 def wide_corpus_spec(index):
@@ -952,28 +1061,34 @@ def wide_corpus_spec(index):
     return random_box_spec(rng, magnitude=1e6, mass_floor=1e-3)
 
 
+def first_rung(spec):
+    """The Fourier table of the first pre-scaling of a two-variable spec,
+    and its torus radius, as the older attempt would build them."""
+    espec = embed(spec)
+    factor = synthesis._prescale_factor(espec)
+    ops = build_tuple(synthesis._rescaled(espec, factor))
+    return fourier_table(ops, ops.degree), ops.scale * factor
+
+
 def test_synthesize_stops_a_refinement_at_its_rounding_guard(monkeypatch):
-    # no one-variable spec reaches refine; this wide-magnitude one reaches
-    # its guard, on a grid fit of a pre-scaling the radius check lets
-    # through, and a later attempt solves it
+    # this wide-magnitude spec is sparse, so synthesize never refines it and
+    # the lattice answers; the grid fit of its first pre-scaling, which the
+    # radius check lets through, reaches refine's guard before any solve
     fits = spy(monkeypatch, "_clamped_least_squares")
-    original = synthesis.refine
-    guarded = []
-
-    def wrapper(*args, **kwargs):
-        before = len(fits)
-        try:
-            return original(*args, **kwargs)
-        except ConvergenceFailure as exc:
-            if "rounding level" in str(exc):
-                guarded.append(len(fits) - before)
-            raise
-
-    monkeypatch.setattr(synthesis, "refine", wrapper)
+    refines = spy(monkeypatch, "refine")
     spec = wide_corpus_spec(84)
+    assert not fills_its_box(spec)
     measure = synthesize(spec)
-    assert guarded and all(solves == 0 for solves in guarded)
+    assert (refines, fits) == ([], [])
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
+    table, radius = first_rung(spec)
+    unit = grid_nnls(table, synthesis.GRID, indices=spec.indices,
+                     weight_prune=1e-12 * spec.mass.real)
+    with pytest.raises(ConvergenceFailure,
+                       match="refinement cannot resolve target .*: rounding level"):
+        refine(unit, table, SolverConfig().resolved_tol(2), indices=spec.indices,
+               weight_base=radius)
+    assert fits == []
 
 
 def torus_moments(seed):
@@ -1094,10 +1209,8 @@ def test_convergence_failure_names_an_untouched_refinement(monkeypatch):
 
 def first_rung_grid_fit(spec):
     """The grid fit of the first pre-scaling of a two-variable spec, on the
-    table and the exponents `synthesize` would give it."""
-    espec = embed(spec)
-    ops = build_tuple(synthesis._rescaled(espec, synthesis._prescale_factor(espec)))
-    grid_nnls(fourier_table(ops, ops.degree), synthesis.GRID, indices=spec.indices)
+    table and the exponents the older attempt would give it."""
+    grid_nnls(first_rung(spec)[0], synthesis.GRID, indices=spec.indices)
 
 
 def synthesize_or_fail(spec):
@@ -1110,10 +1223,10 @@ def synthesize_or_fail(spec):
 @pytest.mark.parametrize(
     "spec, run",
     [
-        # synthesize skips every pre-scaling of this spec before its grid fit
+        # sparse specs, which synthesize never fits on the grid
         (MomentSpec.from_items(2, [((0, 0), 1.0), ((9, 9), 0.5)]), first_rung_grid_fit),
         (random_instance(2, 5, 4, 0)[0], synthesize_or_fail),
-        (random_box_spec(np.random.default_rng(5), n=2, degree=3), synthesize_or_fail),
+        (random_box_spec(np.random.default_rng(5), n=2, degree=3), first_rung_grid_fit),
     ],
     ids=["n2-only-9-9", "n2-d5", "n2-sparse-d3"],
 )
@@ -1305,15 +1418,19 @@ def test_pencil_refuses_weights_of_no_measure(w1, w2, why, monkeypatch):
 
 
 def test_pencil_skips_a_sub_box(monkeypatch):
-    # the even moments of two atoms: a sub-box, whatever its rank
+    # the even moments of two atoms: a sub-box, whatever its rank, which
+    # neither the pencil nor the older attempt reads; the lattice answers
     z1, z2 = 0.6 * np.exp(0.3j), 0.5 * np.exp(2j)
     spec = MomentSpec(1, ((0,), (2,), (4,), (6,)),
                       tuple(0.7 * z1**k + 0.3 * z2**k for k in range(0, 7, 2)))
     outcomes = pencil_outcomes(monkeypatch)
-    tuples = spy(monkeypatch, "build_tuple")
+    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION + ("lattice_quadrature",)}
     measure = synthesize(spec)
-    assert (outcomes, len(tuples)) == ([None], 1)
-    assert (measure.atoms.tobytes(), measure.weights.tobytes()) == without_pencil(spec, monkeypatch)
+    assert outcomes == []
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        **dict.fromkeys(CONSTRUCTION, 0), "lattice_quadrature": 1,
+    }
+    assert len(measure) == 2 * len(spec.indices) - 1
     assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
 
 
@@ -1386,19 +1503,30 @@ def test_pencil_answers_are_exactly_symmetric(degree, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_synthesize_radius_beyond_a_double_fails_cleanly(n):
+def test_synthesize_radius_beyond_a_double_fails_cleanly(n, monkeypatch):
     # |s_1| / s0 = 1e310: no answer has atoms of modulus within a double
     spec = MomentSpec(n, ((0,) * n, (1,) + (0,) * (n - 1)), (1e-300, 1e10))
-    lattice = r"\(lattice, 3 nodes\) radius 1\.\d+e\+310 is beyond"
-    with pytest.raises(ConvergenceFailure, match=lattice) as failure:
+    searches = spy(monkeypatch, "_rank1_lattice")
+    tuples = spy(monkeypatch, "build_tuple")
+    with pytest.raises(ConvergenceFailure) as failure:
         synthesize(spec)
-    if n <= 2:
-        # the older attempt names the construction's overflow; it read
-        # "radius nan to the power 1", which names no cause
-        (attempt, reason), _ = attempts_of(failure.value)
-        assert attempt == ("prescale 1, split" if n == 1 else "prescale 1000, grid")
+    *older, (screen, why) = attempts_of(failure.value)
+    # the screen refuses the bracket floor before any node is built
+    assert screen == "lattice screen, radius above 1.000e+310"
+    assert re.fullmatch(r"radius 1\.000e\+310 is beyond the range of a double", why)
+    assert searches == []
+    # the lattice's own radius lies beyond a double as well
+    assert lattice_quadrature(spec)[1] > math.log(np.finfo(float).max)
+    # only (0), (1) fills its exponent box; the older attempt names the
+    # construction's overflow, where it read "radius nan to the power 1"
+    assert len(tuples) == int(n == 1)
+    if n == 1:
+        (attempt, reason), = older
+        assert attempt == "prescale 1, split"
         # numpy before 1.25 names the ufunc true_divide
         assert re.fullmatch(r"overflow encountered in \w+", reason)
+    else:
+        assert older == []
 
 
 # ends of the double range, where the parent raised OverflowError, LinAlgError
