@@ -44,7 +44,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
-        # synthesize raises ConvergenceFailure, listing the older stage's errors in it
+        # synthesize raises ConvergenceFailure, listing every attempt and its reason
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     rep = report(spec, measure, config)

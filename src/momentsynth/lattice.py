@@ -1,11 +1,13 @@
 """Multi-index lattice arithmetic and moment problem instances.
 
 A problem instance prescribes complex values for finitely many monomial
-exponents in n complex variables.  Everything downstream works on a full
-exponent box of some degree, so this module also provides the zero-filled
-embedding of an arbitrary instance into that box: an array in the
+exponents in n complex variables.  The paper's construction works on a
+full exponent box of some degree, so this module also provides the
+zero-filled embedding of an instance into that box: an array in the
 lexicographic (C) order of `box`, where incrementing the j-th exponent
-moves an index by the stride (degree+1)**(n-j).
+moves an index by the stride (degree+1)**(n-j).  The solver builds it
+only for a spec of at most two variables that already fills its box; the
+lattice stage reads the instance itself.
 """
 
 from __future__ import annotations

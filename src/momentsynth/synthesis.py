@@ -25,9 +25,10 @@ Fourier data splits into a Vandermonde part (atoms from the roots of a
 null-vector polynomial) plus a multiple of the identity (mass spread over
 equispaced atoms), and a miss goes to the lattice stage.
 Two variables use nonnegative least squares on the product grid of GRID
-candidate angles per variable, refined on a miss by damped Gauss-Newton on
-angles and weights; both fit only the prescribed moments, the only ones
-the acceptance check reads, so an answer has at most 2*|spec| - 1 atoms.
+candidate angles per variable, and on a miss one least-squares refit of
+the weights at those angles (`refine`); both fit only the prescribed
+moments, the only ones the acceptance check reads, so an answer has at
+most 2*|spec| - 1 atoms.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def cf_atoms_1d(
 
 
 # ---------------------------------------------------------------------------
-# several variables: candidate grid, nonnegative least squares, refinement
+# several variables: candidate grid, nonnegative least squares, weight refit
 # ---------------------------------------------------------------------------
 
 
@@ -451,12 +452,6 @@ def grid_nnls(
     return _unit_measure(2.0 * np.pi * points[keep] / grid, weights[keep], n)
 
 
-REFINE_ITERS = 200
-DAMPING_CAP = 1e12
-# refine fails at once when its rounding level exceeds its target this many times
-PRECISION_HEADROOM = 1e3
-
-
 def refine(
     measure: AtomicMeasure,
     table: FourierTable,
@@ -465,128 +460,48 @@ def refine(
     indices: Sequence[MultiIndex] | None = None,
     weight_base: float | None = None,
 ) -> AtomicMeasure:
-    """Jointly polish atom angles and weights by damped Gauss-Newton.
+    """Refit the weights of a grid fit that missed, at its own angles.
 
-    Minimizes the squared residual against the Fourier table at `indices`
-    (synthesis passes a two-variable grid fit that missed, never a
-    one-variable split, and the prescribed exponents, the only moments its
+    The residual is taken against the Fourier table at `indices`
+    (synthesis passes the prescribed exponents, the only moments its
     acceptance check reads), or over the whole canonical half box when
-    None, each frequency weighted by weight_base**|k| so the objective
-    tracks the original moment magnitudes.  The target is `tol` times
-    max(1, largest weighted entry).  Weights are clamped nonnegative after
-    every step and atoms stuck at zero weight for three accepted steps are
-    removed.  Returns the input untouched when it already meets the target;
-    raises ConvergenceFailure after REFINE_ITERS iterations or a stall.
-
-    Before its first solve it raises ConvergenceFailure when the target is
-    out of reach of double precision: the weighted moment sums carry a
-    rounding error of about eps * ||weights||_2 * max weight, and a target
-    more than PRECISION_HEADROOM times below that cannot be met.  This is
-    safe because no refinement that succeeded on the benchmark workloads or
-    the corpus of tools/corpus.py started above 10 times its target.
+    None, each frequency weighted by weight_base**|k| so it tracks the
+    original moment magnitudes.  The target is `tol` times max(1, largest
+    weighted entry).  Returns the input untouched when it already meets the
+    target.  Otherwise the weights are refitted once by
+    `_clamped_least_squares` at the same angles; the refit is kept only
+    when it does not raise the squared residual, and returned when it
+    meets the target.  Otherwise ConvergenceFailure is raised.
     """
     n = table.n
     base = weight_base if weight_base is not None else table.scale
 
     karr = _rows(table, indices)
     nonzero = np.any(karr, axis=1)
-    kfloat = karr.astype(float)
     factors = base ** np.abs(karr).sum(axis=1)
     targets = _table_targets(table, karr)
-    scale = max(1.0, float(np.max(factors * np.abs(targets))))
+    target = tol * max(1.0, float(np.max(factors * np.abs(targets))))
+    angles = np.angle(measure.atoms).reshape(-1, n)
 
-    angles = np.angle(measure.atoms).reshape(-1, n).copy()
-    weights = measure.weights.copy()
+    def gap(w: np.ndarray) -> np.ndarray:
+        return factors * (_trig_moments(angles, w, karr) - targets)
 
-    def gap(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return factors * (_trig_moments(a, w, karr) - targets)
-
-    def max_resid(g: np.ndarray) -> float:
-        return float(np.max(np.abs(g))) if g.size else 0.0
-
-    def weighted_design(a: np.ndarray) -> np.ndarray:
-        return _stacked(np.exp(1j * (kfloat @ a.T)) * factors[:, None], nonzero)
-
-    current = gap(angles, weights)
-    if max_resid(current) <= tol * scale:
+    current = gap(measure.weights)
+    if float(np.max(np.abs(current))) <= target:
         return measure
-    if len(weights) == 0:
-        raise ConvergenceFailure("no atoms to refine and residual above target")
-    # summing w_i e^(ik.theta_i) in double leaves about eps*||w|| of rounding,
-    # which the top frequency's weight magnifies; no step can go below that
-    noise = np.finfo(float).eps * float(np.linalg.norm(weights)) * float(np.max(factors))
-    if noise > PRECISION_HEADROOM * tol * scale:
-        raise ConvergenceFailure(
-            f"refinement cannot resolve target {tol * scale:.3e}: rounding level {noise:.3e}"
-        )
-
-    b = _stacked(factors * targets, nonzero)
-    r = _stacked(current, nonzero)
-    cost = float(r @ r)
-    damping = 1e-3
-    streak = np.zeros(len(weights), dtype=int)
-
-    for _ in range(REFINE_ITERS):
-        # exact weight block first: weights enter linearly, so their least
-        # squares solves for them at fixed angles; the refit is kept only
-        # when it does not raise the cost, which its clamp could
-        refit = _clamped_least_squares(weighted_design(angles), b)
-        r_refit = _stacked(gap(angles, refit), nonzero)
-        cost_refit = float(r_refit @ r_refit)
-        if cost_refit <= cost:
-            weights, r, cost = refit, r_refit, cost_refit
-
-        streak = np.where(weights == 0.0, streak + 1, 0)
-        if np.any(streak >= 3):
-            keep = streak < 3
-            weights, angles, streak = weights[keep], angles[keep], streak[keep]
-            r = _stacked(gap(angles, weights), nonzero)
-            cost = float(r @ r)
-        if len(weights) == 0:
-            break
-        if max_resid(gap(angles, weights)) <= tol * scale:
-            return _unit_measure(angles, weights, n)
-
-        count = len(weights)
-        phases = kfloat @ angles.T
-        E = np.exp(1j * phases) * factors[:, None]
-        cols = [E]
-        for j in range(n):
-            cols.append(E * (1j * kfloat[:, j:j + 1]) * weights[None, :])
-        Jc = np.hstack(cols)
-        J = _stacked(Jc, nonzero)
-        H = J.T @ J
-        g = J.T @ r
-        diag = np.diag(H).copy()
-        diag[diag <= 0.0] = 1.0
-
-        accepted = False
-        for _ in range(25):
-            try:
-                step = np.linalg.solve(H + damping * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                w_try = np.maximum(weights + step[:count], 0.0)
-                a_try = angles + step[count:].reshape(n, count).T
-                r_try = _stacked(gap(a_try, w_try), nonzero)
-                cost_try = float(r_try @ r_try)
-                if cost_try < cost:
-                    weights, angles, r, cost = w_try, a_try, r_try, cost_try
-                    damping = max(damping * 0.3, 1e-12)
-                    accepted = True
-                    break
-            if damping >= DAMPING_CAP:
-                break  # a further try would solve this same system again
-            damping = min(damping * 10.0, DAMPING_CAP)
-        if not accepted:
-            break
-        if max_resid(gap(angles, weights)) <= tol * scale:
-            return _unit_measure(angles, weights, n)
-
+    # the weights enter linearly, so least squares solves for them at fixed
+    # angles; its clamp could raise the cost
+    design = _stacked(np.exp(1j * (karr.astype(float) @ angles.T)) * factors[:, None], nonzero)
+    refit = _clamped_least_squares(design, _stacked(factors * targets, nonzero))
+    refitted = gap(refit)
+    r, r_refit = _stacked(current, nonzero), _stacked(refitted, nonzero)
+    if float(r_refit @ r_refit) <= float(r @ r):
+        current = refitted
+        if float(np.max(np.abs(current))) <= target:
+            return _unit_measure(angles, refit, n)
     raise ConvergenceFailure(
-        f"refinement stalled at residual {max_resid(gap(angles, weights)):.3e}"
-        f" (target {tol * scale:.3e})"
+        f"refinement stalled at residual {float(np.max(np.abs(current))):.3e}"
+        f" (target {target:.3e})"
     )
 
 
@@ -655,6 +570,20 @@ def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
             first, width = first + width, min(8 * width, widest)
 
 
+def _bracket_floor(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """Which moments after the mass are nonzero, their log(|s_k| / s0), and
+    the floor of the lattice's radius bracket, t_lo = max_k log(|s_k| / s0)
+    / |k| over them (-inf when there is none).  `lattice_quadrature`
+    searches above it and `synthesize` screens at it."""
+    values = np.abs(np.asarray(spec.values[1:], dtype=complex))
+    live = values > 0.0
+    log_ratios = np.log(values[live]) - math.log(spec.mass.real)
+    if not live.any():
+        return live, log_ratios, -math.inf
+    degrees = np.array([sum(k) for k in spec.indices[1:]], dtype=np.int64)[live]
+    return live, log_ratios, float(np.max(log_ratios / degrees))
+
+
 def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     """Exact answer on the nodes of a rank-1 lattice: its atoms on the unit
     torus with their weights, and the log-radius t of the torus it lives on.
@@ -691,14 +620,12 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     karr = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, n)
     size, z = _rank1_lattice(np.concatenate([np.zeros((1, n), dtype=np.int64), karr, -karr]))
     s0 = spec.mass.real
-    values = np.asarray(spec.values[1:], dtype=complex)
-    live = values != 0
+    # log(|s_k| / s0): the search runs on P_t / s0, whose mass is 1
+    live, log_ratios, low = _bracket_floor(spec)
     t, weights = 0.0, np.full(size, s0 / size)
     if live.any():
-        values, degrees = values[live], karr[live].sum(axis=1)
-        # log(|s_k| / s0): the search runs on P_t / s0, whose mass is 1
-        log_ratios = np.log(np.abs(values)) - math.log(s0)
-        low = float(np.max(log_ratios / degrees))
+        values = np.asarray(spec.values[1:], dtype=complex)[live]
+        degrees = karr[live].sum(axis=1)
         distinct, row = np.unique(degrees, return_inverse=True)
         parts = np.zeros((len(distinct), size), dtype=complex)
         parts[row, (karr[live] @ z) % size] = np.exp(
@@ -869,13 +796,13 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     paper's construction: the commuting contraction tuple of the moments
     pre-scaled by 1 for one variable and by the magnitude-taming factor for
     two, its Fourier table, then the Toeplitz split (one variable) or grid
-    nonnegative least squares at GRID points refined on a miss (two; see
-    `refine`).  A refinement that returns its input untouched (its
-    double-precision residual met the target) ends the attempt without
-    checking the same atoms again.  The benchmark's
-    smoke test (perfbench/test_smoke.py) requires these stages to run;
-    every other answer comes from `lattice_quadrature`, the only stage
-    beyond two variables, which never builds the tuple or the table.
+    nonnegative least squares at GRID points followed on a miss by one
+    weight refit (two; see `refine`).  A refit that returns its input
+    untouched (its double-precision residual met the target) ends the
+    attempt without checking the same atoms again.  The benchmark's smoke
+    test (perfbench/test_smoke.py) requires these stages to run; every
+    other answer comes from `lattice_quadrature`, the only stage beyond
+    two variables, which never builds the tuple or the table.
 
     A candidate is returned when its residual meets the target, unless the
     target lies below u * W * max(1, r)**|k|, the rounding level of the
@@ -1005,13 +932,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             reason = str(exc)
         attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 
-    # every lattice log-radius exceeds the floor of its bracket, computed
-    # here as lattice_quadrature computes it, and refusal's level does not
-    # increase below t = 0 nor decrease above it: when it refuses at the
-    # floor or at 0, whichever is larger, it refuses every lattice radius
-    live = magnitudes[1:] > 0.0
-    low = float(np.max((np.log(magnitudes[1:][live]) - math.log(spec.mass.real))
-                       / degrees[1:][live])) if live.any() else -math.inf
+    # every lattice log-radius exceeds the floor of its bracket, and
+    # refusal's level does not increase below t = 0 nor decrease above it:
+    # when it refuses at the floor or at 0, whichever is larger, it refuses
+    # every lattice radius
+    low = _bracket_floor(spec)[2]
     reason = refusal(max(low, 0.0))
     if reason is not None:
         attempts.append((f"lattice screen, radius above {_exp_text(low)}", reason))

@@ -1,4 +1,4 @@
-"""Run `synthesize` over the 984-spec scratch corpus of ROADMAP.md.
+"""Run `synthesize` over the 1,224-spec scratch corpus of ROADMAP.md.
 
     python3 tools/corpus.py [--src DIR] [--dump FILE] [--against FILE]
 
@@ -9,7 +9,9 @@ are drawn from numpy.random.default_rng(11..14) in the order listed in
 `corpus`, with `random_box_spec` from tests/conftest.py of this checkout,
 then come the 200 specs of the high-degree group:
 `random_instance(n, d, 4, s)` for s = 0..19 at n=1 d=24, 32, 48, 64, 96,
-n=2 d=8, 10, 12 and n=3 d=5, 6.
+n=2 d=8, 10, 12 and n=3 d=5, 6, and the 240 specs
+`random_instance(2, 5, m, s)` for m = 1..6 atoms and s = 0..39, on which
+the two-variable grid fit often misses and `refine` runs.
 
 `--src` imports momentsynth from another source tree (default: this
 checkout's src/), so two trees run on the same specs.  An answer is within
@@ -71,6 +73,8 @@ def corpus():
     degrees = [(1, d) for d in (24, 32, 48, 64, 96)] + [(2, d) for d in (8, 10, 12)] + [(3, 5), (3, 6)]
     groups.append(("high degree random_instance n=1..3 s=0..19",
                    [random_instance(n, d, 4, s)[0] for n, d in degrees for s in range(20)]))
+    groups.append(("random_instance n=2 d=5 atoms=1..6 s=0..39",
+                   [random_instance(2, 5, m, s)[0] for m in range(1, 7) for s in range(40)]))
     return groups
 
 
