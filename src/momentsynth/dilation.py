@@ -1,11 +1,13 @@
-"""Fourier data of the solution measure and Toeplitz positivity checks.
+"""The construction's Fourier table and Toeplitz positivity checks.
 
 The scaled shift tuple is a strict joint contraction, so its mixed
 forward/adjoint power values against the cyclic vector form a positive
-definite function on the integer lattice.  Those values are the Fourier
-coefficients of every measure this package synthesizes.  They have a
-closed form in the prescribed moments, so the table is filled without
-applying a single matrix, as one array in the layout of numpy's FFT
+definite function on the integer lattice: the Fourier coefficients of a
+measure on the torus of radius `scale` with the prescribed moments.  At a
+prescribed k the value is s_k / scale**|k|, all the solver reads of them;
+`fourier_table` fills the whole table from its closed form in the
+moments, for the tests of the construction, without applying a single
+matrix, as one array in the layout of numpy's FFT
 (index k at k mod (2R+1) along each axis, R the table radius): one
 `numpy.fft.fftn` of it as it stands gives the weights of its
 (2R+1)**n product-grid quadrature.  `psd_check` tests Toeplitz

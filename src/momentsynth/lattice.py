@@ -5,9 +5,8 @@ exponents in n complex variables.  The paper's construction works on a
 full exponent box of some degree, so this module also provides the
 zero-filled embedding of an instance into that box: an array in the
 lexicographic (C) order of `box`, where incrementing the j-th exponent
-moves an index by the stride (degree+1)**(n-j).  The solver builds it
-only for a spec of at most two variables that already fills its box; the
-lattice stage reads the instance itself.
+moves an index by the stride (degree+1)**(n-j).  Only the paper's
+construction reads it; no solve builds it.
 """
 
 from __future__ import annotations

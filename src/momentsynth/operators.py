@@ -1,4 +1,4 @@
-"""Construction of the commuting matrix tuple that realizes the moments.
+"""The paper's commuting shift tuple and its contraction scale.
 
 For an embedded spec with mass s0 > 0 the construction vectors are
 explicit: with a = sqrt(s0), a*e0 for the zero index and
@@ -10,8 +10,8 @@ form, and nothing is factored or inverted numerically.  Coordinate shifts
 act on the family as a commuting tuple of matrices; in the lexicographic
 order of the embedded box, coordinate j's shift is the identity moved down
 by the stride (degree+1)**(n-j), cut off where the j-th exponent would
-leave the box.  This module builds those matrices in an orthonormal
-basis and scales them into a strict joint contraction.
+leave the box.  `build_tuple` builds those matrices in an orthonormal
+basis; the solver reads only `contraction_scale`, their scale.
 
 The inner product is linear in the first slot and conjugate-linear in the
 second throughout.
@@ -89,9 +89,7 @@ def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
     coordinate isometry is alpha -> L^T alpha (a transpose, not the
     adjoint map).
 
-    The scale is MARGIN * sqrt(n) * max over coordinates of the Frobenius
-    norm, nudged up a few ulps so the squared contraction norms sum to
-    strictly less than 1/MARGIN**2 in floating point as well.
+    The norm bound and the scale are `contraction_scale`'s.
 
     Raises ValueError when the mass s0 is not real positive.
     """
@@ -122,8 +120,38 @@ def build_tuple(espec: EmbeddedSpec) -> OperatorTuple:
         matrices.append(Lt @ raw @ Lt_inv)
 
     cyclic = Lt[:, 0].copy()
-    norm_bound = max(float(np.linalg.norm(m)) for m in matrices)
-    scale = MARGIN * np.sqrt(n) * max(norm_bound, _NORM_FLOOR)
-    scale *= 1.0 + 4.0 * _EPS
-    return OperatorTuple(espec, tuple(matrices), cyclic, norm_bound, float(scale))
+    norms, scale = contraction_scale(espec.values.reshape((degree + 1,) * n))
+    return OperatorTuple(espec, tuple(matrices), cyclic, float(norms.max()), scale)
 
+
+def contraction_scale(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Frobenius norm of each matrix of the shift tuple, and its scale.
+
+    `values` holds s_k at each k of the box {0..d}**n, shape (d+1,)*n, the
+    mass (real, positive) at the origin.  The nonzero rows of matrix j are
+    row 0, with entry (s_(e_j)/a)(1/a) at 0 and s_(q+e_j)/a (0 off the box)
+    plus (s_(e_j)/a)(-s_q/s0) at q != 0; row e_j, row 0 of L^-T; and a 1 in
+    each other row whose j-th exponent is positive, d (d+1)**(n-1) - 1 of
+    them.  Formed from the quotients the dense entries hold, they overflow
+    where the dense matrices would, in O(p) rather than O(p**2) memory.
+    The scale is MARGIN * sqrt(n) * the largest norm (at least
+    _NORM_FLOOR), nudged up a few ulps so the squared contraction norms sum
+    to strictly less than 1/MARGIN**2 in floating point as well.
+    """
+    n, degree = values.ndim, values.shape[0] - 1
+    mass = values.flat[0].real
+    a = np.sqrt(mass)
+    over_a = values / a
+    inverse = -values / mass
+    inverse.flat[0] = 1.0 / a
+    ones = np.ones(degree * (degree + 1) ** (n - 1) - 1)
+    norms = np.empty(n)
+    for j in range(n):
+        lead = (slice(None),) * j
+        top = np.zeros_like(over_a)
+        top[lead + (slice(0, degree),)] = over_a[lead + (slice(1, None),)]
+        top.flat[0] = 0.0
+        top += over_a[(0,) * j + (1,) + (0,) * (n - 1 - j)] * inverse
+        norms[j] = np.linalg.norm(np.concatenate([ones, inverse.ravel(), top.ravel()]))
+    scale = MARGIN * np.sqrt(n) * max(float(norms.max()), _NORM_FLOOR)
+    return norms, float(scale * (1.0 + 4.0 * _EPS))

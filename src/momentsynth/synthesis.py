@@ -19,33 +19,34 @@ r e^(i theta) on those nodes, and they reproduce every prescribed moment
 exactly in exact arithmetic.
 
 Up to two variables a spec that fills its exponent box gets one older
-attempt first, on the Fourier table of the paper's construction.  One
-complex variable admits an exact route: the Toeplitz section of the
-Fourier data splits into a Vandermonde part (atoms from the roots of a
-null-vector polynomial) plus a multiple of the identity (mass spread over
-equispaced atoms), and a miss goes to the lattice stage.
-Two variables use nonnegative least squares on the product grid of GRID
-candidate angles per variable, and on a miss one least-squares refit of
-the weights at those angles (`refine`); both fit only the prescribed
-moments, the only ones the acceptance check reads, so an answer has at
-most 2*|spec| - 1 atoms.
+attempt first, on two closed forms of the paper's construction: the
+contraction scale of its shift tuple, which sets the torus radius r, and
+its Fourier data s_k / r**|k|.  One complex variable admits an exact route:
+the Toeplitz section of that data splits into a Vandermonde part (atoms
+from the roots of a null-vector polynomial) plus a multiple of the
+identity (mass spread over equispaced atoms), and a miss goes to the
+lattice stage.  Two variables use nonnegative least squares on the
+product grid of GRID candidate angles per variable, and on a miss one
+least-squares refit of the weights at those angles (`refine`); both fit
+only the prescribed moments, the only ones the acceptance check reads, so
+an answer has at most 2*|spec| - 1 atoms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .dilation import FourierTable, fourier_table, min_eigenvalue, psd_check
+from .dilation import min_eigenvalue, psd_check
 from .errors import ConvergenceFailure, Unsolvable
-from .lattice import EmbeddedSpec, MomentSpec, MultiIndex, embed
+from .lattice import MomentSpec
 from .measures import AtomicMeasure
-from .operators import build_tuple
+from .operators import contraction_scale
 from .verify import report, solvability
 
 
@@ -89,22 +90,12 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _half_box(n: int, radius: int) -> np.ndarray:
-    """Canonical half of the symmetric index box, zero included: its C-order rows from zero on."""
-    signed = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius
-    return signed[len(signed) // 2:]
-
-
 def _trig_moments(angles: np.ndarray, weights: np.ndarray, karr: np.ndarray) -> np.ndarray:
     """Sum of w_i * exp(i k . theta_i) for every row k of karr."""
     if angles.shape[0] == 0:
         return np.zeros(karr.shape[0], dtype=complex)
     phases = karr.astype(float) @ angles.T
     return np.exp(1j * phases) @ weights
-
-
-def _table_targets(table: FourierTable, karr: np.ndarray) -> np.ndarray:
-    return table.coeffs[tuple(karr.T)]
 
 
 def _unit_measure(angles: np.ndarray, weights: np.ndarray, n: int) -> AtomicMeasure:
@@ -163,11 +154,7 @@ def _fit_circle_weights(angles: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return w
 
 
-def cf_atoms_1d(
-    coeffs,
-    tol: float,
-    weight_prune: float | None = None,
-) -> AtomicMeasure:
+def cf_atoms_1d(coeffs, tol: float) -> AtomicMeasure:
     """Decompose one-variable Fourier data c_0..c_m into circle atoms.
 
     The Toeplitz section T[p, q] = c_(p-q) must be positive semidefinite
@@ -177,7 +164,8 @@ def cf_atoms_1d(
     the eigenvalues of the companion matrix); weights come from a real
     least-squares Vandermonde fit.  The subtracted mass returns as m+1
     equispaced atoms, which reproduce frequencies up to m exactly and are
-    phase-shifted away from the atomic angles.
+    phase-shifted away from the atomic angles.  Weights at most 1e-12 of
+    the mass are dropped.
 
     Atoms land on the unit circle; the caller applies any radius.
     """
@@ -200,7 +188,7 @@ def cf_atoms_1d(
         raise ConvergenceFailure(
             f"Toeplitz section fails positivity, smallest eigenvalue {witness:.3e}")
 
-    prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, mass)
+    prune = 1e-12 * mass
     if mass <= prune:
         return AtomicMeasure.empty(1)
 
@@ -372,36 +360,23 @@ def _clamped_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0)
 
 
-def _rows(table: FourierTable, indices: Sequence[MultiIndex] | None) -> np.ndarray:
-    """Exponents a least-squares stage fits: `indices`, or the canonical half box."""
-    if indices is None:
-        return _half_box(table.n, table.radius)
-    return np.array(indices, dtype=int).reshape(len(indices), table.n)
-
-
 def _stacked(values: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     """Real rows for every exponent, then imaginary rows for the nonzero ones
     (the zero exponent's target, the mass, is real); `nonzero` masks those."""
     return np.concatenate([values.real, values.imag[nonzero]])
 
 
-def grid_nnls(
-    table: FourierTable,
-    grid: int,
-    *,
-    indices: Sequence[MultiIndex] | None = None,
-    weight_prune: float | None = None,
-) -> AtomicMeasure:
+def grid_nnls(exponents: np.ndarray, targets: np.ndarray, grid: int) -> AtomicMeasure:
     """Coarse torus measure from nonnegative least squares over a grid.
 
     The candidates are the full product grid of `grid` equispaced angles
     per dimension, so the design matrix has grid**n columns; synthesis
-    calls this for two variables only.  The rows are the table entries at
-    `indices` (synthesis passes the prescribed exponents, whose entries are
-    s_k / radius**|k|), or at the whole canonical half box when None.  The
-    fit stops at no more atoms than it has real rows, 2*len(indices) - 1
-    when the zero exponent is among them.  Weights below the prune
-    threshold are dropped.
+    calls this for two variables only.  The rows are the unit-torus
+    moments `targets` at the rows k of the integer array `exponents`, the
+    zero exponent first with the mass as its target (synthesis passes the
+    prescribed exponents and s_k / r**|k|).  The fit stops at no more atoms
+    than it has real rows, 2*len(exponents) - 1.  Weights at most 1e-12 of
+    the mass are dropped.
 
     The fit is `_lawson_hanson`, and the design is never built.  Column g
     holds Re and Im of e^(2 pi i k.g / grid) over the exponents k, so a
@@ -414,11 +389,10 @@ def grid_nnls(
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
-    n = table.n
-    prune = weight_prune if weight_prune is not None else 1e-12 * max(1.0, table.mass)
-    karr = _rows(table, indices)
+    karr = np.asarray(exponents)
+    n = karr.shape[1]
+    prune = 1e-12 * targets[0].real
     nonzero = np.any(karr, axis=1)
-    targets = _table_targets(table, karr)
     if float(np.max(np.abs(targets))) <= prune:
         return AtomicMeasure.empty(n)
     points = np.indices((grid,) * n).reshape(n, -1).T
@@ -454,32 +428,28 @@ def grid_nnls(
 
 def refine(
     measure: AtomicMeasure,
-    table: FourierTable,
+    exponents: np.ndarray,
+    targets: np.ndarray,
+    radius: float,
     tol: float,
-    *,
-    indices: Sequence[MultiIndex] | None = None,
-    weight_base: float | None = None,
 ) -> AtomicMeasure:
     """Refit the weights of a grid fit that missed, at its own angles.
 
-    The residual is taken against the Fourier table at `indices`
-    (synthesis passes the prescribed exponents, the only moments its
-    acceptance check reads), or over the whole canonical half box when
-    None, each frequency weighted by weight_base**|k| so it tracks the
-    original moment magnitudes.  The target is `tol` times max(1, largest
-    weighted entry).  Returns the input untouched when it already meets the
-    target.  Otherwise the weights are refitted once by
-    `_clamped_least_squares` at the same angles; the refit is kept only
-    when it does not raise the squared residual, and returned when it
-    meets the target.  Otherwise ConvergenceFailure is raised.
+    The residual is taken against the unit-torus moments `targets` at the
+    rows k of `exponents`, as `grid_nnls` reads them (synthesis passes the
+    prescribed exponents, the only moments its acceptance check reads),
+    each weighted by radius**|k| so it tracks the original moment
+    magnitudes.  The target is `tol` times max(1, largest weighted entry).
+    Returns the input untouched when it already meets the target.
+    Otherwise the weights are refitted once by `_clamped_least_squares` at
+    the same angles; the refit is kept only when it does not raise the
+    squared residual, and returned when it meets the target.  Otherwise
+    ConvergenceFailure is raised.
     """
-    n = table.n
-    base = weight_base if weight_base is not None else table.scale
-
-    karr = _rows(table, indices)
+    karr = np.asarray(exponents)
+    n = karr.shape[1]
     nonzero = np.any(karr, axis=1)
-    factors = base ** np.abs(karr).sum(axis=1)
-    targets = _table_targets(table, karr)
+    factors = radius ** np.abs(karr).sum(axis=1)
     target = tol * max(1.0, float(np.max(factors * np.abs(targets))))
     angles = np.angle(measure.atoms).reshape(-1, n)
 
@@ -722,22 +692,12 @@ def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
 # ---------------------------------------------------------------------------
 
 
-def _prescale_factor(espec: EmbeddedSpec) -> float:
+def _prescale_factor(spec: MomentSpec) -> float:
     """Dilation factor that tames the moment magnitudes: the largest
     |s_k|**(1/|k|), clipped to [1e-3, 1e3]."""
-    best = 0.0
-    for total, v in zip(espec.box.sum(axis=1).tolist(), np.asarray(espec.values)):
-        if total and abs(v) > 0.0:
-            best = max(best, float(abs(v)) ** (1.0 / total))
-    if best == 0.0:
-        return 1.0
-    return float(np.clip(best, 1e-3, 1e3))
-
-
-def _rescaled(espec: EmbeddedSpec, factor: float) -> EmbeddedSpec:
-    powers = espec.box.sum(axis=1).astype(float)
-    values = np.asarray(espec.values) / factor ** powers
-    return EmbeddedSpec(espec.n, espec.degree, values)
+    best = max((abs(v) ** (1.0 / sum(k)) for k, v in zip(spec.indices, spec.values)
+                if any(k) and v), default=0.0)
+    return float(np.clip(best, 1e-3, 1e3)) if best else 1.0
 
 
 def _log_rounding_level(log_weight: float, log_radius: float, top: int) -> float:
@@ -785,24 +745,26 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     """Solve a truncated moment problem by an explicit atomic measure.
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
-    zero measure).  Only a spec that fills the box `embed` would build,
-    every exponent of {0..D}**n with D = max(1, largest exponent), reaches
-    the pencil and the older stage; every other spec goes straight to the
-    lattice stage, since zero-filling it prescribes moments nobody asked
-    for and the construction's matrices grow with the box.  One variable
-    tries `_pencil` first; its answer is accepted by the rule below, at the
-    radius max(1, largest atom modulus), and a rank miss is no attempt.
-    Up to two variables one attempt of the older stage comes next, on the
-    paper's construction: the commuting contraction tuple of the moments
-    pre-scaled by 1 for one variable and by the magnitude-taming factor for
-    two, its Fourier table, then the Toeplitz split (one variable) or grid
-    nonnegative least squares at GRID points followed on a miss by one
-    weight refit (two; see `refine`).  A refit that returns its input
-    untouched (its double-precision residual met the target) ends the
-    attempt without checking the same atoms again.  The benchmark's smoke
-    test (perfbench/test_smoke.py) requires these stages to run; every
-    other answer comes from `lattice_quadrature`, the only stage beyond
-    two variables, which never builds the tuple or the table.
+    zero measure).  Only a spec that fills its exponent box, every
+    exponent of {0..D}**n with D = max(1, largest exponent), reaches the
+    pencil and the older stage; every other spec goes straight to the
+    lattice stage, since zero-filling it would prescribe moments nobody
+    asked for.  One variable tries `_pencil` first; its answer is accepted
+    by the rule below, at the radius max(1, largest atom modulus), and a
+    rank miss is no attempt.  Up to two variables one attempt of the older
+    stage comes next, on the moments pre-scaled by 1 for one variable and
+    by the magnitude-taming factor for two: the torus radius r is the
+    contraction scale of the paper's shift tuple of the pre-scaled moments
+    (`operators.contraction_scale`) times that factor, the targets are the
+    Fourier data s_k / r**|k|, and the Toeplitz split (one variable) or
+    grid nonnegative least squares at GRID points followed on a miss by
+    one weight refit (two; see `refine`) fits them.  A refit that returns
+    its input untouched (its double-precision residual met the target)
+    ends the attempt without checking the same atoms again.  The
+    benchmark's smoke test (perfbench/test_smoke.py) requires these stages
+    to run; every other answer comes from `lattice_quadrature`, the only
+    stage beyond two variables.  No solve builds the shift tuple, its
+    Fourier table or the box embedding.
 
     A candidate is returned when its residual meets the target, unless the
     target lies below u * W * max(1, r)**|k|, the rounding level of the
@@ -813,15 +775,15 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     prescribed k weighs W >= max_k (|s_k| - a) / r**|k|, so when that bound
     puts the rounding level above 2a (the 2 covers the rounding of the
     computed weight sum and residuals) no candidate can be accepted.  The
-    older stage then runs no table and no stage, and its attempt is
-    recorded as "radius"; the lattice answer is never measured.  Before
+    older stage then computes no target and runs no stage, and its attempt
+    is recorded as "radius"; the lattice answer is never measured.  Before
     any lattice node is built, the rule screens the lattice's bracket:
     every lattice log-radius t exceeds t_lo = max_k log(|s_k| / s0) / |k|,
     and the rounding level does not increase below t = 0 nor decrease
     above it (there each term of its maximum has slope top - |k| >= 0),
     so a refusal at max(t_lo, 0) refuses every lattice radius, and the
     attempt is recorded as "lattice screen, radius above e**t_lo".  Any
-    overflow, NaN or LAPACK failure in the older attempt, its construction
+    overflow, NaN or LAPACK failure in the older attempt, its radius
     included, ends the attempt with that error as its reason.  Otherwise
     the raised ConvergenceFailure lists every attempt in order, the
     pencil's as "pencil, m atoms", each with its reason; it and Unsolvable
@@ -876,9 +838,10 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         return None
 
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
-    # whether the spec fills the box `embed` would build: only such a spec
-    # reaches the pencil and the older attempt
-    full = len(spec.indices) == (max(1, max(map(max, spec.indices))) + 1) ** n
+    # whether the spec fills its exponent box {0..D}**n, D = max(1, largest
+    # exponent): only such a spec reaches the pencil and the older attempt
+    side = max(1, max(map(max, spec.indices))) + 1
+    full = len(spec.indices) == side**n
     pencil = _pencil(spec) if n == 1 and full else None
     if pencil is not None:
         m, candidate = pencil
@@ -895,28 +858,31 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         try:
             # an overflow, a NaN or a LAPACK failure anywhere in the attempt ends it
             with np.errstate(over="raise", invalid="raise"):
-                espec = embed(spec)
                 if n == 2:
-                    factor = _prescale_factor(espec)
-                ops = build_tuple(_rescaled(espec, factor))
-                atom_radius = ops.scale * factor
+                    factor = _prescale_factor(spec)
+                karr = np.array(spec.indices)
+                # the mass is real up to the solvability gate's rounding
+                scaled = np.array((spec.mass.real,) + spec.values[1:]) / factor**degrees
+                box = np.empty((side,) * n, dtype=complex)
+                box[tuple(karr.T)] = scaled
+                scale = contraction_scale(box)[1]
+                atom_radius = scale * factor
                 log_radius = math.log(atom_radius)
                 reason = refusal(log_radius)
                 if reason is not None:
                     stage = "radius"
                 else:
-                    table = fourier_table(ops, ops.degree)
-                    prune = 1e-12 * spec.mass.real
+                    # the construction's Fourier data at the prescribed k,
+                    # s_k / atom_radius**|k|
+                    targets = scaled / scale**degrees
                     if n == 1:
-                        line = table.coeffs[:ops.degree + 1]
-                        unit = cf_atoms_1d(line, tol=1e-8 * max(1.0, table.mass),
-                                           weight_prune=prune)
+                        unit = cf_atoms_1d(targets[np.argsort(karr[:, 0])],
+                                           tol=1e-8 * max(1.0, spec.mass.real))
                     else:
-                        unit = grid_nnls(table, GRID, indices=spec.indices, weight_prune=prune)
+                        unit = grid_nnls(karr, targets, GRID)
                     candidate, residual = finish(unit, atom_radius)
                     if residual > allowance and n == 2:
-                        refined = refine(unit, table, tol, indices=spec.indices,
-                                         weight_base=atom_radius)
+                        refined = refine(unit, karr, targets, atom_radius, tol)
                         if refined is unit:
                             # refine's own double-precision check passed; the
                             # same atoms would fail the same check again

@@ -26,8 +26,10 @@ from momentsynth.lattice import MomentSpec, box
 from momentsynth.synthesis import SolverConfig, synthesize
 
 # only a spec of up to two variables that fills its exponent box of
-# p = (d+1)**n entries reaches build_tuple, which holds a dense p x p matrix
-# per variable; the box is capped for memory and time
+# p = (d+1)**n entries reaches the older attempt, where two things still
+# grow with the box: the split's (d+1) x (d+1) Toeplitz section at one
+# variable, and the grid fit's m x m QR factors, m = 2p - 1, at two; the
+# sweep's specs are drawn under this cap, so it stays
 MAX_BOX = 256
 
 PATTERNS = ("subset", "total", "single", "full")

@@ -10,6 +10,7 @@ import momentsynth.synthesis as synthesis
 from momentsynth.errors import ConvergenceFailure
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
+from momentsynth.verify import report
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "corpus.py"
 SPEC = MomentSpec.from_items(1, [((0,), 1.0), ((1,), 0.5)])
@@ -54,3 +55,47 @@ def test_exit_1_when_a_solved_spec_now_raises(tool, tmp_path, monkeypatch, capsy
     monkeypatch.setattr(synthesis, "synthesize", raises)
     assert tool.main(["--against", str(solved)]) == 1
     assert "1 of them solved in the dump and raise now" in capsys.readouterr().out
+
+
+def dumped(path):
+    """The fields of every line of a dump, past the group and the index."""
+    return [line.split("\t")[2:] for line in path.read_text().splitlines()]
+
+
+def test_dump_records_residual_over_allowance(tool, tmp_path, monkeypatch):
+    solved, raised = tmp_path / "solved", tmp_path / "raised"
+    assert tool.main(["--dump", str(solved)]) == 0
+    (outcome, _, count, ratio), = dumped(solved)
+    measure = synthesis.synthesize(SPEC)
+    wanted = report(SPEC, measure).max_residual / synthesis.SolverConfig().allowance(SPEC)
+    assert (outcome, count, ratio) == ("ok", str(len(measure)), f"{wanted:.3g}")
+    monkeypatch.setattr(synthesis, "synthesize", raises)
+    assert tool.main(["--dump", str(raised)]) == 0
+    assert dumped(raised) == [["ConvergenceFailure", "-", "-", "-"]]
+
+
+def test_against_prints_the_largest_ratio_of_changed_answers(tool, tmp_path, monkeypatch, capsys):
+    solved = tmp_path / "solved"
+    assert tool.main(["--dump", str(solved)]) == 0
+    (_, _, _, was), = dumped(solved)
+    assert tool.main(["--against", str(solved)]) == 0
+    # no answer changed: no ratio to report
+    assert ("one spec: 0 differing answer(s), 0 in atom count, 0 in bytes only;"
+            " largest residual / allowance among them 0 in the dump, 0 now") in capsys.readouterr().out
+    # an answer that moves one weight by half the allowance changes its bytes
+    # only, and stays within the contract
+    original = synthesis.synthesize
+
+    def moved(spec):
+        measure = original(spec)
+        weights = measure.weights.copy()
+        weights[0] += 0.5 * synthesis.SolverConfig().allowance(spec)
+        return AtomicMeasure(measure.n, measure.atoms, weights, measure.scale)
+
+    monkeypatch.setattr(synthesis, "synthesize", moved)
+    assert tool.main(["--against", str(solved)]) == 0
+    now = report(SPEC, moved(SPEC)).max_residual / synthesis.SolverConfig().allowance(SPEC)
+    assert 0.4 < now < 1.0
+    assert (f"one spec: 1 differing answer(s), 0 in atom count, 1 in bytes only;"
+            f" largest residual / allowance among them {float(was):.3g} in the dump,"
+            f" {now:.3g} now") in capsys.readouterr().out

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import apply_power, moment_deviation, power_image, random_box_spec
+from conftest import apply_power, bounded, moment_deviation, power_image, random_box_spec
 from momentsynth.lattice import MomentSpec, box, embed
-from momentsynth.operators import build_tuple
+from momentsynth.operators import MARGIN, build_tuple, contraction_scale
 
 
 def _embed(n, indices, values):
@@ -108,6 +108,44 @@ def test_contraction_condition(rng):
         total = sum((np.linalg.norm(m) / ops.scale) ** 2 for m in ops.matrices)
         assert total < 1.0
         assert total <= 1.0 / 1.21
+
+
+def full_box_spec(rng, n, degree):
+    """Every exponent of box(n, degree): a positive mass and complex values,
+    each modulus over twelve decades."""
+    indices = box(n, degree)
+    values = [10.0 ** bounded(rng, -6.0, 6.0)] + [
+        10.0 ** bounded(rng, -6.0, 6.0) * np.exp(2j * np.pi * rng.random()) for _ in indices[1:]]
+    return MomentSpec(n, indices, tuple(values))
+
+
+def check_contraction_scale(spec):
+    """The closed form against the dense tuple: each Frobenius norm within a
+    few ulps of `np.linalg.norm`, build_tuple's bound and scale the closed
+    form's, and the dense matrices a strict contraction at that scale."""
+    es = embed(spec)
+    ops = build_tuple(es)
+    norms, scale = contraction_scale(es.values.reshape((es.degree + 1,) * es.n))
+    dense = np.array([np.linalg.norm(m) for m in ops.matrices])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(norms - dense) <= 4 * eps * dense)
+    assert (ops.norm_bound, ops.scale) == (norms.max(), scale)
+    assert scale == pytest.approx(MARGIN * np.sqrt(es.n) * dense.max(), rel=16 * eps)
+    assert float(np.sum((dense / scale) ** 2)) < 1.0 / MARGIN**2
+
+
+@pytest.mark.parametrize("n, top", [(1, 12), (2, 5), (3, 3)], ids=["n1", "n2", "n3"])
+def test_contraction_scale_is_the_norm_of_the_dense_tuple(n, top, rng):
+    for degree in range(1, top + 1):
+        for _ in range(8):
+            check_contraction_scale(full_box_spec(rng, n, degree))
+
+
+def test_contraction_scale_on_the_wide_corpus_group():
+    # the wide group of tools/corpus.py: moduli up to 1e6, masses from 1e-3
+    rng = np.random.default_rng(13)
+    for _ in range(150):
+        check_contraction_scale(random_box_spec(rng, magnitude=1e6, mass_floor=1e-3))
 
 
 def test_apply_power_zero_index(rng):

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -11,12 +13,12 @@ import momentsynth.synthesis as synthesis
 from conftest import bounded, extended_relative_residual, extended_residual, random_box_spec
 from test_contract import draw_full_range_spec, draw_spec
 from momentsynth.cli import main
-from momentsynth.dilation import FourierTable, fourier_table
+from momentsynth.dilation import fourier_table
 from momentsynth.documents import problem_to_doc, write_doc
 from momentsynth.errors import ConvergenceFailure, Unsolvable
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
 from momentsynth.measures import AtomicMeasure
-from momentsynth.operators import build_tuple
+from momentsynth.operators import build_tuple, contraction_scale
 from momentsynth.synthesis import (
     SolverConfig,
     cf_atoms_1d,
@@ -28,19 +30,32 @@ from momentsynth.synthesis import (
 from momentsynth.verify import measure_moments, random_instance, report
 
 
-def circle_table(n, radius, angles, weights, uniform=0.0):
-    """Fourier table of a known unit-torus measure (independent of the
-    operator pipeline), plus an optional uniform component at frequency 0."""
-    angles = np.asarray(angles, dtype=float).reshape(-1, n)
-    weights = np.asarray(weights, dtype=float)
-    coeffs = np.empty((2 * radius + 1,) * n, dtype=complex)
-    for k in signed_box(n, radius):
-        karr = np.asarray(k, dtype=float)
-        value = complex(np.sum(weights * np.exp(1j * (angles @ karr))))
-        if not any(k):
-            value = complex(value.real + uniform)
-        coeffs[k] = value
-    return FourierTable(n, radius, 1.0, coeffs)
+def half_box(n, radius):
+    """The canonical half of the signed index box of that radius: its
+    C-order rows from the zero exponent on, so zero comes first."""
+    signed = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius
+    return signed[len(signed) // 2:]
+
+
+def circle_moments(exponents, angles, weights):
+    """Moments sum_i w_i e^(i k.theta_i) of a known unit-torus measure at
+    every row k of exponents, independent of the solver."""
+    angles = np.asarray(angles, dtype=float).reshape(-1, exponents.shape[1])
+    return np.exp(1j * (exponents @ angles.T)) @ np.asarray(weights, dtype=float)
+
+
+def circle_fit(n, radius, angles, weights):
+    """The exponents of the half box of that radius, and a known unit-torus
+    measure's moments there: every entry of its Fourier table up to
+    conjugation."""
+    exponents = half_box(n, radius)
+    return exponents, circle_moments(exponents, angles, weights)
+
+
+def moment_residual(measure, exponents, targets):
+    """Largest |moment - target| of a unit-torus measure over the rows of exponents."""
+    return float(np.max(np.abs(circle_moments(exponents, np.angle(measure.atoms), measure.weights)
+                               - targets)))
 
 
 def signed_box(n, radius):
@@ -63,6 +78,36 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(synthesis, name, wrapper)
     return calls
+
+
+# the paper's construction, by defining module: tests of the construction
+# call it, and no solve does
+CONSTRUCTION = {"embed": "lattice", "build_tuple": "operators", "fourier_table": "dilation"}
+
+
+def construction_calls(monkeypatch):
+    """Record the calls of each function of CONSTRUCTION, wherever the
+    package holds it: the wrapper replaces it in every momentsynth module."""
+    modules = [module for name, module in sys.modules.items()
+               if name == "momentsynth" or name.startswith("momentsynth.")]
+    calls = {}
+    for name, home in CONSTRUCTION.items():
+        original = getattr(importlib.import_module(f"momentsynth.{home}"), name)
+        made = calls[name] = []
+
+        def wrapper(*args, made=made, original=original, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def no_construction(calls):
+    return {name: len(made) for name, made in calls.items()} == dict.fromkeys(CONSTRUCTION, 0)
 
 
 def refine_outcomes(monkeypatch):
@@ -176,9 +221,9 @@ def test_grid_nnls_exact_recovery_on_grid():
     line = 2 * np.pi * np.arange(grid) / grid
     angles = np.array([[line[1], line[3]], [line[5], line[0]]])
     weights = np.array([0.6, 0.9])
-    table = circle_table(2, 2, angles, weights)
-    measure = grid_nnls(table, grid)
-    assert table_residual(measure, table) <= 1e-10
+    exponents, targets = circle_fit(2, 2, angles, weights)
+    measure = grid_nnls(exponents, targets, grid)
+    assert moment_residual(measure, exponents, targets) <= 1e-10
 
 
 def test_grid_nnls_fits_only_the_given_indices():
@@ -187,26 +232,27 @@ def test_grid_nnls_fits_only_the_given_indices():
     grid = 8
     line = 2 * np.pi * np.arange(grid) / grid
     angles = np.array([[line[1], line[3]], [line[5], line[0]], [line[2], line[7]]])
-    table = circle_table(2, 2, angles, np.array([0.6, 0.9, 0.3]))
     indices = box(2, 2)
-    measure = grid_nnls(table, grid, indices=indices)
+    exponents = np.array(indices)
+    targets = circle_moments(exponents, angles, np.array([0.6, 0.9, 0.3]))
+    measure = grid_nnls(exponents, targets, grid)
     assert 0 < len(measure) <= 17
     got = measure_moments(measure, indices)
-    for k, value in zip(indices, got):
-        assert abs(value - table.coeffs[k]) <= 1e-12
+    for value, target in zip(got, targets):
+        assert abs(value - target) <= 1e-12
 
 
 def test_grid_nnls_zero_table():
-    table = circle_table(1, 2, np.zeros((0, 1)), np.zeros(0))
-    assert len(grid_nnls(table, 8)) == 0
+    exponents, targets = circle_fit(1, 2, np.zeros((0, 1)), np.zeros(0))
+    assert len(grid_nnls(exponents, targets, 8)) == 0
 
 
 def test_grid_nnls_doubling_does_not_hurt(rng):
     angles = rng.uniform(0, 2 * np.pi, size=(3, 1))
     weights = rng.uniform(0.2, 1.0, size=3)
-    table = circle_table(1, 3, angles, weights)
-    res_small = table_residual(grid_nnls(table, 8), table)
-    res_big = table_residual(grid_nnls(table, 16), table)
+    exponents, targets = circle_fit(1, 3, angles, weights)
+    res_small = moment_residual(grid_nnls(exponents, targets, 8), exponents, targets)
+    res_big = moment_residual(grid_nnls(exponents, targets, 16), exponents, targets)
     assert res_big <= res_small + 1e-9
 
 
@@ -215,8 +261,8 @@ def test_grid_nnls_three_variables_full_grid(rng):
     # full product grid and returns a measure
     angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
     weights = np.array([0.5, 0.8])
-    table = circle_table(3, 1, angles, weights)
-    coarse = grid_nnls(table, 8)
+    exponents, targets = circle_fit(3, 1, angles, weights)
+    coarse = grid_nnls(exponents, targets, 8)
     assert len(coarse) > 0
     assert coarse.weights.min() >= 0.0
 
@@ -287,25 +333,26 @@ def grid_design(karr, grid):
 
 
 @pytest.mark.parametrize(
-    "n, radius, grid, indices",
+    "grid, exponents",
     [
-        (1, 3, 16, None),
-        (2, 2, 8, None),  # the half box holds negative exponents
-        (3, 1, 8, None),
-        (2, 5, 4, box(2, 5)),  # grid below the degree: exponents alias
-        (2, 9, 8, ((0, 0), (9, 9))),
-        (2, 3, 16, random_box_spec(np.random.default_rng(5), n=2, degree=3).indices),
+        (16, half_box(1, 3)),
+        (8, half_box(2, 2)),  # the half box holds negative exponents
+        (8, half_box(3, 1)),
+        (4, np.array(box(2, 5))),  # grid below the degree: exponents alias
+        (8, np.array(((0, 0), (9, 9)))),
+        (16, np.array(random_box_spec(np.random.default_rng(5), n=2, degree=3).indices)),
     ],
     ids=["n1-half-box", "n2-half-box", "n3-half-box", "n2-d5-grid4", "n2-only-9-9", "n2-sparse-d3"],
 )
-def test_grid_gradient_is_the_dense_product(n, radius, grid, indices, monkeypatch):
+def test_grid_gradient_is_the_dense_product(grid, exponents, monkeypatch):
+    n = exponents.shape[1]
     rng = np.random.default_rng(7)
     angles = rng.uniform(0, 2 * np.pi, size=(3, n))
-    table = circle_table(n, radius, angles, np.array([0.5, 0.8, 0.3]))
+    targets = circle_moments(exponents, angles, np.array([0.5, 0.8, 0.3]))
     fits = spy(monkeypatch, "_lawson_hanson")
-    grid_nnls(table, grid, indices=indices)
+    grid_nnls(exponents, targets, grid)
     (column, gradient, cols, b, amax), = fits
-    A = grid_design(synthesis._rows(table, indices), grid)
+    A = grid_design(exponents, grid)
     rows = A.shape[0]
     assert (len(b), cols, amax) == (rows, grid**n, 1.0)
     assert np.abs(materialized(column, cols) - A).max() <= 1e-13
@@ -318,13 +365,11 @@ def test_grid_gradient_is_the_dense_product(n, radius, grid, indices, monkeypatc
 def test_grid_nnls_allocation_peak_stays_below_a_megabyte():
     # the dense 71 x 4096 design of this fit took 2.3 MB, and building it
     # peaked near 6 MB
-    spec, _ = random_instance(2, 5, 4, 3)
-    ops = build_tuple(embed(spec))
-    table = fourier_table(ops, ops.degree)
-    grid_nnls(table, 64, indices=spec.indices)  # first-call setup is not traced
+    exponents, targets, _ = first_rung(random_instance(2, 5, 4, 3)[0])
+    grid_nnls(exponents, targets, 64)  # first-call setup is not traced
     tracemalloc.start()
     try:
-        grid_nnls(table, 64, indices=spec.indices)
+        grid_nnls(exponents, targets, 64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -542,18 +587,18 @@ def test_synthesize_one_variable_searches_every_node_count():
 def test_refine_no_op_when_converged():
     angles = np.array([[0.3], [2.1]])
     weights = np.array([0.4, 0.7])
-    table = circle_table(1, 2, angles, weights)
+    exponents, targets = circle_fit(1, 2, angles, weights)
     measure = AtomicMeasure(1, np.exp(1j * angles), weights, scale=1.0)
-    assert refine(measure, table, tol=1e-8) is measure
+    assert refine(measure, exponents, targets, 1.0, tol=1e-8) is measure
 
 
 def test_refine_raises_at_iteration_cap():
     # a target just below roundoff cannot be met: the one refit stalls
     angles = np.array([[0.55, 1.37]])
-    table = circle_table(2, 2, angles, np.array([0.8]))
-    coarse = grid_nnls(table, 4)
+    exponents, targets = circle_fit(2, 2, angles, np.array([0.8]))
+    coarse = grid_nnls(exponents, targets, 4)
     with pytest.raises(ConvergenceFailure, match="stalled"):
-        refine(coarse, table, tol=1e-18)
+        refine(coarse, exponents, targets, 1.0, tol=1e-18)
 
 
 @pytest.mark.parametrize("args", [(2, 4, 1, 8), (2, 5, 4, 0), (2, 5, 4, 4)],
@@ -561,15 +606,19 @@ def test_refine_raises_at_iteration_cap():
 def test_refine_refit_matches_scipy_nnls(args, monkeypatch):
     from scipy.optimize import nnls
 
-    # the weighted designs refine builds on these specs are square with
-    # condition numbers 2e9-5e10; their least-squares weights are
-    # nonnegative, so they solve the constrained fit scipy's nnls solves,
-    # and both residuals are rounding: they differed by 2.5e-8 to 1.2e-7 of
-    # ||b|| when measured
+    # the weighted designs refine builds on the first pre-scaling's grid fit
+    # of these specs are square with condition numbers 2e9-5e10; their
+    # least-squares weights are nonnegative, so they solve the constrained
+    # fit scipy's nnls solves, and both residuals are rounding: they
+    # differed by 2.5e-8 to 1.2e-7 of ||b|| when measured.  Whether a solve
+    # refits follows the last bits of the fit, so the refit is forced here
+    # by a target below its rounding
     refit = synthesis._clamped_least_squares
     systems = spy(monkeypatch, "_clamped_least_squares")
-    synthesize(random_instance(*args)[0])
-    assert systems
+    exponents, targets, radius = first_rung(random_instance(*args)[0])
+    with pytest.raises(ConvergenceFailure, match="stalled"):
+        refine(grid_nnls(exponents, targets, synthesis.GRID), exponents, targets, radius, 1e-18)
+    assert len(systems) == 1
     for A, b in systems:
         weights = np.linalg.lstsq(A, b, rcond=None)[0]
         assert weights.min() >= 0.0
@@ -582,12 +631,12 @@ def test_refine_refit_matches_scipy_nnls(args, monkeypatch):
 def test_refine_clamps_a_negative_least_squares_refit(monkeypatch):
     # four atoms for a two-atom measure: the least-squares weights of the
     # refit go negative, and refine must still end with a measure or stall
-    table = circle_table(1, 3, np.array([[0.3], [2.1]]), np.array([0.4, 0.7]))
+    exponents, targets = circle_fit(1, 3, np.array([[0.3], [2.1]]), np.array([0.4, 0.7]))
     angles = np.array([0.3, 1.2, 2.0, 2.2])
     start = AtomicMeasure(1, np.exp(1j * angles), np.full(4, 0.3), scale=1.0)
     systems = spy(monkeypatch, "_clamped_least_squares")
     try:
-        fine = refine(start, table, tol=1e-10)
+        fine = refine(start, exponents, targets, 1.0, tol=1e-10)
     except ConvergenceFailure:
         pass
     else:
@@ -595,7 +644,7 @@ def test_refine_clamps_a_negative_least_squares_refit(monkeypatch):
     assert any(np.linalg.lstsq(A, b, rcond=None)[0].min() < 0.0 for A, b in systems)
 
 
-@pytest.mark.parametrize("args", [(2, 4, 1, 8), (2, 5, 4, 4), (2, 5, 4, 0)],
+@pytest.mark.parametrize("args", [(2, 4, 1, 8), (2, 5, 4, 2), (2, 5, 4, 8)],
                          ids="n{0[0]}-d{0[1]}-atoms{0[2]}-seed{0[3]}".format)
 def test_refine_solves_what_the_grid_fit_alone_misses(args, monkeypatch):
     # the grid fit alone misses on every one of these specs, so refine runs;
@@ -782,30 +831,35 @@ def test_synthesize_degree_13_meets_contract_in_extended_precision():
     ids=["n2-second-prescale", "n1-third-prescale"],
 )
 def test_synthesize_fallback_attempts_solve(spec, older, monkeypatch):
-    # the older stage does not solve it on its one pre-scaling; the lattice does
-    tuples = spy(monkeypatch, "build_tuple")
+    # the older stage does not solve it on its one pre-scaling; the lattice
+    # does, and neither builds the construction
+    built = construction_calls(monkeypatch)
+    radii = spy(monkeypatch, "contraction_scale")
     splits = spy(monkeypatch, "cf_atoms_1d")
     grids = spy(monkeypatch, "grid_nnls")
     lattices = spy(monkeypatch, "lattice_quadrature")
     measure = synthesize(spec)
-    assert (len(tuples), len(splits) + len(grids), len(lattices)) == (1, older, 1)
+    assert (len(radii), len(splits) + len(grids), len(lattices)) == (1, older, 1)
+    assert no_construction(built)
     tol = SolverConfig().resolved_tol(spec.n)
     assert extended_relative_residual(spec, measure) <= tol
     assert len(measure) == len(lattices[0][0].indices) * 2 - 1
 
 
-# stages of the paper's construction and of the older attempt, none of
-# which runs beyond two variables
-CONSTRUCTION = ("embed", "build_tuple", "fourier_table", "cf_atoms_1d", "grid_nnls", "refine")
+# stages of the older attempt, its radius first, none of which runs beyond
+# two variables
+OLDER = ("contraction_scale", "cf_atoms_1d", "grid_nnls", "refine")
 
 
 def test_synthesize_three_variables_one_quadrature(monkeypatch):
     spec = random_instance(3, 2, 2, 674418157, radius=0.8544370464638581)[0]
-    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION + ("lattice_quadrature",)}
+    built = construction_calls(monkeypatch)
+    stages = {name: spy(monkeypatch, name) for name in OLDER + ("lattice_quadrature",)}
     measure = synthesize(spec)
     assert {name: len(calls) for name, calls in stages.items()} == {
-        **dict.fromkeys(CONSTRUCTION, 0), "lattice_quadrature": 1,
+        **dict.fromkeys(OLDER, 0), "lattice_quadrature": 1,
     }
+    assert no_construction(built)
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(3)
 
 
@@ -875,7 +929,7 @@ def test_convergence_failure_lists_a_failed_stage(monkeypatch):
 # that fill their exponent box (n1-d*, n1-mass-1e-12) the least total
 # weight an answer on its torus can have puts the rounding level of its
 # moment sums above the residual target, so the older stage is refused
-# before its table is built; the others are sparse, so the older stage
+# before its targets are formed; the others are sparse, so the older stage
 # never runs.  The lattice answers all but the last two.
 GATED = {
     "n1-d18": full_rank(18),
@@ -896,10 +950,10 @@ def fills_its_box(spec):
 
 @pytest.mark.parametrize("spec", list(GATED.values()), ids=list(GATED))
 def test_synthesize_skips_rungs_that_cannot_resolve_the_target(spec, monkeypatch):
-    stages = ("fourier_table", "cf_atoms_1d", "grid_nnls", "refine", "_clamped_least_squares",
-              "_lawson_hanson")
+    stages = ("cf_atoms_1d", "grid_nnls", "refine", "_clamped_least_squares", "_lawson_hanson")
+    built = construction_calls(monkeypatch)
     calls = {name: spy(monkeypatch, name)
-             for name in stages + ("embed", "build_tuple", "lattice_quadrature")}
+             for name in stages + ("contraction_scale", "lattice_quadrature")}
     full = fills_its_box(spec)
     try:
         measure = synthesize(spec)
@@ -913,17 +967,20 @@ def test_synthesize_skips_rungs_that_cannot_resolve_the_target(spec, monkeypatch
     else:
         assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(spec.n)
         lattices = 1
-    # a spec that fills its box considers one pre-scaling, which builds no
-    # table and runs no stage; any other never builds the box
+    # a spec that fills its box considers one pre-scaling, whose radius is
+    # refused before any stage runs; any other has no older attempt, and
+    # none builds the construction
     assert {name: len(made) for name, made in calls.items()} == {
-        **dict.fromkeys(stages, 0), "embed": int(full), "build_tuple": int(full),
+        **dict.fromkeys(stages, 0), "contraction_scale": int(full),
         "lattice_quadrature": lattices,
     }
+    assert no_construction(built)
 
 
-# (spec, _pencil calls, embed and build_tuple calls each): only a spec
-# that fills its exponent box reaches the pencil (one variable) and the
-# older attempt (up to two); the pencil misses on n1-full
+# (spec, _pencil calls, older attempts): only a spec that fills its
+# exponent box reaches the pencil (one variable) and the older attempt (up
+# to two), whose radius is read and whose stage runs, the split at one
+# variable and the grid fit at two; the pencil misses on n1-full
 BOX_SHAPES = {
     "n1-full": (random_instance(1, 4, 4, 0)[0], 1, 1),
     "n1-sub-box": (MomentSpec.from_items(1, [((0,), 1.0), ((2,), 0.3), ((4,), 0.1j)]), 0, 0),
@@ -938,11 +995,54 @@ BOX_SHAPES = {
 @pytest.mark.parametrize("spec, pencils, boxes", list(BOX_SHAPES.values()), ids=list(BOX_SHAPES))
 def test_only_specs_that_fill_their_box_reach_the_box(spec, pencils, boxes, monkeypatch):
     assert fills_its_box(spec) == (spec.n == 3 or boxes == 1)
-    calls = {name: spy(monkeypatch, name) for name in ("_pencil", "embed", "build_tuple")}
+    built = construction_calls(monkeypatch)
+    calls = {name: spy(monkeypatch, name)
+             for name in ("_pencil", "contraction_scale", "cf_atoms_1d", "grid_nnls")}
     measure = synthesize(spec)
     assert {name: len(made) for name, made in calls.items()} == {
-        "_pencil": pencils, "embed": boxes, "build_tuple": boxes}
+        "_pencil": pencils, "contraction_scale": boxes,
+        "cf_atoms_1d": boxes * (spec.n == 1), "grid_nnls": boxes * (spec.n == 2)}
+    assert no_construction(built)
     assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+# a solve of each kind up to two variables, and one beyond: the pencil, the
+# split, a radius refusal, the grid fit, its refit, a refit the extended
+# check refuses before the lattice answers, and sparse specs
+SOLVES = {
+    "n1-pencil": random_instance(1, 16, 4, 3)[0],
+    "n1-split": random_instance(1, 4, 4, 0)[0],
+    "n1-radius-refused": full_rank(18),
+    "n1-sparse": MomentSpec.from_items(1, [((0,), 1.0), ((2,), 0.3), ((4,), 0.1j)]),
+    "n2-grid": random_instance(2, 2, 3, 11)[0],
+    "n2-refit": random_instance(2, 5, 4, 2)[0],
+    "n2-refit-then-lattice": random_instance(2, 5, 4, 1)[0],
+    "n2-sparse": random_box_spec(np.random.default_rng(5), n=2, degree=3),
+    "n3-full": random_instance(3, 1, 2, 3)[0],
+}
+
+
+@pytest.mark.parametrize("spec", list(SOLVES.values()), ids=list(SOLVES))
+def test_no_solve_builds_the_construction(spec, monkeypatch):
+    built = construction_calls(monkeypatch)
+    measure = synthesize(spec)
+    assert no_construction(built)
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+    # synthesis holds none of the construction, nor its types
+    assert not any(hasattr(synthesis, name)
+                   for name in (*CONSTRUCTION, "FourierTable", "EmbeddedSpec", "OperatorTuple"))
+
+
+def test_construction_spy_sees_every_call(monkeypatch):
+    # the spy above counts calls through any module of the package
+    import momentsynth.dilation
+    import momentsynth.lattice
+    import momentsynth.operators
+
+    built = construction_calls(monkeypatch)
+    ops = momentsynth.operators.build_tuple(momentsynth.lattice.embed(SOLVES["n2-grid"]))
+    momentsynth.dilation.fourier_table(ops, ops.degree)
+    assert {name: len(made) for name, made in built.items()} == dict.fromkeys(CONSTRUCTION, 1)
 
 
 def sparse_row(n, d):
@@ -951,19 +1051,21 @@ def sparse_row(n, d):
         n, [((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.1), ((d,) * n, 0.3 + 0.2j)])
 
 
-# the older attempt would build the whole box of each: 20,001**2 entries
-# per dense matrix at n=1 d=20,000 and a 2,521**2 box at n=2 d=2,520
+# the older attempt's radius would read the whole zero-filled box of each:
+# 20,001 entries at n=1 d=20,000 and 2,521**2 at n=2 d=2,520
 SPARSE_ROWS = [(1, 200), (1, 1000), (1, 2500), (2, 20), (2, 40), (1, 20000), (2, 2520)]
 
 
 @pytest.mark.parametrize("n, d", SPARSE_ROWS, ids=[f"n{n}-d{d}" for n, d in SPARSE_ROWS])
 def test_sparse_rows_of_high_degree_never_build_the_box(n, d, monkeypatch):
+    built = construction_calls(monkeypatch)
     calls = {name: spy(monkeypatch, name)
-             for name in ("_pencil", "embed", "build_tuple", "lattice_quadrature")}
+             for name in ("_pencil", "contraction_scale", "lattice_quadrature")}
     spec = sparse_row(n, d)
     measure = synthesize(spec)
     assert {name: len(made) for name, made in calls.items()} == {
-        "_pencil": 0, "embed": 0, "build_tuple": 0, "lattice_quadrature": 1}
+        "_pencil": 0, "contraction_scale": 0, "lattice_quadrature": 1}
+    assert no_construction(built)
     assert measure.weights.min() > 0.0
     assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
 
@@ -1020,12 +1122,16 @@ def wide_corpus_spec(index):
 
 
 def first_rung(spec):
-    """The Fourier table of the first pre-scaling of a two-variable spec,
-    and its torus radius, as the older attempt would build them."""
-    espec = embed(spec)
-    factor = synthesis._prescale_factor(espec)
-    ops = build_tuple(synthesis._rescaled(espec, factor))
-    return fourier_table(ops, ops.degree), ops.scale * factor
+    """The exponents, the targets s_k / r**|k| and the torus radius r of the
+    first pre-scaling of a two-variable spec, as the older attempt computes
+    them; a sparse spec is zero-filled onto its box for the radius."""
+    exponents = np.array(spec.indices)
+    values = np.array(spec.values)
+    degrees = exponents.sum(axis=1).astype(float)
+    factor = synthesis._prescale_factor(spec)
+    espec = embed(MomentSpec(2, spec.indices, tuple(values / factor**degrees)))
+    radius = contraction_scale(espec.values.reshape((espec.degree + 1,) * 2))[1] * factor
+    return exponents, values / radius**degrees, radius
 
 
 def test_synthesize_stops_a_refinement_at_its_rounding_guard(monkeypatch):
@@ -1090,7 +1196,7 @@ def test_synthesize_two_variables_quadrature_after_grid(monkeypatch):
     spec, _ = random_instance(2, 5, 4, 9)
     measure = synthesize(spec)
     assert len(outcomes) == 1 and outcomes[0].startswith("refinement stalled at residual")
-    assert [args[1] for args in grids] == [synthesis.GRID]
+    assert [args[2] for args in grids] == [synthesis.GRID]
     assert len(lattices) == 1
     assert len(measure) == 71 == 2 * len(spec.indices) - 1
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
@@ -1102,7 +1208,7 @@ def test_synthesize_two_variables_solves_without_the_quadrature(monkeypatch):
     grids = spy(monkeypatch, "grid_nnls")
     refines = spy(monkeypatch, "refine")
     lattices = spy(monkeypatch, "lattice_quadrature")
-    spec, _ = random_instance(2, 5, 4, 0)
+    spec, _ = random_instance(2, 5, 4, 2)
     measure = synthesize(spec)
     assert (len(grids), len(refines), len(lattices)) == (1, 1, 0)
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(2)
@@ -1158,8 +1264,9 @@ def test_convergence_failure_names_an_untouched_refinement(monkeypatch):
 
 def first_rung_grid_fit(spec):
     """The grid fit of the first pre-scaling of a two-variable spec, on the
-    table and the exponents the older attempt would give it."""
-    grid_nnls(first_rung(spec)[0], synthesis.GRID, indices=spec.indices)
+    exponents and targets the older attempt would give it."""
+    exponents, targets, _ = first_rung(spec)
+    grid_nnls(exponents, targets, synthesis.GRID)
 
 
 def synthesize_or_fail(spec):
@@ -1204,10 +1311,12 @@ def test_synthesize_two_variables_atoms_within_the_constraint_count(degree, seed
 
 def test_synthesize_three_variables_never_refines(monkeypatch):
     # the lattice answers with one atom per real constraint, unrefined
-    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION}
+    built = construction_calls(monkeypatch)
+    stages = {name: spy(monkeypatch, name) for name in OLDER}
     spec, _ = random_instance(3, 4, 4, 3)
     measure = synthesize(spec)
-    assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(CONSTRUCTION, 0)
+    assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(OLDER, 0)
+    assert no_construction(built)
     assert len(measure) == 249 == 2 * len(spec.indices) - 1
     assert extended_relative_residual(spec, measure) <= SolverConfig().resolved_tol(3)
 
@@ -1291,11 +1400,13 @@ LOW_RANK = {f"n1-d{d}": random_instance(1, d, 4, 3)[0] for d in (16, 18, 24, 32)
 
 @pytest.mark.parametrize("spec", list(LOW_RANK.values()), ids=list(LOW_RANK))
 def test_pencil_answers_low_rank_specs(spec, monkeypatch):
-    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION + ("lattice_quadrature",)}
+    built = construction_calls(monkeypatch)
+    stages = {name: spy(monkeypatch, name) for name in OLDER + ("lattice_quadrature",)}
     measure = synthesize(spec)
     assert {name: len(calls) for name, calls in stages.items()} == {
-        **dict.fromkeys(CONSTRUCTION, 0), "lattice_quadrature": 0,
+        **dict.fromkeys(OLDER, 0), "lattice_quadrature": 0,
     }
+    assert no_construction(built)
     assert len(measure) == 4
     assert measure.weights.min() > 0.0
     # not on one torus: scale is the support radius
@@ -1373,12 +1484,14 @@ def test_pencil_skips_a_sub_box(monkeypatch):
     spec = MomentSpec(1, ((0,), (2,), (4,), (6,)),
                       tuple(0.7 * z1**k + 0.3 * z2**k for k in range(0, 7, 2)))
     outcomes = pencil_outcomes(monkeypatch)
-    stages = {name: spy(monkeypatch, name) for name in CONSTRUCTION + ("lattice_quadrature",)}
+    built = construction_calls(monkeypatch)
+    stages = {name: spy(monkeypatch, name) for name in OLDER + ("lattice_quadrature",)}
     measure = synthesize(spec)
     assert outcomes == []
     assert {name: len(calls) for name, calls in stages.items()} == {
-        **dict.fromkeys(CONSTRUCTION, 0), "lattice_quadrature": 1,
+        **dict.fromkeys(OLDER, 0), "lattice_quadrature": 1,
     }
+    assert no_construction(built)
     assert len(measure) == 2 * len(spec.indices) - 1
     assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
 
@@ -1456,7 +1569,8 @@ def test_synthesize_radius_beyond_a_double_fails_cleanly(n, monkeypatch):
     # |s_1| / s0 = 1e310: no answer has atoms of modulus within a double
     spec = MomentSpec(n, ((0,) * n, (1,) + (0,) * (n - 1)), (1e-300, 1e10))
     searches = spy(monkeypatch, "_rank1_lattice")
-    tuples = spy(monkeypatch, "build_tuple")
+    built = construction_calls(monkeypatch)
+    radii = spy(monkeypatch, "contraction_scale")
     with pytest.raises(ConvergenceFailure) as failure:
         synthesize(spec)
     *older, (screen, why) = attempts_of(failure.value)
@@ -1467,8 +1581,8 @@ def test_synthesize_radius_beyond_a_double_fails_cleanly(n, monkeypatch):
     # the lattice's own radius lies beyond a double as well
     assert lattice_quadrature(spec)[1] > math.log(np.finfo(float).max)
     # only (0), (1) fills its exponent box; the older attempt names the
-    # construction's overflow, where it read "radius nan to the power 1"
-    assert len(tuples) == int(n == 1)
+    # overflow of its radius, -s_1 / s0 = -1e310, and builds no construction
+    assert (len(radii), no_construction(built)) == (int(n == 1), True)
     if n == 1:
         (attempt, reason), = older
         assert attempt == "prescale 1, split"
@@ -1482,7 +1596,7 @@ def test_synthesize_radius_beyond_a_double_fails_cleanly(n, monkeypatch):
 # or ValueError, or (under the test warning filter) a RuntimeWarning
 N3 = ((0, 0, 0), (1, 0, 0), (0, 1, 1))
 FULL_RANGE = {
-    # the older stage's construction overflows
+    # the older stage's radius overflows
     "n1-scale-overflows": MomentSpec(1, ((0,), (1,), (2,)), (1e-300, 5e-324, 1)),
     # a subnormal moment's phase, taken as s / |s|, overflowed
     "n3-subnormal-moment": MomentSpec(3, N3, (5e-324, 5e-324, 0)),
@@ -1496,6 +1610,31 @@ FULL_RANGE = {
         (3.764046407473006e85, 1.6596109349498412e-40 + 3.984801405059297e-40j,
          2.030271835041763e138 - 1.515949637126127e138j)),
 }
+
+
+def test_older_radius_overflows_where_the_dense_tuple_did(monkeypatch):
+    # the radius's closed form squares s_2 / s0 = 1e300, as the norm of the
+    # dense tuple did: the older attempt ends on that overflow, and the
+    # lattice answers
+    spec = FULL_RANGE["n1-scale-overflows"]
+    monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec)
+    (pencil, _), (attempt, reason), _ = attempts_of(failure.value)
+    assert (pencil, attempt) == ("pencil, 1 atoms", "prescale 1, split")
+    assert re.fullmatch(r"overflow encountered in \w+", reason)
+
+
+def test_full_range_961_keeps_the_split_answer(monkeypatch):
+    # mass 1.9e-239 on (0), (1), (2): the split answers with 3 atoms; the
+    # sum of |s_q|**2 / s0**2 taken as one quotient underflows and gives a
+    # 5-atom lattice answer instead
+    spec = draw_full_range_spec(961)
+    splits = spy(monkeypatch, "cf_atoms_1d")
+    lattices = spy(monkeypatch, "lattice_quadrature")
+    measure = synthesize(spec)
+    assert (len(splits), len(lattices), len(measure)) == (1, 0, 3)
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
 
 
 @pytest.mark.parametrize("spec", list(FULL_RANGE.values()), ids=list(FULL_RANGE))

@@ -17,14 +17,16 @@ the two-variable grid fit often misses and `refine` runs.
 checkout's src/), so two trees run on the same specs.  An answer is within
 the contract when its residual is at most `SolverConfig().allowance(spec)`.
 `--dump FILE` writes one line per spec: group, index, the outcome (`ok` or
-the exception class), the SHA-256 of the answer's atom and weight bytes and
-the answer's atom count (`-` for both when it raised).  Two dumps are
-equal exactly when the trees return bit-identical measures and raise the
-same exception classes.
+the exception class), the SHA-256 of the answer's atom and weight bytes,
+the answer's atom count and its residual divided by the allowance (`-` for
+the last three when it raised).  Two dumps are equal exactly when the
+trees return bit-identical measures and raise the same exception classes.
 `--against FILE` compares this run with such a dump: it prints every spec
 whose outcome differs, then per group every answer whose atom count
 differs and how many specs solved on both sides with different answers,
-and how many of those differ in their bytes only.
+how many of those differ in their bytes only, and the largest residual /
+allowance among them in the dump and now, which shows how near the
+changed answers come to the contract.
 
 The exit status is 1 when any answer is over the contract, or when
 `--against` finds a spec that solved in the dump and now raises; otherwise
@@ -102,12 +104,14 @@ def main(argv=None) -> int:
                 measure = synthesize(spec)
             except SolverError as exc:
                 counts["raised"] += 1
-                lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-")
+                lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-\t-")
                 continue
-            counts["solved" if report(spec, measure).max_residual <= allowance(spec) else "over"] += 1
+            residual = report(spec, measure).max_residual
+            counts["solved" if residual <= allowance(spec) else "over"] += 1
+            ratio = residual / allowance(spec)
             atoms.append(len(measure))
             digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
-            lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}")
+            lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}\t{ratio:.3g}")
         seconds = time.perf_counter() - start
         over += counts["over"]
         median = f"{np.median(atoms):g}" if atoms else "-"
@@ -123,17 +127,19 @@ def main(argv=None) -> int:
 
 def compare(lines: list[str], reference: list[str]) -> int:
     """Print the specs whose outcome differs from a dump, then per group the
-    answers whose atom count differs and the number of differing answers
-    among specs solved on both sides.  Returns the number of specs that
-    solved in the dump and raise now."""
+    answers whose atom count differs, the number of differing answers among
+    specs solved on both sides, and their largest residual / allowance at
+    the dump and now.  Returns the number of specs that solved in the dump
+    and raise now."""
     before = {}
     for line in reference:
-        name, index, outcome, digest, count = line.split("\t")
-        before[name, index] = (outcome, digest, count)
-    groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0} for line in lines}
+        name, index, outcome, digest, count, ratio = line.split("\t")
+        before[name, index] = (outcome, digest, count, ratio)
+    groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0, "was": 0.0, "now": 0.0}
+              for line in lines}
     outcomes = lost = 0
     for line in lines:
-        name, index, outcome, digest, count = line.split("\t")
+        name, index, outcome, digest, count, ratio = line.split("\t")
         old = before.get((name, index))
         if old is None or old[0] != outcome:
             outcomes += 1
@@ -142,6 +148,8 @@ def compare(lines: list[str], reference: list[str]) -> int:
         elif old[1] != digest:
             tally = groups[name]
             tally["answers"] += 1
+            tally["was"] = max(tally["was"], float(old[3]))
+            tally["now"] = max(tally["now"], float(ratio))
             if old[2] == count:
                 tally["bytes"] += 1
             else:
@@ -150,7 +158,8 @@ def compare(lines: list[str], reference: list[str]) -> int:
     for name, tally in groups.items():
         counted = tally["answers"] - tally["bytes"]
         print(f"{name}: {tally['answers']} differing answer(s), {counted} in atom count,"
-              f" {tally['bytes']} in bytes only")
+              f" {tally['bytes']} in bytes only; largest residual / allowance among them"
+              f" {tally['was']:.3g} in the dump, {tally['now']:.3g} now")
     return lost
 
 
