@@ -35,11 +35,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         config = SolverConfig(tol=args.tol)
         spec = problem_from_doc(read_doc(Path(args.input)))
+        # ValueError also for an exponent above the cap of the moment sums
+        measure = synthesize(spec, config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        measure = synthesize(spec, config)
     except Unsolvable as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ from .errors import ConvergenceFailure, Unsolvable
 from .lattice import MomentSpec
 from .measures import AtomicMeasure
 from .operators import contraction_scale
-from .verify import report, solvability
+from .verify import _BLOCK_ENTRIES, report, solvability
 
 
 # candidate angles per variable of the two-variable grid fit
@@ -786,12 +786,16 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     overflow, NaN or LAPACK failure in the older attempt, its radius
     included, ends the attempt with that error as its reason.  Otherwise
     the raised ConvergenceFailure lists every attempt in order, the
-    pencil's as "pencil, m atoms", each with its reason; it and Unsolvable
-    are the only exceptions raised.
+    pencil's as "pencil, m atoms", each with its reason.  Beside it and
+    Unsolvable, only ValueError is raised, before the gate, for an exponent
+    above 65,535: the cap of the moment sums that accept every answer.
 
     The returned measure's moments match the spec within the config's
     `allowance(spec)`.
     """
+    largest = max(map(max, spec.indices))
+    if largest >= _BLOCK_ENTRIES:
+        raise ValueError(f"exponent {largest} exceeds the limit {_BLOCK_ENTRIES - 1}")
     cfg = config if config is not None else SolverConfig()
     verdict = solvability(spec)
     if verdict.is_zero:
@@ -840,7 +844,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
     # whether the spec fills its exponent box {0..D}**n, D = max(1, largest
     # exponent): only such a spec reaches the pencil and the older attempt
-    side = max(1, max(map(max, spec.indices))) + 1
+    side = max(1, largest) + 1
     full = len(spec.indices) == side**n
     pencil = _pencil(spec) if n == 1 and full else None
     if pencil is not None:

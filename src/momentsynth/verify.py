@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 import queue
 from collections import deque
@@ -213,14 +212,6 @@ def measure_moments(
     return tuple(moments.tolist())
 
 
-def _modulus(z: complex) -> float:
-    """abs(z), but inf where Python's abs() overflows on finite parts."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class Report:
     """Residuals of a candidate measure against a spec, plus summary stats."""
@@ -239,9 +230,12 @@ def report(
     measure: AtomicMeasure,
     config: "SolverConfig | None" = None,
 ) -> Report:
-    """Per-index absolute residuals of the measure's moments (inf beyond a double)."""
+    """Per-index residuals |moment - s_k|, bit for bit Python's abs() by
+    `np.hypot`, and inf beyond a double even where abs() would raise."""
     moments = measure_moments(measure, spec.indices)
-    residuals = tuple(_modulus(m - v) for m, v in zip(moments, spec.values))
+    with np.errstate(over="ignore"):
+        gaps = np.subtract(moments, spec.values)
+        residuals = tuple(np.hypot(gaps.real, gaps.imag).tolist())
     return Report(
         indices=spec.indices,
         residuals=residuals,

@@ -92,6 +92,17 @@ def test_every_solver_error_exits_3(tmp_path, capsys, monkeypatch, error):
     assert not (tmp_path / "prob.solution.json").exists()
 
 
+def test_solve_exponent_beyond_the_limit_exit_1(tmp_path, capsys):
+    # the same limit as verify's, checked before any attempt
+    problem, out = tmp_path / "prob.json", tmp_path / "out.json"
+    _write_problem(problem, MomentSpec(1, ((0,), (70000,)), (1, 0.5)))
+    assert main(["solve", str(problem), str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exponent 70000 exceeds the limit 65535\n"
+    assert not out.exists()
+
+
 def test_solve_parse_error_exit_1(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("not json", encoding="utf-8")

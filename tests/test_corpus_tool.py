@@ -11,21 +11,37 @@ from momentsynth.errors import ConvergenceFailure
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
 from momentsynth.verify import report
+from test_contract import SWEEP, draw_full_range_spec
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "corpus.py"
 SPEC = MomentSpec.from_items(1, [((0,), 1.0), ((1,), 0.5)])
+
+
+def load_tool():
+    loader = importlib.util.spec_from_file_location("corpus_tool", TOOL)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tool(monkeypatch):
     """tools/corpus.py with a one-spec corpus; `main` prepends to sys.path,
     which is restored afterwards."""
-    loader = importlib.util.spec_from_file_location("corpus_tool", TOOL)
-    module = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(module)
+    module = load_tool()
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(module, "corpus", lambda: [("one spec", [SPEC])])
     return module
+
+
+def test_corpus_runs_both_contract_sweeps():
+    # so that `--against` fails a change that loses a sweep answer
+    groups = dict(load_tool().corpus())
+    sweep = groups["contract sweep, test_contract.SWEEP"]
+    full_range = groups["full range, draw_full_range_spec s=0..999"]
+    assert (len(sweep), len(full_range), sum(map(len, groups.values()))) == (402, 1000, 2626)
+    assert sweep == list(SWEEP.values())
+    assert full_range == [draw_full_range_spec(seed) for seed in range(1000)]
 
 
 def raises(spec):

@@ -355,6 +355,52 @@ def test_report_residual_beyond_a_double_is_inf():
     assert rep.max_residual == np.inf
 
 
+def _abs_residuals(spec, measure):
+    """Python's abs() of each moment's gap, one index at a time, with inf
+    where abs() overflows on finite parts; as float.hex, so that the list
+    compares bit for bit and any NaN equals any NaN."""
+    residuals = []
+    for m, v in zip(measure_moments(measure, spec.indices), spec.values):
+        try:
+            residuals.append(abs(complex(m) - v))
+        except OverflowError:
+            residuals.append(np.inf)
+    return [r.hex() for r in residuals]
+
+
+@pytest.mark.parametrize("decades", [0, 300], ids=["unit", "wide"])
+@pytest.mark.parametrize("seed", range(10), ids=lambda s: f"seed{s}")
+def test_report_residuals_are_python_abs_bit_for_bit(seed, decades):
+    # np.abs(z) differs from abs(z) in the last bit on about a third of
+    # standard-normal draws, so most of these specs would catch it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    indices = box(n, int(rng.integers(1, 4)))
+    measure = _random_measure(rng, n, int(rng.integers(1, 6)), 1.0)
+    size = len(indices)
+    scales = 10.0 ** rng.uniform(-decades, decades, size)
+    values = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scales
+    spec = MomentSpec(n, indices, tuple(values.tolist()))
+    assert [r.hex() for r in report(spec, measure).residuals] == _abs_residuals(spec, measure)
+
+
+@pytest.mark.parametrize("atoms, exponent, value, quiet, last", [
+    # finite parts whose modulus overflows: Python's abs() raises
+    ([1.5e308 + 1.5e308j], 1, 0, {}, "inf"),
+    # the moment 1e400 is beyond a double
+    ([1e200], 2, 1j, {}, "inf"),
+    # inf - inf in the extended-precision sums, which overflow on the way
+    ([1e300, -1e300], 17, 0.5j, {"over": "ignore", "invalid": "ignore"}, "nan"),
+], ids=["finite-parts", "beyond-a-double", "nan"])
+def test_report_edge_residuals_are_python_abs(atoms, exponent, value, quiet, last):
+    spec = MomentSpec(1, ((0,), (exponent,)), (1, value))
+    measure = AtomicMeasure(1, np.array(atoms)[:, None], np.ones(len(atoms)))
+    with np.errstate(**quiet):
+        residuals = [r.hex() for r in report(spec, measure).residuals]
+        assert residuals == _abs_residuals(spec, measure)
+    assert residuals[-1] == last
+
+
 def test_report_fields_consistent(rng):
     spec, truth = random_instance(2, 1, 3, seed=2)
     rep = report(spec, truth)

@@ -1,4 +1,4 @@
-"""Run `synthesize` over the 1,224-spec scratch corpus of ROADMAP.md.
+"""Run `synthesize` over the 2,626-spec scratch corpus of ROADMAP.md.
 
     python3 tools/corpus.py [--src DIR] [--dump FILE] [--against FILE]
 
@@ -11,7 +11,11 @@ then come the 200 specs of the high-degree group:
 `random_instance(n, d, 4, s)` for s = 0..19 at n=1 d=24, 32, 48, 64, 96,
 n=2 d=8, 10, 12 and n=3 d=5, 6, and the 240 specs
 `random_instance(2, 5, m, s)` for m = 1..6 atoms and s = 0..39, on which
-the two-variable grid fit often misses and `refine` runs.
+the two-variable grid fit often misses and `refine` runs.  Last come the
+two contract sweeps of tests/test_contract.py, imported from it as
+`random_box_spec` is from conftest: the 402 specs of `SWEEP`, and
+`draw_full_range_spec(s)` for s = 0..999, so that a change that loses a
+sweep answer fails `--against`.
 
 `--src` imports momentsynth from another source tree (default: this
 checkout's src/), so two trees run on the same specs.  An answer is within
@@ -52,6 +56,7 @@ def corpus():
     """The corpus as (group name, [MomentSpec, ...]) pairs, in run order."""
     from conftest import random_box_spec
     from momentsynth.verify import random_instance
+    from test_contract import SWEEP, draw_full_range_spec
 
     groups = [
         ("random_instance n=1 d=11..15 s=0..39",
@@ -77,6 +82,9 @@ def corpus():
                    [random_instance(n, d, 4, s)[0] for n, d in degrees for s in range(20)]))
     groups.append(("random_instance n=2 d=5 atoms=1..6 s=0..39",
                    [random_instance(2, 5, m, s)[0] for m in range(1, 7) for s in range(40)]))
+    groups.append(("contract sweep, test_contract.SWEEP", list(SWEEP.values())))
+    groups.append(("full range, draw_full_range_spec s=0..999",
+                   [draw_full_range_spec(s) for s in range(1000)]))
     return groups
 
 
