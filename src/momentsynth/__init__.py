@@ -3,11 +3,11 @@
 from .errors import ConvergenceFailure, SolverError, Unsolvable
 from .lattice import MomentSpec
 from .measures import AtomicMeasure
-from .synthesis import SolverConfig, synthesize
+from .synthesis import functional_representation, synthesize
 from .verify import (
     Report,
+    SolverConfig,
     Verdict,
-    functional_representation,
     measure_moments,
     random_instance,
     report,

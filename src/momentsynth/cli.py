@@ -23,8 +23,8 @@ from .documents import (
     write_doc,
 )
 from .errors import SolverError, Unsolvable
-from .synthesis import SolverConfig, synthesize
-from .verify import random_instance, report
+from .synthesis import synthesize
+from .verify import SolverConfig, random_instance, report
 
 
 def _report_path(output: Path) -> Path:

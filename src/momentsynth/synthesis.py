@@ -6,8 +6,8 @@ prescribed values, its atoms within a recorded support radius.
 
 One variable with exponents exactly 0..d, d >= 1, is tried first by
 `_pencil`: when the data are the moments of m atoms with 2m <= d, their
-Hankel matrix has rank m and a matrix pencil gives those m atoms, anywhere
-in the disc.
+Hankel matrix has rank m and a matrix pencil gives those m atoms, at any
+modulus, read on the data's own disc.
 Every other answer has its atoms on one torus.
 
 One stage, `lattice_quadrature`, answers any number of variables: the
@@ -36,53 +36,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
 from .dilation import min_eigenvalue, psd_check
 from .errors import ConvergenceFailure, Unsolvable
-from .lattice import MomentSpec
+from .lattice import MomentSpec, MultiIndex
 from .measures import AtomicMeasure
 from .operators import contraction_scale
-from .verify import _BLOCK_ENTRIES, report, solvability
+from .verify import _BLOCK_ENTRIES, SolverConfig, _log_rounding_level, report, solvability
 
 
 # candidate angles per variable of the two-variable grid fit
 GRID = 64
 
-_LOG_LONG_EPS = math.log(float(np.finfo(np.longdouble).eps))
 _LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The one choice a caller makes; everything else in the pipeline is fixed.
-
-    `tol` is the residual target, relative to max(1, largest prescribed
-    magnitude); None resolves to 1e-8 for one variable and 1e-6 otherwise.
-    A different `tol` can yield a different, equally valid measure;
-    nothing canonicalizes the output.
-    """
-
-    tol: float | None = None
-
-    def __post_init__(self) -> None:
-        # the chained comparison is false for nan as well
-        if self.tol is not None and not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-
-    def resolved_tol(self, n: int) -> float:
-        if self.tol is not None:
-            return self.tol
-        return 1e-8 if n == 1 else 1e-6
-
-    def allowance(self, spec: MomentSpec) -> float:
-        """The largest residual an answer to `spec` may have: the resolved
-        tol times max(1, largest prescribed magnitude)."""
-        return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values))))
 
 
 # ---------------------------------------------------------------------------
@@ -649,23 +619,43 @@ def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
     eigenvalues are the z_a.  The weights are the least-squares fit of the
     Vandermonde matrix z_a**k, k = 0..d, to s.
 
+    The pencil reads the data on their own disc: with t = max(0, t_lo),
+    t_lo = max_k log(|s_k| / s0) / k from `_bracket_floor`, it runs on
+    s_k / (s0 e^(k t)), taken in logs, the moments of the weights over s0
+    at the atoms z_a / e^t, none above 1 in modulus, and multiplies the
+    weights back by s0 and the atoms by e^t.  So the rank rule and the
+    weight fit read every moment, whatever the scale; data with
+    t_lo <= 0, those of atoms in the closed unit disc among them, are read
+    as they are.
+
     Returns None when the rank m (the singular values above PENCIL_RANK
     of the largest) is not within 1..L.  Otherwise it returns m and the
     measure on those atoms, `scale` their largest modulus, or the reason
     there is none: a weight that is not real within PENCIL_IMAG of the mass
-    and positive, or an overflow, NaN or LAPACK failure.  The caller
-    decides acceptance.
+    and positive, or an overflow (atoms beyond a double among them), NaN
+    or LAPACK failure.  The caller decides acceptance.
     """
     exponents = [k for (k,) in spec.indices]
     d = len(exponents) - 1
     s = np.empty(d + 1, dtype=complex)
     s[exponents] = spec.values
-    # on s over its largest modulus no product below overflows
+    # the data over their largest modulus, so no product below overflows
     peak = float(np.max(np.abs(s)))
+    # t > 0 only where a modulus exceeds the mass
+    live, log_ratios, low = _bracket_floor(spec) if peak > spec.mass.real else (None, None, 0.0)
+    t = max(0.0, low)
     half, m = d // 2, 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            hankel = (s / peak)[np.add.outer(np.arange(d - half + 1), np.arange(half + 1))]
+            if t > 0.0:
+                # s_k / (s0 e^(k t)): on their own disc no modulus exceeds the mass
+                peak, k = spec.mass.real, np.array(exponents[1:])[live]
+                unit = np.zeros(d + 1, dtype=complex)
+                unit[0] = 1.0
+                unit[k] = np.exp(log_ratios - k * t + 1j * np.angle(s[k]))
+            else:
+                unit = s / peak
+            hankel = unit[np.add.outer(np.arange(d - half + 1), np.arange(half + 1))]
             _, singular, vh = np.linalg.svd(hankel)
             m = int(np.count_nonzero(singular > PENCIL_RANK * singular[0]))
             if not 1 <= m <= half:
@@ -673,7 +663,9 @@ def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
             basis = vh[:m].T
             atoms = np.linalg.eigvals(np.linalg.pinv(basis[:-1]) @ basis[1:])
             vandermonde = np.vander(atoms, d + 1, increasing=True).T
-            weights = np.linalg.lstsq(vandermonde, s / peak, rcond=None)[0] * peak
+            weights = np.linalg.lstsq(vandermonde, unit, rcond=None)[0] * peak
+            if t > 0.0:
+                atoms = atoms * np.exp(t)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # before the rank is known nothing was attempted
         return (m, str(exc)) if m else None
@@ -698,15 +690,6 @@ def _prescale_factor(spec: MomentSpec) -> float:
     best = max((abs(v) ** (1.0 / sum(k)) for k, v in zip(spec.indices, spec.values)
                 if any(k) and v), default=0.0)
     return float(np.clip(best, 1e-3, 1e3)) if best else 1.0
-
-
-def _log_rounding_level(log_weight: float, log_radius: float, top: int) -> float:
-    """Natural log of u * W * max(1, r)**top, W = exp(log_weight),
-    r = exp(log_radius) and u the `np.longdouble` epsilon: the unit
-    rounding level of the extended-precision sums that measure a measure of
-    total weight W on the torus of radius r at degree `top`.  Taken in
-    logs, where no power can overflow."""
-    return _LOG_LONG_EPS + log_weight + top * max(0.0, log_radius)
 
 
 def _log_weight_floor(
@@ -768,8 +751,9 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
 
     A candidate is returned when its residual meets the target, unless the
     target lies below u * W * max(1, r)**|k|, the rounding level of the
-    `np.longdouble` sums that measure it at the top degree |k| (W its total
-    weight, r the torus radius, u the long double epsilon).  The same rule
+    moment sums that measure it at the top degree |k| (W its total weight,
+    r the torus radius, u the sums' unit roundoff; see
+    `verify._log_rounding_level`).  The same rule
     screens each torus before any candidate on it is built or measured: an
     answer on the torus of radius r that meets the allowance a at every
     prescribed k weighs W >= max_k (|s_k| - a) / r**|k|, so when that bound
@@ -923,3 +907,22 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         "synthesis could not reach the residual target: "
         + "; ".join(f"({attempt}) {reason}" for attempt, reason in attempts)
     )
+
+
+def functional_representation(
+    indices: Iterable[MultiIndex], values: Iterable[complex], config: SolverConfig | None = None
+) -> AtomicMeasure:
+    """Represent a linear functional on a monomial span by a measure (the
+    paper's corollary).
+
+    The functional is given by its values on the monomials of the index
+    set; the returned measure integrates every polynomial in that span to
+    the functional's value, by linearity of both sides.  Requires a
+    positive value at the constant monomial (or an identically zero
+    functional, represented by the zero measure).
+    """
+    pairs = list(zip(indices, values))
+    if not pairs:
+        raise ValueError("the index set must contain the zero multi-index")
+    n = len(tuple(pairs[0][0]))
+    return synthesize(MomentSpec.from_items(n, pairs), config)

@@ -1,21 +1,20 @@
-"""Solvability gate, moment evaluation, residual reports, and test oracles."""
+"""Acceptance, which imports nothing from the solver: the solvability gate, the
+residual contract, moment sums and their rounding level, reports, test instances."""
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import queue
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .lattice import MomentSpec, MultiIndex, box
 from .measures import AtomicMeasure
-
-if TYPE_CHECKING:
-    from .synthesis import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,53 @@ def solvability(spec: MomentSpec) -> Verdict:
     return Verdict("solvable")
 
 
-# entries in each per-block work array of measure_moments (2 MB in clongdouble),
+@dataclass(frozen=True)
+class SolverConfig:
+    """The one choice a caller makes; everything else in the pipeline is fixed.
+
+    `tol` is the residual target, relative to max(1, largest prescribed
+    magnitude); None resolves to 1e-8 for one variable and 1e-6 otherwise.
+    A different `tol` can yield a different, equally valid measure;
+    nothing canonicalizes the output.
+    """
+
+    tol: float | None = None
+
+    def __post_init__(self) -> None:
+        # the chained comparison is false for nan as well
+        if self.tol is not None and not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
+    def resolved_tol(self, n: int) -> float:
+        if self.tol is not None:
+            return self.tol
+        return 1e-8 if n == 1 else 1e-6
+
+    def allowance(self, spec: MomentSpec) -> float:
+        """The largest residual an answer to `spec` may have: the resolved
+        tol times max(1, largest prescribed magnitude)."""
+        return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values))))
+
+
+# the type of the moment sums, and the log of its unit roundoff: the long
+# double, 80-bit on x86-64 Linux, plain double under MSVC and on macOS arm64
+_SUM = np.clongdouble
+_LOG_SUM_EPS = math.log(float(np.finfo(_SUM).eps))
+# entries in each per-block work array of measure_moments (2 MB in _SUM),
 # and one more than the largest exponent, so one atom's power table fits a block
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _log_rounding_level(log_weight: float, log_radius: float, top: int) -> float:
+    """Natural log of u * W * max(1, r)**top, W = exp(log_weight),
+    r = exp(log_radius) and u the unit roundoff of `_SUM`: the rounding
+    level of the long-double sums by which `measure_moments` takes the
+    degree-`top` moments of the given double atoms of a measure of total
+    weight W on the torus of radius r.  It does not bound the double
+    rounding of those atoms' coordinates, which degree `top` multiplies by
+    `top`: only the residual measures that.  Taken in logs, where no power
+    can overflow."""
+    return _LOG_SUM_EPS + log_weight + top * max(0.0, log_radius)
 
 
 def _cpus() -> int:
@@ -83,12 +126,12 @@ def measure_moments(
 ) -> tuple[complex, ...]:
     """Monomial moments of an atomic measure at the given exponents.
 
-    The sums run in extended precision (`np.clongdouble`) and each moment
+    The sums run in extended precision (`_SUM`) and each moment
     is rounded once to complex: in double precision a degree-d moment of
     atoms of modulus r carries an error near eps * r**d times the mass,
     which on the solver's tori is as large as the 1e-8 contract by d=12.
     The atoms are taken in blocks so that memory stays bounded, and each
-    block is cast to `clongdouble` as it is read.  In a block the powers of
+    block is cast to `_SUM` as it is read.  In a block the powers of
     each coordinate are running products, one `np.multiply.accumulate`
     over a table 1, z, z, ... of coordinate-major atoms.  Each distinct
     exponent of all but the last coordinate (a head) is coded as one
@@ -143,14 +186,14 @@ def measure_moments(
     width = min(len(measure), max(1, _BLOCK_ENTRIES // (count + rows)))
     starts = range(0, len(measure), width)
     workers = min(_cpus(), len(starts))
-    acc = np.zeros((count, top[-1] + 1), dtype=np.clongdouble)
+    acc = np.zeros((count, top[-1] + 1), dtype=_SUM)
     # products of the blocks in flight; block b writes slot b % len(parts)
-    parts = np.empty((min(2 * workers, len(starts)),) + acc.shape, dtype=np.clongdouble)
+    parts = np.empty((min(2 * workers, len(starts)),) + acc.shape, dtype=_SUM)
     # Each worker's scratch holds its lead rows, its gathered head rows and
     # a power table.  One allocation holds them all: freed, it goes back to
     # the system whole, where separate buffers can leave holes in the heap.
     size = (2 * count + rows) * width
-    work = np.empty(workers * size, dtype=np.clongdouble)
+    work = np.empty(workers * size, dtype=_SUM)
     scratch = queue.SimpleQueue()
     for i in range(workers):
         scratch.put(work[i * size:(i + 1) * size])
@@ -222,14 +265,10 @@ class Report:
     total_mass: float
     support_radius: float
     atom_count: int
-    config: "SolverConfig | None" = None
+    config: SolverConfig | None = None
 
 
-def report(
-    spec: MomentSpec,
-    measure: AtomicMeasure,
-    config: "SolverConfig | None" = None,
-) -> Report:
+def report(spec: MomentSpec, measure: AtomicMeasure, config: SolverConfig | None = None) -> Report:
     """Per-index residuals |moment - s_k|, bit for bit Python's abs() by
     `np.hypot`, and inf beyond a double even where abs() would raise."""
     moments = measure_moments(measure, spec.indices)
@@ -274,25 +313,3 @@ def random_instance(
     values = measure_moments(measure, indices)
     return MomentSpec(n, indices, values), measure
 
-
-def functional_representation(
-    indices: Iterable[MultiIndex],
-    values: Iterable[complex],
-    config: "SolverConfig | None" = None,
-) -> AtomicMeasure:
-    """Represent a linear functional on a monomial span by a measure.
-
-    The functional is given by its values on the monomials of the index
-    set; the returned measure integrates every polynomial in that span to
-    the functional's value, by linearity of both sides.  Requires a
-    positive value at the constant monomial (or an identically zero
-    functional, represented by the zero measure).
-    """
-    from .synthesis import synthesize
-
-    pairs = list(zip(indices, values))
-    if not pairs:
-        raise ValueError("the index set must contain the zero multi-index")
-    n = len(tuple(pairs[0][0]))
-    spec = MomentSpec.from_items(n, pairs)
-    return synthesize(spec, config)

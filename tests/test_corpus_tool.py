@@ -39,9 +39,23 @@ def test_corpus_runs_both_contract_sweeps():
     groups = dict(load_tool().corpus())
     sweep = groups["contract sweep, test_contract.SWEEP"]
     full_range = groups["full range, draw_full_range_spec s=0..999"]
-    assert (len(sweep), len(full_range), sum(map(len, groups.values()))) == (402, 1000, 2626)
+    assert (len(sweep), len(full_range), sum(map(len, groups.values()))) == (402, 1000, 2776)
     assert sweep == list(SWEEP.values())
     assert full_range == [draw_full_range_spec(seed) for seed in range(1000)]
+    assert groups["anisotropic n=2..3 d=1..3, rng 21"] == load_tool().anisotropic()
+
+
+def test_anisotropic_group_spans_decades_per_coordinate():
+    # so that `--against` guards a change to the radius of each coordinate
+    specs = load_tool().anisotropic()
+    assert len(specs) == 150
+    assert {spec.n for spec in specs} == {2, 3}
+    assert all(spec.indices[0] == (0,) * spec.n and spec.values[0] == 1.0 for spec in specs)
+    # the two coordinates' moments of degree one differ by a factor of 10**6
+    # or more somewhere
+    spread = [abs(spec.value_of((1, 0)) / spec.value_of((0, 1))) for spec in specs
+              if spec.n == 2 and {(1, 0), (0, 1)} <= set(spec.indices)]
+    assert max(max(spread), 1.0 / min(spread)) > 1e6
 
 
 def raises(spec):

@@ -27,7 +27,7 @@ from momentsynth.synthesis import (
     refine,
     synthesize,
 )
-from momentsynth.verify import measure_moments, random_instance, report
+from momentsynth.verify import _log_rounding_level, measure_moments, random_instance, report
 
 
 def half_box(n, radius):
@@ -1110,7 +1110,7 @@ def refused(spec, log_radius):
     degrees = np.array([sum(k) for k in spec.indices], dtype=float)
     weight = synthesis._log_weight_floor(
         np.abs(np.asarray(spec.values)), degrees, allowance, log_radius)
-    level = synthesis._log_rounding_level(weight, log_radius, int(degrees.max()))
+    level = _log_rounding_level(weight, log_radius, int(degrees.max()))
     return log_radius > math.log(np.finfo(float).max) or level > math.log(2.0 * allowance)
 
 
@@ -1523,16 +1523,18 @@ def test_pencil_never_runs_beyond_one_variable(monkeypatch):
 
 
 EXTREME = {
-    # one atom at 1e60 of weight 1e-300: its Vandermonde matrix overflows
+    # one atom at 1e60 of weight 1e-300: the Vandermonde matrix of the raw
+    # data overflows, the one of the data on their own disc does not
     "vandermonde-overflows": one_variable([10.0 ** (60 * k - 300) for k in range(7)]),
     # one atom at 1e100 of weight 1e-300, which the pencil answers
     "atom-1e100": one_variable([10.0 ** (100 * k - 300) for k in range(4)]),
     "subnormal": one_variable([5e-324, 5e-324, 0, 0]),
     "mass-near-double-max": one_variable([1.7e308 * 0.5**k for k in range(5)]),
     "atom-1e-100": one_variable([10.0 ** (-100 * k) for k in range(5)]),
-    # the atom above with s_4 = 0 for 1e100: rank 2, and a weight not real
+    # the atom above with s_4 = 0 for 1e100: rank 2, and a weight not positive
     "atom-1e100-cut": one_variable([10.0 ** (100 * k - 300) for k in range(4)] + [0.0]),
-    # the pencil's division by a subnormal overflows
+    # the raw data's pencil divides by a subnormal and overflows; on their
+    # own disc the data have rank 2 > L = 1
     "scale-overflows": one_variable([1e-300, 5e-324, 1]),
 }
 
@@ -1580,6 +1582,46 @@ def test_pencil_answers_are_exactly_symmetric(degree, seed):
         assert sorted(nearest) == [0, 1, 2, 3]
         assert np.max(np.abs(got[nearest] - expected)) <= 1e-10
         assert np.max(np.abs(got_weights[nearest] - weights)) <= 1e-10
+
+
+def dilated(spec, factor):
+    """The spec of the same measure with every atom multiplied by factor."""
+    return MomentSpec(spec.n, spec.indices,
+                      tuple(v * factor ** sum(k) for k, v in zip(spec.indices, spec.values)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pencil_reads_dilated_data_on_their_own_disc(seed, monkeypatch):
+    # four atoms in the disc of radius 100: on the raw s_k the rank rule
+    # reads 2 or 3 and the weights are not real, and the lattice answers
+    # with 21 atoms; on s_k / (s0 e^(k t)) the pencil finds all four
+    spec = dilated(random_instance(1, 10, 4, seed)[0], 100.0)
+    outcomes = pencil_outcomes(monkeypatch)
+    stages = {name: spy(monkeypatch, name) for name in OLDER + ("lattice_quadrature",)}
+    measure = synthesize(spec)
+    (m, candidate), = outcomes
+    assert m == len(candidate) == len(measure) == 4
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        **dict.fromkeys(OLDER, 0), "lattice_quadrature": 0,
+    }
+    assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
+
+
+def test_pencil_refuses_atoms_beyond_a_double():
+    # one atom at 2**1030 > the double maximum, of weight 2**-1040: on its
+    # own disc the data are 2**-1040 (1, 1, 1), of rank 1 and atom 1, so the
+    # fit runs clean, and only the atom multiplied back by e^t overflows
+    spec = one_variable([2.0**-1040, 2.0**-10, 2.0**1020])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, reason = synthesis._pencil(spec)
+        with pytest.raises(ConvergenceFailure) as failure:
+            synthesize(spec)
+    assert m == 1
+    assert re.fullmatch(r"overflow encountered in (exp|multiply)", reason)
+    attempts = attempts_of(failure.value)
+    assert attempts[0] == ("pencil, 1 atoms", reason)
+    assert attempts[-1][0] == "lattice screen, radius above 1.151e+310"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1633,13 +1675,15 @@ FULL_RANGE = {
 def test_older_radius_overflows_where_the_dense_tuple_did(monkeypatch):
     # the radius's closed form squares s_2 / s0 = 1e300, as the norm of the
     # dense tuple did: the older attempt ends on that overflow, and the
-    # lattice answers
+    # lattice answers.  On its own disc the spec has rank 2 > L = 1, so the
+    # pencil makes no attempt
     spec = FULL_RANGE["n1-scale-overflows"]
+    assert synthesis._pencil(spec) is None
     monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
     with pytest.raises(ConvergenceFailure) as failure:
         synthesize(spec)
-    (pencil, _), (attempt, reason), _ = attempts_of(failure.value)
-    assert (pencil, attempt) == ("pencil, 1 atoms", "prescale 1, split")
+    (attempt, reason), _ = attempts_of(failure.value)
+    assert attempt == "prescale 1, split"
     assert re.fullmatch(r"overflow encountered in \w+", reason)
 
 

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import sys
 import threading
@@ -6,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import momentsynth
+import momentsynth.synthesis as synthesis
 import momentsynth.verify as verify
 from momentsynth.errors import Unsolvable
 from momentsynth.lattice import MomentSpec, box
 from momentsynth.measures import AtomicMeasure
-from momentsynth.synthesis import synthesize
+from momentsynth.synthesis import functional_representation, synthesize
 from momentsynth.verify import (
-    functional_representation,
     measure_moments,
     random_instance,
     report,
@@ -467,3 +469,37 @@ def test_functional_linearity_on_span():
     )
     expect = sum(c * v for c, v in zip(coeffs, values))
     assert integral == pytest.approx(expect, abs=1e-7 * sum(map(abs, coeffs)))
+
+
+def module_tree(module):
+    with open(module.__file__, encoding="utf-8") as source:
+        return ast.parse(source.read())
+
+
+def test_acceptance_imports_nothing_from_the_solver():
+    # verify.py owns the residual contract, the type of the moment sums and
+    # their rounding level; the solver imports them, never the other way
+    tree = module_tree(verify)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if "synthesis" in name}
+    # of the package, only the modules of the problem and the measure
+    assert {name for name in imported if name.startswith(".")} <= {".errors", ".lattice", ".measures"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "TYPE_CHECKING" not in names
+    assert synthesis.SolverConfig is verify.SolverConfig is momentsynth.SolverConfig
+    assert synthesis._log_rounding_level is verify._log_rounding_level
+    assert momentsynth.functional_representation is synthesis.functional_representation
+    assert not hasattr(verify, "functional_representation")
+    # the solver defines none of them and names no long double
+    solver = module_tree(synthesis)
+    defined = {node.name for node in ast.walk(solver)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not defined & {"SolverConfig", "_log_rounding_level"}
+    attributes = {node.attr for node in ast.walk(solver) if isinstance(node, ast.Attribute)}
+    assert not attributes & {"longdouble", "clongdouble"}

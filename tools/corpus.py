@@ -1,4 +1,4 @@
-"""Run `synthesize` over the 2,626-spec scratch corpus of ROADMAP.md.
+"""Run `synthesize` over the 2,776-spec scratch corpus of ROADMAP.md.
 
     python3 tools/corpus.py [--src DIR] [--dump FILE] [--against FILE]
 
@@ -11,7 +11,9 @@ then come the 200 specs of the high-degree group:
 `random_instance(n, d, 4, s)` for s = 0..19 at n=1 d=24, 32, 48, 64, 96,
 n=2 d=8, 10, 12 and n=3 d=5, 6, and the 240 specs
 `random_instance(2, 5, m, s)` for m = 1..6 atoms and s = 0..39, on which
-the two-variable grid fit often misses and `refine` runs.  Last come the
+the two-variable grid fit often misses and `refine` runs, and the 150
+anisotropic specs of `anisotropic`, whose coordinates live on scales
+decades apart, so one torus radius serves them badly.  Last come the
 two contract sweeps of tests/test_contract.py, imported from it as
 `random_box_spec` is from conftest: the 402 specs of `SWEEP`, and
 `draw_full_range_spec(s)` for s = 0..999, so that a change that loses a
@@ -52,6 +54,28 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def anisotropic():
+    """150 sparse specs from numpy.random.default_rng(21).  Each draws, in
+    this order: n in 2..3, d in 1..3, one scale 10**uniform(-6, 6) per
+    coordinate, for each nonzero exponent of the box {0..d}**n in box order
+    whether it is kept (random() < 0.6), then for the zero exponent and each
+    kept one 0.3 sqrt(random()) e^(2 pi i random()) times the product of
+    the scales to the exponent's powers.  The mass is then set to 1."""
+    from momentsynth.lattice import MomentSpec, box
+
+    rng = np.random.default_rng(21)
+    specs = []
+    for _ in range(150):
+        n, d = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        scales = 10.0 ** rng.uniform(-6, 6, n)
+        indices = box(n, d)
+        indices = indices[:1] + tuple(k for k in indices[1:] if rng.random() < 0.6)
+        values = [0.3 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+                  * np.prod(scales ** np.array(k)) for k in indices]
+        specs.append(MomentSpec.from_items(n, zip(indices, [1.0] + values[1:])))
+    return specs
+
+
 def corpus():
     """The corpus as (group name, [MomentSpec, ...]) pairs, in run order."""
     from conftest import random_box_spec
@@ -82,6 +106,7 @@ def corpus():
                    [random_instance(n, d, 4, s)[0] for n, d in degrees for s in range(20)]))
     groups.append(("random_instance n=2 d=5 atoms=1..6 s=0..39",
                    [random_instance(2, 5, m, s)[0] for m in range(1, 7) for s in range(40)]))
+    groups.append(("anisotropic n=2..3 d=1..3, rng 21", anisotropic()))
     groups.append(("contract sweep, test_contract.SWEEP", list(SWEEP.values())))
     groups.append(("full range, draw_full_range_spec s=0..999",
                    [draw_full_range_spec(s) for s in range(1000)]))
