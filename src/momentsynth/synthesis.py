@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
@@ -510,21 +511,39 @@ def _rank1_lattice(freqs: np.ndarray) -> tuple[int, np.ndarray]:
             first, width = first + width, min(8 * width, widest)
 
 
-def _bracket_floor(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Which moments after the mass are nonzero, their log(|s_k| / s0), and
-    the floor of the lattice's radius bracket, t_lo = max_k log(|s_k| / s0)
-    / |k| over them (-inf when there is none).  `lattice_quadrature`
-    searches above it and `synthesize` screens at it."""
-    values = np.abs(np.asarray(spec.values[1:], dtype=complex))
-    live = values > 0.0
-    log_ratios = np.log(values[live]) - math.log(spec.mass.real)
-    if not live.any():
-        return live, log_ratios, -math.inf
-    degrees = np.array([sum(k) for k in spec.indices[1:]], dtype=np.int64)[live]
-    return live, log_ratios, float(np.max(log_ratios / degrees))
+class _Disc(NamedTuple):
+    """A spec on its own disc (`_own_disc`): t_lo, then for the nonzero
+    moments after the mass their exponents as rows, their degrees |k|,
+    log(|s_k| / s0) and arg s_k."""
+
+    t_lo: float
+    exponents: np.ndarray
+    degrees: np.ndarray
+    log_ratios: np.ndarray
+    phases: np.ndarray
+
+    def unit(self, t: float) -> np.ndarray:
+        """s_k / (s0 e^(|k| t)) at those moments, taken in logs."""
+        return np.exp(self.log_ratios - self.degrees * t + 1j * self.phases)
 
 
-def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
+def _own_disc(spec: MomentSpec) -> _Disc:
+    """The front end of every solve.  z -> z / e^t maps s_k to
+    s_k / e^(|k| t), and the data over the mass have no modulus above 1 from
+    t = t_lo = max_k log(|s_k| / s0) / |k| on (-inf when no moment after the
+    mass is nonzero).  `synthesize` computes it once, past the gate, and the
+    pencil, the lattice screen and the lattice stage read it."""
+    values = np.asarray(spec.values[1:], dtype=complex)
+    moduli = np.abs(values)
+    live = moduli > 0.0
+    exponents = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, spec.n)[live]
+    degrees = exponents.sum(axis=1)
+    log_ratios = np.log(moduli[live]) - math.log(spec.mass.real)
+    t_lo = float((log_ratios / degrees).max()) if degrees.size else -math.inf
+    return _Disc(t_lo, exponents, degrees, log_ratios, np.angle(values[live]))
+
+
+def lattice_quadrature(spec: MomentSpec, disc: _Disc) -> tuple[AtomicMeasure, float]:
     """Exact answer on the nodes of a rank-1 lattice: its atoms on the unit
     torus with their weights, and the log-radius t of the torus it lives on.
 
@@ -539,8 +558,8 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
 
     t is the least shift, found to a few parts in 10^5 of its bracket and to
     0.1 / (top degree), at which every node value is at least NODE_FLOOR * s0,
-    so all N weights are positive.  No answer has a shift below
-    t_lo = max_k log(|s_k| / s0) / |k|: the mean of a nonnegative P_t over
+    so all N weights are positive.  No answer has a shift below t_lo of
+    `disc`, the spec's `_own_disc`: the mean of a nonnegative P_t over
     the nodes is s0, which bounds each of its coefficients.  The closed
     form 2 sum |s_k| e^(-t|k|) <= (1 - NODE_FLOOR) s0 makes P_t at least
     the floor everywhere, and it holds from t_lo + log(2m / (1 - NODE_FLOOR))
@@ -548,10 +567,10 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     2 s0 e^(t_lo - t); that shift caps the search.  The search runs on
     P_t / s0, so no mass at either end of the double range overflows a
     node value: its node values less 1 are polynomials in e^-(t - t_lo)
-    with coefficients no larger than 1, which an N x (distinct degrees) node
-    matrix, one length-N FFT per degree, gives at many shifts in one matrix
-    product; at t, times s0 / N, they are the weights, so they are the
-    values the search found positive.  All of it runs in logs, so a large
+    with coefficients no larger than 1, the disc's unit(t_lo), which an
+    N x (distinct degrees) node matrix, one length-N FFT per degree, gives
+    at many shifts in one matrix product; at t, times s0 / N, they are the
+    weights, so they are the values the search found positive.  All of it runs in logs, so a large
     radius overflows nothing; the caller screens e^t before taking any
     power of it.  Without a nonzero moment besides the mass, t is 0 and
     every weight is s0 / N.
@@ -560,27 +579,22 @@ def lattice_quadrature(spec: MomentSpec) -> tuple[AtomicMeasure, float]:
     karr = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, n)
     size, z = _rank1_lattice(np.concatenate([np.zeros((1, n), dtype=np.int64), karr, -karr]))
     s0 = spec.mass.real
-    # log(|s_k| / s0): the search runs on P_t / s0, whose mass is 1
-    live, log_ratios, low = _bracket_floor(spec)
     t, weights = 0.0, np.full(size, s0 / size)
-    if live.any():
-        values = np.asarray(spec.values[1:], dtype=complex)[live]
-        degrees = karr[live].sum(axis=1)
-        distinct, row = np.unique(degrees, return_inverse=True)
+    if len(disc.degrees):
+        distinct, row = np.unique(disc.degrees, return_inverse=True)
         parts = np.zeros((len(distinct), size), dtype=complex)
-        parts[row, (karr[live] @ z) % size] = np.exp(
-            log_ratios - low * degrees + 1j * np.angle(values))
+        parts[row, (disc.exponents @ z) % size] = disc.unit(disc.t_lo)
         nodes = 2.0 * np.fft.fft(parts, axis=1).real.T  # node values less 1
         orders = distinct[:, None]
 
         def tails(shifts: np.ndarray) -> np.ndarray:
-            return nodes @ np.exp(orders * (low - shifts))
+            return nodes @ np.exp(orders * (disc.t_lo - shifts))
 
         # each step tries _STEPS of the bracket at once and keeps the part
         # that ends at the first shift whose node values clear the floor;
         # past _STEP_ROUNDS steps the search goes on until the bracket is
         # at most 0.1 / top wide, so r**top is within e**0.1 of its least
-        below, t = low, low + math.log(2.0 * len(values) / (1.0 - NODE_FLOOR))
+        below, t = disc.t_lo, disc.t_lo + math.log(2.0 * len(disc.degrees) / (1.0 - NODE_FLOOR))
         top = int(karr.sum(axis=1).max())
         rounds = max(_STEP_ROUNDS, math.ceil(math.log(10.0 * top * (t - below), len(_STEPS))))
         for _ in range(rounds):
@@ -606,27 +620,24 @@ PENCIL_RANK = 1e-10
 PENCIL_IMAG = 1e-9
 
 
-def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
+def _pencil(spec: MomentSpec, disc: _Disc) -> tuple[int, AtomicMeasure | str] | None:
     """Few atoms from low-rank one-variable data: Prony's method as a matrix
     pencil (Hua and Sarkar, IEEE Trans. ASSP 38, 1990).
 
     Takes a one-variable spec whose exponents are exactly 0..d, d >= 1
-    (the caller's check).  When s_k are the moments of m atoms z_a with
-    2m <= d, the Hankel matrix H[i, j] = s_(i+j) of shape
-    (d - L + 1) x (L + 1), L = d // 2, has rank m, and its row space is
-    spanned by the rows (1, z_a, ..., z_a**L).  So with V the first m right
-    singular vectors as columns, V[1:] = V[:-1] C for a matrix C whose
-    eigenvalues are the z_a.  The weights are the least-squares fit of the
-    Vandermonde matrix z_a**k, k = 0..d, to s.
+    (the caller's check), and its `_own_disc`.  When s_k are the moments
+    of m atoms z_a with 2m <= d, the Hankel matrix H[i, j] = s_(i+j) of
+    shape (d - L + 1) x (L + 1), L = d // 2, has rank m, and its row space
+    is spanned by the rows (1, z_a, ..., z_a**L).  So with V the first m
+    right singular vectors as columns, V[1:] = V[:-1] C for a matrix C
+    whose eigenvalues are the z_a.  The weights are the least-squares fit
+    of the Vandermonde matrix z_a**k, k = 0..d, to s.
 
-    The pencil reads the data on their own disc: with t = max(0, t_lo),
-    t_lo = max_k log(|s_k| / s0) / k from `_bracket_floor`, it runs on
-    s_k / (s0 e^(k t)), taken in logs, the moments of the weights over s0
-    at the atoms z_a / e^t, none above 1 in modulus, and multiplies the
-    weights back by s0 and the atoms by e^t.  So the rank rule and the
-    weight fit read every moment, whatever the scale; data with
-    t_lo <= 0, those of atoms in the closed unit disc among them, are read
-    as they are.
+    The pencil reads the data on their own disc at t = max(0, t_lo): the
+    disc's s_k / (s0 e^(k t)), the moments of the weights over s0 at the
+    atoms z_a / e^t, none above 1 in modulus.  It multiplies the weights
+    back by s0 and the atoms by e^t, which is 1 exactly at t = 0.  So the
+    rank rule and the weight fit read every moment, whatever the scale.
 
     Returns None when the rank m (the singular values above PENCIL_RANK
     of the largest) is not within 1..L.  Otherwise it returns m and the
@@ -635,26 +646,14 @@ def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
     and positive, or an overflow (atoms beyond a double among them), NaN
     or LAPACK failure.  The caller decides acceptance.
     """
-    exponents = [k for (k,) in spec.indices]
-    d = len(exponents) - 1
-    s = np.empty(d + 1, dtype=complex)
-    s[exponents] = spec.values
-    # the data over their largest modulus, so no product below overflows
-    peak = float(np.max(np.abs(s)))
-    # t > 0 only where a modulus exceeds the mass
-    live, log_ratios, low = _bracket_floor(spec) if peak > spec.mass.real else (None, None, 0.0)
-    t = max(0.0, low)
+    d = len(spec.indices) - 1
+    t = max(0.0, disc.t_lo)
     half, m = d // 2, 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if t > 0.0:
-                # s_k / (s0 e^(k t)): on their own disc no modulus exceeds the mass
-                peak, k = spec.mass.real, np.array(exponents[1:])[live]
-                unit = np.zeros(d + 1, dtype=complex)
-                unit[0] = 1.0
-                unit[k] = np.exp(log_ratios - k * t + 1j * np.angle(s[k]))
-            else:
-                unit = s / peak
+            unit = np.zeros(d + 1, dtype=complex)
+            unit[0] = 1.0
+            unit[disc.exponents[:, 0]] = disc.unit(t)
             hankel = unit[np.add.outer(np.arange(d - half + 1), np.arange(half + 1))]
             _, singular, vh = np.linalg.svd(hankel)
             m = int(np.count_nonzero(singular > PENCIL_RANK * singular[0]))
@@ -663,9 +662,8 @@ def _pencil(spec: MomentSpec) -> tuple[int, AtomicMeasure | str] | None:
             basis = vh[:m].T
             atoms = np.linalg.eigvals(np.linalg.pinv(basis[:-1]) @ basis[1:])
             vandermonde = np.vander(atoms, d + 1, increasing=True).T
-            weights = np.linalg.lstsq(vandermonde, unit, rcond=None)[0] * peak
-            if t > 0.0:
-                atoms = atoms * np.exp(t)
+            weights = np.linalg.lstsq(vandermonde, unit, rcond=None)[0] * spec.mass.real
+            atoms = atoms * np.exp(t)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # before the rank is known nothing was attempted
         return (m, str(exc)) if m else None
@@ -732,9 +730,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     exponent of {0..D}**n with D = max(1, largest exponent), reaches the
     pencil and the older stage; every other spec goes straight to the
     lattice stage, since zero-filling it would prescribe moments nobody
-    asked for.  One variable tries `_pencil` first; its answer is accepted
-    by the rule below, at the radius max(1, largest atom modulus), and a
-    rank miss is no attempt.  Up to two variables one attempt of the older
+    asked for.  Past the gate `_own_disc` is computed once; the pencil, the
+    lattice screen and the lattice stage read t_lo and s_k / (s0 e^(|k| t))
+    from it.  One variable tries `_pencil` first; its answer is accepted by
+    the rule below, at the radius max(1, largest atom modulus), and a rank
+    miss is no attempt.  Up to two variables one attempt of the older
     stage comes next, on the moments pre-scaled by 1 for one variable and
     by the magnitude-taming factor for two: the torus radius r is the
     contraction scale of the paper's shift tuple of the pre-scaled moments
@@ -762,11 +762,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     older stage then computes no target and runs no stage, and its attempt
     is recorded as "radius"; the lattice answer is never measured.  Before
     any lattice node is built, the rule screens the lattice's bracket:
-    every lattice log-radius t exceeds t_lo = max_k log(|s_k| / s0) / |k|,
-    and the rounding level does not increase below t = 0 nor decrease
-    above it (there each term of its maximum has slope top - |k| >= 0),
-    so a refusal at max(t_lo, 0) refuses every lattice radius, and the
-    attempt is recorded as "lattice screen, radius above e**t_lo".  Any
+    every lattice log-radius t exceeds the disc's t_lo, and the rounding
+    level does not increase below t = 0 nor decrease above it (there each
+    term of its maximum has slope top - |k| >= 0), so a refusal at
+    max(t_lo, 0) refuses every lattice radius, and the attempt is recorded
+    as "lattice screen, radius above e**t_lo".  Any
     overflow, NaN or LAPACK failure in the older attempt, its radius
     included, ends the attempt with that error as its reason.  Otherwise
     the raised ConvergenceFailure lists every attempt in order, the
@@ -788,6 +788,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         raise Unsolvable(verdict.reason)
 
     n = spec.n
+    disc = _own_disc(spec)
     tol = cfg.resolved_tol(n)
     allowance = cfg.allowance(spec)
     magnitudes = np.abs(np.asarray(spec.values))
@@ -830,7 +831,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     # exponent): only such a spec reaches the pencil and the older attempt
     side = max(1, largest) + 1
     full = len(spec.indices) == side**n
-    pencil = _pencil(spec) if n == 1 and full else None
+    pencil = _pencil(spec, disc) if n == 1 and full else None
     if pencil is not None:
         m, candidate = pencil
         if isinstance(candidate, str):
@@ -886,16 +887,14 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             reason = str(exc)
         attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 
-    # every lattice log-radius exceeds the floor of its bracket, and
-    # refusal's level does not increase below t = 0 nor decrease above it:
-    # when it refuses at the floor or at 0, whichever is larger, it refuses
-    # every lattice radius
-    low = _bracket_floor(spec)[2]
-    reason = refusal(max(low, 0.0))
+    # every lattice log-radius exceeds t_lo, and refusal's level does not
+    # increase below t = 0 nor decrease above it: a refusal at max(t_lo, 0)
+    # refuses every lattice radius
+    reason = refusal(max(disc.t_lo, 0.0))
     if reason is not None:
-        attempts.append((f"lattice screen, radius above {_exp_text(low)}", reason))
+        attempts.append((f"lattice screen, radius above {_exp_text(disc.t_lo)}", reason))
     else:
-        unit, log_radius = lattice_quadrature(spec)
+        unit, log_radius = lattice_quadrature(spec, disc)
         reason = refusal(log_radius)
         if reason is None:
             candidate, residual = finish(unit, math.exp(log_radius))

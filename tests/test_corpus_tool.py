@@ -129,3 +129,18 @@ def test_against_prints_the_largest_ratio_of_changed_answers(tool, tmp_path, mon
     assert (f"one spec: 1 differing answer(s), 0 in atom count, 1 in bytes only;"
             f" largest residual / allowance among them {float(was):.3g} in the dump,"
             f" {now:.3g} now") in capsys.readouterr().out
+
+
+def test_against_counts_new_specs_apart_from_changed_outcomes(tool, tmp_path, monkeypatch, capsys):
+    # a dump written before a spec joined its group: that spec is new, and
+    # no outcome of the dump changed
+    solved = tmp_path / "solved"
+    assert tool.main(["--dump", str(solved)]) == 0
+    grown = MomentSpec.from_items(1, [((0,), 2.0), ((1,), 1j)])
+    monkeypatch.setattr(tool, "corpus", lambda: [("one spec", [SPEC, grown])])
+    capsys.readouterr()
+    assert tool.main(["--against", str(solved)]) == 0
+    out = capsys.readouterr().out
+    assert "outcome differs" not in out
+    assert "0 outcome(s) differ, 0 of them solved in the dump and raise now" in out
+    assert "one spec: 1 spec(s) absent from the dump, 1 of them solved now" in out

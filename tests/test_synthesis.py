@@ -21,6 +21,7 @@ from momentsynth.measures import AtomicMeasure
 from momentsynth.operators import build_tuple, contraction_scale
 from momentsynth.synthesis import (
     SolverConfig,
+    _own_disc,
     cf_atoms_1d,
     grid_nnls,
     lattice_quadrature,
@@ -465,7 +466,7 @@ def test_lattice_quadrature_is_exact_and_positive_on_the_sweep(seed):
     # draw_spec of tests/test_contract.py: one to eight variables, values
     # over 24 decades, sparse and full boxes
     spec = with_positive_mass(draw_spec(seed))
-    unit, t = lattice_quadrature(spec)
+    unit, t = lattice_quadrature(spec, _own_disc(spec))
     size, z = lattice_of(unit)
     karr = np.array(spec.indices, dtype=np.int64)
     freqs = p_of(spec)
@@ -500,7 +501,7 @@ def test_lattice_quadrature_radius_is_the_node_positivity_radius():
     # (0),(40) on three nodes: P_t = 1 + 0.5 e^(-40t) * 2 cos(40 theta) has
     # its least node value 1 - 0.5 e^(-40t) at theta = 2 pi / 3 and 4 pi / 3
     spec = MomentSpec.from_items(1, [((0,), 1.0), ((40,), 0.5)])
-    unit, t = lattice_quadrature(spec)
+    unit, t = lattice_quadrature(spec, _own_disc(spec))
     assert len(unit) == 3
     least = np.log(0.5 / (1.0 - synthesis.NODE_FLOOR)) / 40.0
     # the search narrows [t_lo, t_lo + log(2 / (1 - floor))] 32**3 times
@@ -509,7 +510,8 @@ def test_lattice_quadrature_radius_is_the_node_positivity_radius():
 
 
 def test_lattice_quadrature_mass_alone_is_one_atom():
-    unit, t = lattice_quadrature(MomentSpec(3, ((0, 0, 0),), (2.5,)))
+    spec = MomentSpec(3, ((0, 0, 0),), (2.5,))
+    unit, t = lattice_quadrature(spec, _own_disc(spec))
     assert (len(unit), t) == (1, 0.0)
     assert unit.weights[0] == pytest.approx(2.5)
 
@@ -520,7 +522,7 @@ def test_lattice_takes_the_first_korobov_lattice_at_every_node_count():
     # z = (1, 1) do
     spec = MomentSpec.from_items(2, [((0, 0), 1.0), ((60, 0), 0.25)])
     assert synthesis._rank1_lattice(p_of(spec))[0] == 7
-    unit, t = lattice_quadrature(spec)
+    unit, t = lattice_quadrature(spec, _own_disc(spec))
     assert len(unit) == 7
     measure = AtomicMeasure(2, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
     assert extended_relative_residual(spec, measure) <= 1e-12
@@ -534,7 +536,7 @@ def test_lattice_nodes_of_a_sparse_spec_stay_few():
     assert synthesis._rank1_lattice(p_of(spec))[0] == 11
     # the lattice stage alone: synthesize would first build the older
     # attempt's construction on the 2521**2 exponent box
-    unit, t = lattice_quadrature(spec)
+    unit, t = lattice_quadrature(spec, _own_disc(spec))
     assert len(unit) == 11
     measure = AtomicMeasure(2, np.exp(t) * unit.atoms, unit.weights, np.exp(t))
     assert extended_relative_residual(spec, measure) <= 1e-12
@@ -553,7 +555,7 @@ def test_lattice_node_matrix_has_one_row_per_distinct_degree(n):
     spec = sparse_spec(n, 65535)
     tracemalloc.start()
     try:
-        lattice_quadrature(spec)
+        lattice_quadrature(spec, _own_disc(spec))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -867,7 +869,7 @@ def full_rank(degree):
     """A one-variable full box of degree + 1 atoms (instance seed 3): its
     Hankel matrix has full rank, so the pencil's rank rule sends it on."""
     spec = random_instance(1, degree, degree + 1, 3)[0]
-    assert synthesis._pencil(spec) is None
+    assert synthesis._pencil(spec, _own_disc(spec)) is None
     return spec
 
 
@@ -909,7 +911,7 @@ def test_convergence_failure_lists_every_attempt():
             assert text.endswith(f"above the residual target {SolverConfig().allowance(spec):.3e}")
 
 
-def off_the_doubles(spec):
+def off_the_doubles(spec, disc):
     """A lattice stage stub whose one node lies on a torus beyond a double."""
     return AtomicMeasure(spec.n, np.ones((1, spec.n)), [spec.mass.real], 1.0), 800.0
 
@@ -1127,7 +1129,7 @@ def test_screen_refuses_only_what_the_lattice_radius_would(draw, seeds, screened
             synthesize(spec)
         except (ConvergenceFailure, Unsolvable) as exc:
             if "(lattice screen" in str(exc):
-                refusals.append(refused(spec, lattice_quadrature(spec)[1]))
+                refusals.append(refused(spec, lattice_quadrature(spec, _own_disc(spec))[1]))
     assert refusals == [True] * screened
 
 
@@ -1377,6 +1379,62 @@ def test_synthesize_solves_what_the_ladder_failed(spec, atoms):
 
 
 # ---------------------------------------------------------------------------
+# the own-disc front end
+# ---------------------------------------------------------------------------
+
+
+def test_own_disc_holds_t_lo_and_the_moments_on_the_disc():
+    spec = MomentSpec(2, ((0, 0), (1, 0), (0, 2), (1, 1)), (4.0, 8.0j, 0.0, -1.0 + 1.0j))
+    disc = _own_disc(spec)
+    # the zero moment at (0, 2) is left out; |s_(1,0)| / s0 = 2 sets t_lo
+    assert disc.exponents.tolist() == [[1, 0], [1, 1]]
+    assert disc.degrees.tolist() == [1, 2]
+    assert disc.t_lo == pytest.approx(math.log(2.0), rel=1e-15)
+    for t in (disc.t_lo, 0.0, -1.5):
+        assert disc.unit(t) == pytest.approx(
+            [8.0j / (4.0 * math.exp(t)), (-1.0 + 1.0j) / (4.0 * math.exp(2.0 * t))], rel=1e-14)
+    # none above 1 in modulus on the disc itself
+    assert np.abs(disc.unit(disc.t_lo)).max() == pytest.approx(1.0, rel=1e-15)
+    alone = _own_disc(MomentSpec(1, ((0,), (1,)), (2.0, 0.0)))
+    assert (alone.t_lo, len(alone.degrees), alone.unit(0.0).size) == (-math.inf, 0, 0)
+
+
+# (spec, front-end calls, _pencil calls, lattice_quadrature calls)
+FRONT_END = {
+    "pencil-answer": (random_instance(1, 16, 4, 3)[0], 1, 1, 0),
+    "older-split-answer": (random_instance(1, 4, 4, 0)[0], 1, 1, 0),
+    "older-grid-answer": (random_instance(2, 4, 1, 8)[0], 1, 0, 0),
+    "lattice-answer": (MomentSpec(1, ((0,), (2,)), (1.0, 0.5)), 1, 0, 1),
+    "screen-refusal": (MomentSpec(2, ((0, 0), (1, 0)), (1e-300, 1e10)), 1, 0, 0),
+    "zero-spec": (MomentSpec(2, ((0, 0), (1, 0)), (0.0, 0.0)), 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("spec, fronts, pencils, lattices", list(FRONT_END.values()),
+                         ids=list(FRONT_END))
+def test_one_front_end_call_per_gated_solve(spec, fronts, pencils, lattices, monkeypatch):
+    discs = []
+    original = synthesis._own_disc
+
+    def front_end(spec):
+        discs.append(original(spec))
+        return discs[-1]
+
+    monkeypatch.setattr(synthesis, "_own_disc", front_end)
+    readers = {name: spy(monkeypatch, name) for name in ("_pencil", "lattice_quadrature")}
+    try:
+        synthesize(spec)
+    except ConvergenceFailure as exc:
+        assert attempts_of(exc)[-1][0].startswith("lattice screen")
+    assert (len(discs), len(readers["_pencil"]), len(readers["lattice_quadrature"])) == (
+        fronts, pencils, lattices)
+    # both readers take the solve's one disc, and the one call counted above
+    # is synthesize's own: they compute none
+    assert all(args[0] is spec and args[1] is discs[0]
+               for calls in readers.values() for args in calls)
+
+
+# ---------------------------------------------------------------------------
 # the matrix pencil
 # ---------------------------------------------------------------------------
 
@@ -1386,8 +1444,8 @@ def pencil_outcomes(monkeypatch):
     outcomes = []
     original = synthesis._pencil
 
-    def wrapper(spec):
-        outcomes.append(original(spec))
+    def wrapper(spec, disc):
+        outcomes.append(original(spec, disc))
         return outcomes[-1]
 
     monkeypatch.setattr(synthesis, "_pencil", wrapper)
@@ -1398,7 +1456,7 @@ def without_pencil(spec, monkeypatch):
     """What synthesize does with the pencil stubbed out: the answer's
     bytes, or the exception's class and its attempts."""
     with monkeypatch.context() as patch:
-        patch.setattr(synthesis, "_pencil", lambda spec: None)
+        patch.setattr(synthesis, "_pencil", lambda spec, disc: None)
         try:
             measure = synthesize(spec)
         except ConvergenceFailure as exc:
@@ -1433,11 +1491,20 @@ def test_pencil_answers_low_rank_specs(spec, monkeypatch):
 
 
 def test_pencil_answer_passes_synthesize_acceptance(monkeypatch):
-    # the pencil's four atoms miss a tol of 1e-15 (by a factor of 1.6) and
-    # of 1e-16: the lattice answers the first, and nothing the second
-    outcomes = pencil_outcomes(monkeypatch)
+    # the lattice's answer has the smaller relative residual (rounding
+    # decides both): the pencil's four atoms miss a tol between the two, and
+    # the lattice answers; below both nothing answers
     spec = LOW_RANK["n1-d16"]
-    config = SolverConfig(tol=1e-15)
+    disc = _own_disc(spec)
+    unit, t = lattice_quadrature(spec, disc)
+    lattice = AtomicMeasure(1, math.exp(t) * np.exp(1j * np.angle(unit.atoms)), unit.weights,
+                            scale=math.exp(t))
+    relative = {name: report(spec, measure).max_residual / SolverConfig(tol=1.0).allowance(spec)
+                for name, measure in (("pencil", synthesis._pencil(spec, disc)[1]),
+                                      ("lattice", lattice))}
+    assert relative["lattice"] < relative["pencil"]
+    outcomes = pencil_outcomes(monkeypatch)
+    config = SolverConfig(tol=math.sqrt(relative["lattice"] * relative["pencil"]))
     measure = synthesize(spec, config)
     (m, candidate), = outcomes
     assert m == len(candidate) == 4
@@ -1445,7 +1512,7 @@ def test_pencil_answer_passes_synthesize_acceptance(monkeypatch):
     assert len(measure) == 33
     assert extended_residual(spec, measure) <= config.allowance(spec)
     with pytest.raises(ConvergenceFailure) as failure:
-        synthesize(spec, SolverConfig(tol=1e-16))
+        synthesize(spec, SolverConfig(tol=0.5 * relative["lattice"]))
     assert attempts_of(failure.value)[0] == (
         "pencil, 4 atoms", "synthesized measure misses the residual target")
 
@@ -1614,7 +1681,7 @@ def test_pencil_refuses_atoms_beyond_a_double():
     spec = one_variable([2.0**-1040, 2.0**-10, 2.0**1020])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m, reason = synthesis._pencil(spec)
+        m, reason = synthesis._pencil(spec, _own_disc(spec))
         with pytest.raises(ConvergenceFailure) as failure:
             synthesize(spec)
     assert m == 1
@@ -1639,7 +1706,7 @@ def test_synthesize_radius_beyond_a_double_fails_cleanly(n, monkeypatch):
     assert re.fullmatch(r"radius 1\.000e\+310 is beyond the range of a double", why)
     assert searches == []
     # the lattice's own radius lies beyond a double as well
-    assert lattice_quadrature(spec)[1] > math.log(np.finfo(float).max)
+    assert lattice_quadrature(spec, _own_disc(spec))[1] > math.log(np.finfo(float).max)
     # only (0), (1) fills its exponent box; the older attempt names the
     # overflow of its radius, -s_1 / s0 = -1e310, and builds no construction
     assert (len(radii), no_construction(built)) == (int(n == 1), True)
@@ -1678,7 +1745,7 @@ def test_older_radius_overflows_where_the_dense_tuple_did(monkeypatch):
     # lattice answers.  On its own disc the spec has rank 2 > L = 1, so the
     # pencil makes no attempt
     spec = FULL_RANGE["n1-scale-overflows"]
-    assert synthesis._pencil(spec) is None
+    assert synthesis._pencil(spec, _own_disc(spec)) is None
     monkeypatch.setattr(synthesis, "lattice_quadrature", off_the_doubles)
     with pytest.raises(ConvergenceFailure) as failure:
         synthesize(spec)

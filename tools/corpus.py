@@ -28,11 +28,13 @@ the answer's atom count and its residual divided by the allowance (`-` for
 the last three when it raised).  Two dumps are equal exactly when the
 trees return bit-identical measures and raise the same exception classes.
 `--against FILE` compares this run with such a dump: it prints every spec
-whose outcome differs, then per group every answer whose atom count
-differs and how many specs solved on both sides with different answers,
-how many of those differ in their bytes only, and the largest residual /
-allowance among them in the dump and now, which shows how near the
-changed answers come to the contract.
+whose outcome differs, then per group the specs absent from the dump
+(new specs, counted apart from changed outcomes) and how many of them
+solve now, every answer whose atom count differs and how many specs
+solved on both sides with different answers, how many of those differ in
+their bytes only, and the largest residual / allowance among them in the
+dump and now, which shows how near the changed answers come to the
+contract.
 
 The exit status is 1 when any answer is over the contract, or when
 `--against` finds a spec that solved in the dump and now raises; otherwise
@@ -160,26 +162,30 @@ def main(argv=None) -> int:
 
 def compare(lines: list[str], reference: list[str]) -> int:
     """Print the specs whose outcome differs from a dump, then per group the
-    answers whose atom count differs, the number of differing answers among
-    specs solved on both sides, and their largest residual / allowance at
-    the dump and now.  Returns the number of specs that solved in the dump
-    and raise now."""
+    specs absent from the dump, the answers whose atom count differs, the
+    number of differing answers among specs solved on both sides, and their
+    largest residual / allowance at the dump and now.  Returns the number of
+    specs that solved in the dump and raise now."""
     before = {}
     for line in reference:
         name, index, outcome, digest, count, ratio = line.split("\t")
         before[name, index] = (outcome, digest, count, ratio)
-    groups = {line.split("\t")[0]: {"answers": 0, "bytes": 0, "was": 0.0, "now": 0.0}
+    groups = {line.split("\t")[0]: {"new": 0, "new_ok": 0, "answers": 0, "bytes": 0,
+                                    "was": 0.0, "now": 0.0}
               for line in lines}
     outcomes = lost = 0
     for line in lines:
         name, index, outcome, digest, count, ratio = line.split("\t")
         old = before.get((name, index))
-        if old is None or old[0] != outcome:
+        tally = groups[name]
+        if old is None:
+            tally["new"] += 1
+            tally["new_ok"] += outcome == "ok"
+        elif old[0] != outcome:
             outcomes += 1
-            lost += old is not None and old[0] == "ok"
-            print(f"outcome differs: {name} #{index}: {old[0] if old else 'absent'} -> {outcome}")
+            lost += old[0] == "ok"
+            print(f"outcome differs: {name} #{index}: {old[0]} -> {outcome}")
         elif old[1] != digest:
-            tally = groups[name]
             tally["answers"] += 1
             tally["was"] = max(tally["was"], float(old[3]))
             tally["now"] = max(tally["now"], float(ratio))
@@ -189,6 +195,9 @@ def compare(lines: list[str], reference: list[str]) -> int:
                 print(f"atom count differs: {name} #{index}: {old[2]} -> {count}")
     print(f"{outcomes} outcome(s) differ, {lost} of them solved in the dump and raise now")
     for name, tally in groups.items():
+        if tally["new"]:
+            print(f"{name}: {tally['new']} spec(s) absent from the dump, {tally['new_ok']} of them"
+                  f" solved now")
         counted = tally["answers"] - tally["bytes"]
         print(f"{name}: {tally['answers']} differing answer(s), {counted} in atom count,"
               f" {tally['bytes']} in bytes only; largest residual / allowance among them"
