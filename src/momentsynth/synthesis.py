@@ -47,13 +47,12 @@ from .errors import ConvergenceFailure, Unsolvable
 from .lattice import MomentSpec, MultiIndex
 from .measures import AtomicMeasure
 from .operators import contraction_scale
-from .verify import _BLOCK_ENTRIES, SolverConfig, _log_rounding_level, report, solvability
+from .verify import (_BLOCK_ENTRIES, Report, SolverConfig, _exp_text, answer_refusal, report,
+                     solvability, torus_refusal)
 
 
 # candidate angles per variable of the two-variable grid fit
 GRID = 64
-
-_LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
 
 
 # ---------------------------------------------------------------------------
@@ -690,83 +689,43 @@ def _prescale_factor(spec: MomentSpec) -> float:
     return float(np.clip(best, 1e-3, 1e3)) if best else 1.0
 
 
-def _log_weight_floor(
-    magnitudes: np.ndarray, degrees: np.ndarray, allowance: float, log_radius: float
-) -> float:
-    """Natural log of the least total weight W of a measure on the torus of
-    radius exp(log_radius) whose moments come within `allowance` of
-    prescribed moments of these magnitudes and total degrees.
-
-    Such a moment has modulus at most W * radius**|k|, so
-    W >= (|s_k| - allowance) / radius**|k| at every k; the bound is the
-    largest of these, and -inf when no |s_k| exceeds the allowance.  Each
-    |s_k| is first shrunk by 1e-12 of itself, more than the rounding of its
-    modulus and of a residual, which would otherwise dominate the
-    difference when |s_k| is within rounding of the allowance.
-    """
-    excess = (1.0 - 1e-12) * magnitudes - allowance
-    live = excess > 0.0
-    if not live.any():
-        return -math.inf
-    return float(np.max(np.log(excess[live]) - degrees[live] * log_radius))
-
-
-def _exp_text(log_value: float) -> str:
-    """exp(log_value) in `.3e` notation, also beyond the range of a double."""
-    if not math.isfinite(log_value):
-        return f"{math.exp(log_value):.3e}"
-    exponent = math.floor(log_value / math.log(10.0))
-    mantissa = f"{math.exp(log_value - exponent * math.log(10.0)):.3f}"
-    if mantissa == "10.000":
-        mantissa, exponent = "1.000", exponent + 1
-    return f"{mantissa}e{exponent:+03d}"
-
-
 def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMeasure:
     """Solve a truncated moment problem by an explicit atomic measure.
 
     Gates on solvability (Unsolvable otherwise; the zero spec returns the
-    zero measure).  Only a spec that fills its exponent box, every
-    exponent of {0..D}**n with D = max(1, largest exponent), reaches the
-    pencil and the older stage; every other spec goes straight to the
-    lattice stage, since zero-filling it would prescribe moments nobody
-    asked for.  Past the gate `_own_disc` is computed once; the pencil, the
-    lattice screen and the lattice stage read t_lo and s_k / (s0 e^(|k| t))
-    from it.  One variable tries `_pencil` first; its answer is accepted by
-    the rule below, at the radius max(1, largest atom modulus), and a rank
-    miss is no attempt.  Up to two variables one attempt of the older
-    stage comes next, on the moments pre-scaled by 1 for one variable and
-    by the magnitude-taming factor for two: the torus radius r is the
-    contraction scale of the paper's shift tuple of the pre-scaled moments
-    (`operators.contraction_scale`) times that factor, the targets are the
-    Fourier data s_k / r**|k|, and the Toeplitz split (one variable) or
-    grid nonnegative least squares at GRID points followed on a miss by
-    one weight refit (two; see `refine`) fits them.  A refit that returns
-    its input untouched (its double-precision residual met the target)
-    ends the attempt without checking the same atoms again.  The
+    zero measure).  Only a spec that fills its exponent box, every exponent
+    of {0..D}**n with D = max(1, largest exponent), reaches the pencil and
+    the older stage; every other spec goes straight to the lattice stage,
+    since zero-filling it would prescribe moments nobody asked for.  Past
+    the gate `_own_disc` is computed once; the pencil, the lattice screen
+    and the lattice stage read t_lo and s_k / (s0 e^(|k| t)) from it.  One
+    variable tries `_pencil` first; its answer is accepted by the answer
+    rule below, and a rank miss is no attempt.  Up to two variables one
+    attempt of the older stage comes next, on the moments pre-scaled by 1
+    for one variable and by the magnitude-taming factor for two: the torus
+    radius r is the contraction scale of the paper's shift tuple of the
+    pre-scaled moments (`operators.contraction_scale`) times that factor,
+    the targets are the Fourier data s_k / r**|k|, and the Toeplitz split
+    (one variable) or grid nonnegative least squares at GRID points followed
+    on a miss by one weight refit (two; see `refine`) fits them.  A refit
+    that returns its input untouched (its double-precision residual met the
+    target) ends the attempt without checking the same atoms again.  The
     benchmark's smoke test (perfbench/test_smoke.py) requires these stages
     to run; every other answer comes from `lattice_quadrature`, the only
     stage beyond two variables.  No solve builds the shift tuple, its
     Fourier table or the box embedding.
 
-    A candidate is returned when its residual meets the target, unless the
-    target lies below u * W * max(1, r)**|k|, the rounding level of the
-    moment sums that measure it at the top degree |k| (W its total weight,
-    r the torus radius, u the sums' unit roundoff; see
-    `verify._log_rounding_level`).  The same rule
-    screens each torus before any candidate on it is built or measured: an
-    answer on the torus of radius r that meets the allowance a at every
-    prescribed k weighs W >= max_k (|s_k| - a) / r**|k|, so when that bound
-    puts the rounding level above 2a (the 2 covers the rounding of the
-    computed weight sum and residuals) no candidate can be accepted.  The
-    older stage then computes no target and runs no stage, and its attempt
-    is recorded as "radius"; the lattice answer is never measured.  Before
-    any lattice node is built, the rule screens the lattice's bracket:
-    every lattice log-radius t exceeds the disc's t_lo, and the rounding
-    level does not increase below t = 0 nor decrease above it (there each
-    term of its maximum has slope top - |k| >= 0), so a refusal at
-    max(t_lo, 0) refuses every lattice radius, and the attempt is recorded
-    as "lattice screen, radius above e**t_lo".  Any
+    Both rules of acceptance live in `verify.py`.  Each candidate is
+    measured once by `report`, and the answer rule (`answer_refusal`)
+    decides from that report alone.  The torus screen (`torus_refusal`)
+    refuses a torus before any candidate on it is built or measured: the
+    older stage then runs no stage, its attempt recorded as "radius", and
+    the lattice answer is never measured.  Before any lattice node is
+    built the screen takes the lattice's bracket: every lattice log-radius
+    t exceeds the disc's t_lo, and the screen's level does not increase
+    below t = 0 nor decrease above it (there each term of its maximum has
+    slope top - |k| >= 0), so a refusal at max(t_lo, 0) refuses every
+    lattice radius, recorded as "lattice screen, radius above e**t_lo".  Any
     overflow, NaN or LAPACK failure in the older attempt, its radius
     included, ends the attempt with that error as its reason.  Otherwise
     the raised ConvergenceFailure lists every attempt in order, the
@@ -793,38 +752,12 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     allowance = cfg.allowance(spec)
     magnitudes = np.abs(np.asarray(spec.values))
     degrees = np.array([sum(k) for k in spec.indices], dtype=float)
-    top = int(degrees.max())
-    log_allowance = math.log(allowance)
 
-    def refusal(log_radius: float) -> str | None:
-        """Why no answer on the torus of radius exp(log_radius) can be
-        accepted, or None when one can."""
-        if log_radius > _LOG_DOUBLE_MAX:
-            return f"radius {_exp_text(log_radius)} is beyond the range of a double"
-        floor = _log_rounding_level(
-            _log_weight_floor(magnitudes, degrees, allowance, log_radius), log_radius, top)
-        if not floor > math.log(2.0) + log_allowance:
-            return None
-        return (f"moment sums on radius {_exp_text(log_radius)} round at {_exp_text(floor)}"
-                f" or more, above the residual target {allowance:.3e}")
-
-    def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, float]:
-        """The unit measure on the torus of atom_radius, and its residual."""
+    def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, Report]:
+        """The unit measure on the torus of atom_radius, and its report."""
         atoms = atom_radius * np.exp(1j * np.angle(unit.atoms))
         candidate = AtomicMeasure(n, atoms, unit.weights, scale=atom_radius)
-        return candidate, report(spec, candidate).max_residual
-
-    def rejection(candidate: AtomicMeasure, residual: float, log_radius: float) -> str | None:
-        """Why the candidate on the torus of radius exp(log_radius) is
-        refused, or None when it is accepted."""
-        if residual > allowance:
-            return "synthesized measure misses the residual target"
-        weight = candidate.total_mass
-        level = _log_rounding_level(math.log(weight) if weight > 0.0 else -math.inf,
-                                    log_radius, top)
-        if level > log_allowance:
-            return f"its moment sums round at {_exp_text(level)}, above the residual target"
-        return None
+        return candidate, report(spec, candidate)
 
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
     # whether the spec fills its exponent box {0..D}**n, D = max(1, largest
@@ -837,8 +770,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
         if isinstance(candidate, str):
             reason = candidate
         else:
-            residual = report(spec, candidate).max_residual
-            reason = rejection(candidate, residual, math.log(max(1.0, candidate.scale)))
+            reason = answer_refusal(report(spec, candidate), allowance)
             if reason is None:
                 return candidate
         attempts.append((f"pencil, {m} atoms", reason))
@@ -856,8 +788,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                 box[tuple(karr.T)] = scaled
                 scale = contraction_scale(box)[1]
                 atom_radius = scale * factor
-                log_radius = math.log(atom_radius)
-                reason = refusal(log_radius)
+                reason = torus_refusal(magnitudes, degrees, allowance, math.log(atom_radius))
                 if reason is not None:
                     stage = "radius"
                 else:
@@ -869,36 +800,34 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                                            tol=1e-8 * max(1.0, spec.mass.real))
                     else:
                         unit = grid_nnls(karr, targets, GRID)
-                    candidate, residual = finish(unit, atom_radius)
-                    if residual > allowance and n == 2:
+                    candidate, result = finish(unit, atom_radius)
+                    if result.max_residual > allowance and n == 2:
                         refined = refine(unit, karr, targets, atom_radius, tol)
                         if refined is unit:
                             # refine's own double-precision check passed; the
                             # same atoms would fail the same check again
                             reason = ("refine's double-precision residual met the target;"
-                                      f" the extended-precision check did not ({residual:.3e})")
+                                      f" the extended-precision check did not"
+                                      f" ({result.max_residual:.3e})")
                         else:
-                            candidate, residual = finish(refined, atom_radius)
+                            candidate, result = finish(refined, atom_radius)
                     if reason is None:
-                        reason = rejection(candidate, residual, log_radius)
+                        reason = answer_refusal(result, allowance)
                         if reason is None:
                             return candidate
         except (ConvergenceFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
             reason = str(exc)
         attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 
-    # every lattice log-radius exceeds t_lo, and refusal's level does not
-    # increase below t = 0 nor decrease above it: a refusal at max(t_lo, 0)
-    # refuses every lattice radius
-    reason = refusal(max(disc.t_lo, 0.0))
+    reason = torus_refusal(magnitudes, degrees, allowance, max(disc.t_lo, 0.0))
     if reason is not None:
         attempts.append((f"lattice screen, radius above {_exp_text(disc.t_lo)}", reason))
     else:
         unit, log_radius = lattice_quadrature(spec, disc)
-        reason = refusal(log_radius)
+        reason = torus_refusal(magnitudes, degrees, allowance, log_radius)
         if reason is None:
-            candidate, residual = finish(unit, math.exp(log_radius))
-            reason = rejection(candidate, residual, log_radius)
+            candidate, result = finish(unit, math.exp(log_radius))
+            reason = answer_refusal(result, allowance)
             if reason is None:
                 return candidate
         attempts.append((f"lattice, {len(unit)} nodes", reason))

@@ -1,5 +1,6 @@
 """Acceptance, which imports nothing from the solver: the solvability gate, the
-residual contract, moment sums and their rounding level, reports, test instances."""
+residual contract, moment sums and their rounding level, reports, the two
+rules that refuse a torus or an answer, test instances."""
 
 from __future__ import annotations
 
@@ -284,6 +285,75 @@ def report(spec: MomentSpec, measure: AtomicMeasure, config: SolverConfig | None
         atom_count=len(measure),
         config=config,
     )
+
+
+# the log of the largest double: a larger radius is refused outright
+_LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
+
+
+def _log_weight_floor(magnitudes: np.ndarray, degrees: np.ndarray, allowance: float,
+                      log_radius: float) -> float:
+    """Natural log of the least total weight W of a measure on the torus of
+    radius exp(log_radius) whose moments come within `allowance` of
+    prescribed moments of these magnitudes and total degrees: such a moment
+    has modulus at most W * radius**|k|, so W >= (|s_k| - allowance) /
+    radius**|k| at every k, and the bound is -inf when no |s_k| exceeds the
+    allowance.  Each |s_k| is first shrunk by 1e-12 of itself, more than the
+    rounding of its modulus and of a residual, which would otherwise
+    dominate the difference when |s_k| is within rounding of the allowance."""
+    excess = (1.0 - 1e-12) * magnitudes - allowance
+    live = excess > 0.0
+    if not live.any():
+        return -math.inf
+    return float(np.max(np.log(excess[live]) - degrees[live] * log_radius))
+
+
+def _exp_text(log_value: float) -> str:
+    """exp(log_value) in `.3e` notation, also beyond the range of a double."""
+    if not math.isfinite(log_value):
+        return f"{math.exp(log_value):.3e}"
+    exponent = math.floor(log_value / math.log(10.0))
+    mantissa = f"{math.exp(log_value - exponent * math.log(10.0)):.3f}"
+    if mantissa == "10.000":
+        mantissa, exponent = "1.000", exponent + 1
+    return f"{mantissa}e{exponent:+03d}"
+
+
+def torus_refusal(magnitudes: np.ndarray, degrees: np.ndarray, allowance: float,
+                  log_radius: float) -> str | None:
+    """The torus screen: why no answer to moments of these magnitudes |s_k|
+    and total degrees |k| on the torus of radius exp(log_radius) can pass
+    `answer_refusal`, or None when one may.  The radius is beyond a double,
+    or the least weight of an answer within the allowance a there
+    (`_log_weight_floor`) puts the rounding level of its sums at the top
+    degree above 2a; the 2 covers the rounding of the computed weight sum
+    and residuals.  It compares logs, so no radius overflows it."""
+    if log_radius > _LOG_DOUBLE_MAX:
+        return f"radius {_exp_text(log_radius)} is beyond the range of a double"
+    floor = _log_rounding_level(_log_weight_floor(magnitudes, degrees, allowance, log_radius),
+                                log_radius, int(degrees.max()))
+    if not floor > math.log(2.0) + math.log(allowance):
+        return None
+    return (f"moment sums on radius {_exp_text(log_radius)} round at {_exp_text(floor)}"
+            f" or more, above the residual target {allowance:.3e}")
+
+
+def answer_refusal(result: Report, allowance: float) -> str | None:
+    """The answer rule: why the answer that `result` reports on is refused,
+    or None when it is accepted: its residual is above the allowance, or
+    the allowance lies below u * W * max(1, r)**top, the rounding level of
+    its sums at the top degree of the reported indices (`_log_rounding_level`,
+    W its total weight and r its support radius), where a residual measures
+    nothing."""
+    if result.max_residual > allowance:
+        return "synthesized measure misses the residual target"
+    weight = result.total_mass
+    top = max(sum(k) for k in result.indices)
+    level = _log_rounding_level(math.log(weight) if weight > 0.0 else -math.inf,
+                                math.log(max(1.0, result.support_radius)), top)
+    if level > math.log(allowance):
+        return f"its moment sums round at {_exp_text(level)}, above the residual target"
+    return None
 
 
 def random_instance(

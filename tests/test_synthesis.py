@@ -28,7 +28,13 @@ from momentsynth.synthesis import (
     refine,
     synthesize,
 )
-from momentsynth.verify import _log_rounding_level, measure_moments, random_instance, report
+from momentsynth.verify import (
+    _log_weight_floor,
+    measure_moments,
+    random_instance,
+    report,
+    torus_refusal,
+)
 
 
 def half_box(n, radius):
@@ -1105,15 +1111,11 @@ def test_screen_refuses_before_the_node_search(monkeypatch):
 
 
 def refused(spec, log_radius):
-    """Whether synthesize's rule refuses every answer on the torus of radius
-    exp(log_radius): it is beyond a double, or the least total weight of an
-    answer within the allowance there rounds above twice the allowance."""
-    allowance = SolverConfig().allowance(spec)
+    """Whether the torus screen refuses every answer to the spec on the
+    torus of radius exp(log_radius)."""
     degrees = np.array([sum(k) for k in spec.indices], dtype=float)
-    weight = synthesis._log_weight_floor(
-        np.abs(np.asarray(spec.values)), degrees, allowance, log_radius)
-    level = _log_rounding_level(weight, log_radius, int(degrees.max()))
-    return log_radius > math.log(np.finfo(float).max) or level > math.log(2.0 * allowance)
+    return torus_refusal(np.abs(np.asarray(spec.values)), degrees,
+                         SolverConfig().allowance(spec), log_radius) is not None
 
 
 @pytest.mark.parametrize("draw, seeds, screened", [
@@ -1200,7 +1202,7 @@ def torus_moments(seed):
 @pytest.mark.parametrize("seed", range(100), ids="seed{}".format)
 def test_weight_floor_never_exceeds_the_true_weight(seed):
     radius, indices, values, allowance, weight = torus_moments(seed)
-    floor = synthesis._log_weight_floor(
+    floor = _log_weight_floor(
         np.abs(np.array(values)), np.array([sum(k) for k in indices], dtype=float),
         allowance, np.log(radius))
     # the floor is exact on one atom moved outward, up to the rounding of its logs

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -15,6 +16,8 @@ from momentsynth.lattice import MomentSpec, box
 from momentsynth.measures import AtomicMeasure
 from momentsynth.synthesis import functional_representation, synthesize
 from momentsynth.verify import (
+    Report,
+    answer_refusal,
     measure_moments,
     random_instance,
     report,
@@ -493,13 +496,62 @@ def test_acceptance_imports_nothing_from_the_solver():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "TYPE_CHECKING" not in names
     assert synthesis.SolverConfig is verify.SolverConfig is momentsynth.SolverConfig
-    assert synthesis._log_rounding_level is verify._log_rounding_level
     assert momentsynth.functional_representation is synthesis.functional_representation
     assert not hasattr(verify, "functional_representation")
-    # the solver defines none of them and names no long double
+    # the solver defines none of them nor the rules of acceptance, imports
+    # neither the rounding level nor the weight floor, and names no long
+    # double; it imports `report` by name, so that each call can be traced
     solver = module_tree(synthesis)
     defined = {node.name for node in ast.walk(solver)
                if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    assert not defined & {"SolverConfig", "_log_rounding_level"}
+    assert not defined & {"SolverConfig", "_log_rounding_level", "_log_weight_floor",
+                          "_exp_text", "torus_refusal", "answer_refusal"}
+    taken = {alias.asname or alias.name for node in ast.walk(solver)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not taken & {"_log_rounding_level", "_log_weight_floor"}
+    assert {"report", "torus_refusal", "answer_refusal"} <= taken
+    assert synthesis.report is verify.report
     attributes = {node.attr for node in ast.walk(solver) if isinstance(node, ast.Attribute)}
     assert not attributes & {"longdouble", "clongdouble"}
+
+
+ALLOWANCE, TOP = 1e-8, 10
+
+
+def reported(residual, weight, radius, top=TOP):
+    """A report of one answer with this residual, total weight and support
+    radius, on the exponents 0 and top."""
+    return Report(indices=((0,), (top,)), residuals=(residual, residual),
+                  max_residual=residual, total_mass=weight, support_radius=radius,
+                  atom_count=1)
+
+
+def edge_weight(radius):
+    """The total weight at which u * W * max(1, radius)**TOP, the rounding
+    level of the moment sums, equals ALLOWANCE."""
+    return ALLOWANCE / (math.exp(verify._LOG_SUM_EPS) * max(1.0, radius) ** TOP)
+
+
+def test_answer_rule_refuses_a_residual_above_the_allowance():
+    assert answer_refusal(reported(ALLOWANCE, 1.0, 1.0), ALLOWANCE) is None
+    assert (answer_refusal(reported(2.0 * ALLOWANCE, 1.0, 1.0), ALLOWANCE)
+            == "synthesized measure misses the residual target")
+
+
+@pytest.mark.parametrize("radius", [3.0, 1.0, 0.5, 0.0])
+def test_answer_rule_refuses_sums_that_round_above_the_allowance(radius):
+    # within the allowance, an answer is refused just above the rounding
+    # level and accepted just below it; a support radius below 1, the empty
+    # measure's 0 included, reads as 1
+    above = answer_refusal(reported(ALLOWANCE, edge_weight(radius) * (1.0 + 1e-9), radius),
+                           ALLOWANCE)
+    assert above == "its moment sums round at 1.000e-08, above the residual target"
+    weight = edge_weight(radius) * (1.0 - 1e-9)
+    assert answer_refusal(reported(ALLOWANCE, weight, radius), ALLOWANCE) is None
+    # the level grows with the top degree only beyond the unit torus
+    higher = reported(ALLOWANCE, weight, radius, top=TOP + 1)
+    assert (answer_refusal(higher, ALLOWANCE) is None) == (radius <= 1.0)
+
+
+def test_answer_rule_accepts_a_weightless_answer():
+    assert answer_refusal(reported(0.0, 0.0, 0.0), ALLOWANCE) is None
