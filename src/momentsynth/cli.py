@@ -13,12 +13,12 @@ from pathlib import Path
 
 from .documents import (
     collector_paused,
+    doc_bytes,
     measure_from_doc,
     measure_to_doc,
     problem_from_doc,
     problem_to_doc,
     read_doc,
-    report_json,
     report_to_doc,
     write_doc,
 )
@@ -51,7 +51,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     output = Path(args.output)
     try:
         write_doc(output, measure_to_doc(measure))
-        _report_path(output).write_text(report_json(report_to_doc(rep)) + "\n", encoding="utf-8")
+        write_doc(_report_path(output), report_to_doc(rep))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -91,7 +91,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{'PASS' if passed else 'FAIL'}: max residual {rep.max_residual:.3e} "
         f"vs allowance {allowance:.3e}"
     )
-    print(report_json(report_to_doc(rep)))
+    print(doc_bytes(report_to_doc(rep)).decode(), end="")
     return 0 if passed else 4
 
 

@@ -1,27 +1,24 @@
 """JSON document formats for problems, measures, and reports.
 
 Complex numbers are stored as {re, im} pairs and floats round-trip exactly
-(serialization relies on Python's shortest exact float representation), so
-parse(serialize(x)) reproduces x field for field.  Every `re`, `im`, `w`
-and `scale` must be a JSON number: a string such as "1.5" or a boolean is
-a parse error.
+(every float is written in its shortest exact spelling), so parse(serialize(x))
+reproduces x field for field.  Every `re`, `im`, `w` and `scale` must be a
+JSON number: a string such as "1.5" or a boolean is a parse error.
 
-`read_doc` decodes a file's bytes with orjson, with the cyclic garbage
-collector paused (see `collector_paused`).  orjson reads strict JSON:
-NaN, Infinity and a number beyond a double (1e400) are invalid, an
-integer beyond 64 bits reads as the nearest double, and a document nested
-deeper than `MAX_DEPTH` is refused before it is decoded.  The writers stay
-on the standard library, whose float spelling (1e-05, 1e+300) every
-written file and printed report keeps: `write_doc` calls `json.dumps`, and
-`report_json` writes a report document directly, with the bytes of
-`json.dumps(doc, indent=2)`, whose indented form runs the standard
-library's pure-Python encoder.
+orjson both decodes and encodes.  `read_doc` decodes a file's bytes with
+the cyclic garbage collector paused (see `collector_paused`).  orjson
+reads strict JSON: NaN, Infinity and a number beyond a double (1e400) are
+invalid, an integer beyond 64 bits reads as the nearest double, and a
+document nested deeper than `MAX_DEPTH` is refused before it is decoded.
+`doc_bytes` makes the bytes of every written document and printed report,
+indented by two spaces, with floats spelled as orjson spells them
+(0.00001, 1e300, 2.5e-8), which the standard library's `json` reads to the
+same bits.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import math
 import re
 from contextlib import contextmanager
@@ -137,39 +134,22 @@ def report_to_doc(rep: Report) -> dict:
     }
 
 
-def _json_number(x: float | None) -> str:
-    return "null" if x is None else float.__repr__(x)
+def doc_bytes(doc: dict) -> bytes:
+    """The document as indented JSON, ending in a newline.
 
-
-def report_json(doc: dict) -> str:
-    """`json.dumps(doc, indent=2)` of a `report_to_doc` document, byte for byte.
-
-    The lines of the report's one layout are joined directly; floats are
-    written with `float.__repr__` and ints with `int.__repr__`, as `json`
-    writes them, and a non-finite value is already null.  The top-level
-    scalars and the `tol` echo go through `json.dumps` itself.
+    A numpy scalar, such as a `tol` given as np.float64, is written as its
+    Python number.  orjson writes integers of at most 64 bits, the ones it
+    reads back as integers; a document with any other integer is refused.
     """
-    residuals = ",\n".join(
-        '    {\n      "k": [\n        ' + ",\n        ".join(map(int.__repr__, r["k"]))
-        + '\n      ],\n      "abs_err": ' + _json_number(r["abs_err"]) + "\n    }"
-        for r in doc["residuals"]
-    )
-    config = doc["config"]
-    return (
-        "{\n"
-        + "".join(
-            f'  "{key}": {json.dumps(doc[key])},\n'
-            for key in ("max_residual", "total_mass", "support_radius", "atom_count")
-        )
-        + f'  "residuals": [\n{residuals}\n  ],\n'
-        + '  "config": '
-        + ("null" if config is None else f'{{\n    "tol": {json.dumps(config["tol"])}\n  }}')
-        + "\n}"
-    )
+    options = orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    try:
+        return orjson.dumps(doc, option=options)
+    except orjson.JSONEncodeError as exc:
+        raise ValueError(f"cannot write the document: {exc} (integers must lie in -2**63..2**64-1)") from exc
 
 
 def write_doc(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path.write_bytes(doc_bytes(doc))
 
 
 @contextmanager

@@ -16,17 +16,15 @@ from momentsynth.cli import main
 from momentsynth.documents import (
     measure_from_doc,
     measure_to_doc,
-    problem_from_doc,
     problem_to_doc,
     read_doc,
-    report_to_doc,
     write_doc,
 )
 from momentsynth.errors import ConvergenceFailure
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
 from momentsynth.synthesis import SolverConfig
-from momentsynth.verify import random_instance, report
+from momentsynth.verify import random_instance
 
 
 def _write_problem(path, spec):
@@ -228,15 +226,16 @@ def test_solve_byte_stable(tmp_path):
 
 
 @pytest.mark.parametrize("tol", [None, "1e-7"])
-def test_solve_report_file_is_the_indented_json_of_the_report(tmp_path, tol):
+def test_solve_report_file_is_the_indented_json_of_the_report(tmp_path, capsys, tol):
+    # the .report file and verify's printed report of the same pair are one writer's bytes
     problem, out = tmp_path / "prob.json", tmp_path / "sol.json"
     main(["random", str(problem), "--n", "2", "--d", "3", "--atoms", "4", "--seed", "9"])
-    assert main(["solve", str(problem), str(out)] + ([] if tol is None else ["--tol", tol])) == 0
-    spec = problem_from_doc(read_doc(problem))
-    config = SolverConfig(tol=None if tol is None else float(tol))
-    rep = report(spec, measure_from_doc(read_doc(out)), config)
-    expect = json.dumps(report_to_doc(rep), indent=2) + "\n"
-    assert (tmp_path / "sol.report").read_bytes() == expect.encode("utf-8")
+    flags = [] if tol is None else ["--tol", tol]
+    assert main(["solve", str(problem), str(out)] + flags) == 0
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)] + flags) == 0
+    printed = capsys.readouterr().out.split("\n", 1)[1]
+    assert (tmp_path / "sol.report").read_bytes() == printed.encode("utf-8")
 
 
 def test_verify_reads_its_documents_with_the_collector_paused(tmp_path, monkeypatch):

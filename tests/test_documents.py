@@ -7,18 +7,19 @@ import pytest
 
 from momentsynth import documents
 from momentsynth.documents import (
+    doc_bytes,
     measure_from_doc,
     measure_to_doc,
     problem_from_doc,
     problem_to_doc,
     read_doc,
-    report_json,
     report_to_doc,
+    write_doc,
 )
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
 from momentsynth.synthesis import SolverConfig
-from momentsynth.verify import random_instance, report
+from momentsynth.verify import Report, random_instance, report
 
 
 def test_problem_round_trip_exact():
@@ -263,7 +264,7 @@ def test_measure_doc_holds_plain_floats():
     numbers = [doc["scale"]] + [a["w"] for a in doc["atoms"]]
     numbers += [z[part] for a in doc["atoms"] for z in a["z"] for part in ("re", "im")]
     assert {type(x) for x in numbers} == {float}
-    assert json.dumps(doc, indent=2) == """{
+    assert doc_bytes(doc) == b"""{
   "n": 2,
   "scale": 2.5,
   "atoms": [
@@ -283,7 +284,7 @@ def test_measure_doc_holds_plain_floats():
     {
       "z": [
         {
-          "re": 1e+300,
+          "re": 1e300,
           "im": 0.0
         },
         {
@@ -294,7 +295,8 @@ def test_measure_doc_holds_plain_floats():
       "w": 0.0
     }
   ]
-}"""
+}
+"""
 
 
 def test_measure_doc_rejects_negative_weight():
@@ -332,20 +334,76 @@ def _reports():
                 yield report_to_doc(report(spec, measure, config))
 
 
-def test_report_json_is_json_dumps_byte_for_byte():
+def _exact(value):
+    """The tree with every float as its float.hex and every key in order, so
+    two trees compare equal only where they hold the same bits."""
+    if isinstance(value, dict):
+        return [(key, _exact(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return list(map(_exact, value))
+    return float.hex(value) if isinstance(value, float) else (type(value).__name__, value)
+
+
+def _read_back(tmp_path, doc) -> None:
+    """Write `doc`, and read it back to the same bits with orjson and with json."""
+    path = tmp_path / "doc.json"
+    write_doc(path, doc)
+    assert path.read_bytes() == doc_bytes(doc)
+    assert _exact(read_doc(path)) == _exact(doc)
+    assert _exact(json.loads(path.read_text(encoding="utf-8"))) == _exact(doc)
+
+
+# floats whose spelling changed with the writer: 1e-05 is written 0.00001,
+# 1e+300 as 1e300 and 2.5e-08 as 2.5e-8
+_RESPELLED = (1e-05, 1e300, 2.5e-08)
+
+
+@pytest.mark.parametrize("seed", range(10), ids="seed{}".format)
+def test_written_documents_read_back_bit_for_bit(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=400, dtype=np.uint64)
+    drawn = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+    doubles = list(_EDGE_DOUBLES + _RESPELLED) + drawn
+    pairs = [(x, y) for x, y in zip(doubles, doubles[1:] + doubles[:1]) if math.isfinite(math.hypot(x, y))]
+    values = [complex(x, y) for x, y in pairs] + [complex(x, 0.0) for x in doubles]
+    spec = MomentSpec(1, tuple((k,) for k in range(len(values))), values)
+    _read_back(tmp_path, problem_to_doc(spec))
+    magnitudes = [abs(v.imag) for v in values]
+    measure = AtomicMeasure(1, [[v] for v in values], magnitudes, scale=doubles[-1])
+    _read_back(tmp_path, measure_to_doc(measure))
+    rep = Report(
+        indices=spec.indices, residuals=tuple(magnitudes[:-3]) + (math.inf, math.nan, -math.inf),
+        max_residual=math.inf, total_mass=math.nan, support_radius=magnitudes[-1],
+        atom_count=len(magnitudes), config=SolverConfig(tol=np.float64(magnitudes[0] or 1.0)),
+    )
+    doc = report_to_doc(rep)
+    assert doc["max_residual"] is doc["total_mass"] is None
+    assert [entry["abs_err"] for entry in doc["residuals"][-3:]] == [None] * 3
+    _read_back(tmp_path, doc)
     docs = list(_reports())
     assert any(len(doc["residuals"]) == 441 for doc in docs)  # n=2, d=20
     for doc in docs:
-        assert report_json(doc) == json.dumps(doc, indent=2)
+        _read_back(tmp_path, doc)
 
 
-def test_report_json_writes_a_moment_beyond_a_double_as_null():
+def test_written_report_reads_a_moment_beyond_a_double_as_null(tmp_path):
     spec = MomentSpec(1, ((0,), (2,)), (1, 0.5))
     far = AtomicMeasure(1, [[1e200]], [1.0], scale=1e200)
     for config in (None, SolverConfig(tol=1e-7)):
         doc = report_to_doc(report(spec, far, config))
         assert doc["residuals"][1]["abs_err"] is None
-        assert report_json(doc) == json.dumps(doc, indent=2)
+        _read_back(tmp_path, doc)
+
+
+def test_write_doc_refuses_an_integer_beyond_64_bits(tmp_path):
+    path = tmp_path / "doc.json"
+    for exponent in (2**64, 10**30):
+        doc = problem_to_doc(MomentSpec(1, ((0,), (exponent,)), (1, 0.5)))
+        with pytest.raises(ValueError, match=r"integers must lie in -2\*\*63\.\.2\*\*64-1\)$"):
+            write_doc(path, doc)
+        assert not path.exists()
+    # the largest integer that is written reads back as that integer
+    _read_back(tmp_path, problem_to_doc(MomentSpec(1, ((0,), (2**64 - 1,)), (1, 0.5))))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
