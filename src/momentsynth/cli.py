@@ -35,7 +35,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         config = SolverConfig(tol=args.tol)
         spec = problem_from_doc(read_doc(Path(args.input)))
-        # ValueError also for an exponent above the cap of the moment sums
         measure = synthesize(spec, config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -81,11 +80,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 1
     allowance = config.allowance(spec)
-    try:
-        rep = report(spec, measure, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rep = report(spec, measure, config)
     passed = rep.max_residual <= allowance
     print(
         f"{'PASS' if passed else 'FAIL'}: max residual {rep.max_residual:.3e} "

@@ -8,8 +8,9 @@ JSON number: a string such as "1.5" or a boolean is a parse error.
 orjson both decodes and encodes.  `read_doc` decodes a file's bytes with
 the cyclic garbage collector paused (see `collector_paused`).  orjson
 reads strict JSON: NaN, Infinity and a number beyond a double (1e400) are
-invalid, an integer beyond 64 bits reads as the nearest double, and a
-document nested deeper than `MAX_DEPTH` is refused before it is decoded.
+invalid, an integer beyond 64 bits reads as the nearest double (above the
+cap of an exponent), and a document nested deeper than `MAX_DEPTH` is
+refused before it is decoded.
 `doc_bytes` makes the bytes of every written document and printed report,
 indented by two spaces, with floats spelled as orjson spells them
 (0.00001, 1e300, 2.5e-8), which the standard library's `json` reads to the

@@ -1,25 +1,26 @@
 """Multi-index lattice arithmetic and moment problem instances.
 
 A problem instance prescribes complex values for finitely many monomial
-exponents in n complex variables.  The paper's construction works on a
-full exponent box of some degree, so this module also provides the
-zero-filled embedding of an instance into that box: an array in the
-lexicographic (C) order of `box`, where incrementing the j-th exponent
-moves an index by the stride (degree+1)**(n-j).  Only the paper's
-construction reads it; no solve builds it.
+exponents in n complex variables, which only `exponent_rows` checks.  The
+paper's construction works on a full exponent box of some degree, so this
+module also provides the zero-filled embedding of an instance into that
+box: an array in the lexicographic (C) order of `box`, where incrementing
+the j-th exponent moves an index by the stride (degree+1)**(n-j).  Only
+the paper's construction reads it; no solve builds it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # Exponent vector of a monomial z1^k1 ... zn^kn (entries >= 0).
 MultiIndex = tuple[int, ...]
+
+MAX_EXPONENT = 65_535  # one atom's powers fit a block of verify's moment sums
 
 
 def _integer(value) -> int:
@@ -32,6 +33,31 @@ def _integer(value) -> int:
     if integer != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{value!r} is not an integer")
     return integer
+
+
+def exponent_rows(indices, n: int) -> np.ndarray:
+    """`indices` as a read-only int64 (len(indices), n) array of integers by
+    `_integer`'s rule from 0 to MAX_EXPONENT.  An integer array is checked
+    whole; other entries before numpy reads [[True, 2]] as [[1, 2]]."""
+    if isinstance(indices, np.ndarray) and indices.ndim == 2 and indices.dtype.kind in "iu":
+        # as Python ints: a uint64 beyond int64 would wrap in the cast below
+        lengths, entries = {indices.shape[1]}, indices
+        lo, hi = int(indices.min(initial=0)), int(indices.max(initial=0))
+    else:
+        rows = list(map(tuple, indices))
+        lengths, entries = set(map(len, rows)), list(itertools.chain.from_iterable(rows))
+        if not set(map(type, entries)) <= {int}:  # `_integer` only where it can refuse
+            entries = list(map(_integer, entries))
+        lo, hi = min(entries, default=0), max(entries, default=0)
+    if lengths - {n}:
+        raise ValueError(f"an index has length {min(lengths - {n})}, expected {n}")
+    if lo < 0:
+        raise ValueError(f"negative exponent {lo}")
+    if hi > MAX_EXPONENT:
+        raise ValueError(f"exponent {hi} exceeds the limit {MAX_EXPONENT}")
+    array = np.array(entries, dtype=np.int64).reshape(-1, n)
+    array.setflags(write=False)
+    return array
 
 
 def box(n: int, degree: int) -> tuple[MultiIndex, ...]:
@@ -50,28 +76,25 @@ def box(n: int, degree: int) -> tuple[MultiIndex, ...]:
 class MomentSpec:
     """A truncated moment problem: prescribed complex values per exponent.
 
-    `indices` are distinct nonnegative multi-indices with the all-zero
-    exponent first; `values` align with them.  The zero exponent prescribes
-    the total mass of the sought measure.
+    `indices` are distinct multi-indices with the all-zero exponent first;
+    `values` align with them, the first the total mass.  `exponents` is
+    `exponent_rows(indices, n)`, which equality, hashing and repr skip.
     """
 
     n: int
     indices: tuple[MultiIndex, ...]
     values: tuple[complex, ...]
+    exponents: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = _integer(self.n)
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        indices = tuple(tuple(map(_integer, k)) for k in self.indices)
+        exponents = exponent_rows(self.indices, n)
+        indices = tuple(map(tuple, exponents.tolist()))
         values = tuple(complex(v) for v in self.values)
         if len(indices) != len(values):
             raise ValueError("indices and values must have equal length")
-        for k in indices:
-            if len(k) != n:
-                raise ValueError(f"index {k} has length {len(k)}, expected {n}")
-            if any(e < 0 for e in k):
-                raise ValueError(f"index {k} has a negative entry")
         if not indices or indices[0] != (0,) * n:
             raise ValueError("the zero multi-index must be present and first")
         if len(set(indices)) != len(indices):
@@ -84,6 +107,7 @@ class MomentSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "exponents", exponents)
 
     @classmethod
     def from_items(cls, n: int, items) -> "MomentSpec":
@@ -136,9 +160,7 @@ def embed(spec: MomentSpec) -> EmbeddedSpec:
 
     The box degree is max(1, largest exponent entry).
     """
-    degree = max(1, max(max(k) for k in spec.indices))
+    degree = max(1, int(spec.exponents.max()))
     values = np.zeros((degree + 1) ** spec.n, dtype=complex)
-    strides = [(degree + 1) ** (spec.n - 1 - j) for j in range(spec.n)]
-    for k, v in zip(spec.indices, spec.values):
-        values[sum(map(mul, k, strides))] = v
+    values[np.ravel_multi_index(spec.exponents.T, (degree + 1,) * spec.n)] = spec.values
     return EmbeddedSpec(spec.n, degree, values)

@@ -19,7 +19,7 @@ class AtomicMeasure:
     every atom coordinate lies within the disc of that radius.  Answers on
     a torus put every coordinate on its circle; a matrix-pencil answer to
     low-rank one-variable data has its atoms anywhere in the disc, with
-    `scale` their largest modulus.
+    `scale` their largest modulus.  Every `scale` is finite.
     """
 
     n: int
@@ -39,12 +39,15 @@ class AtomicMeasure:
             raise ValueError("weights must be nonnegative")
         if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
             raise ValueError("atoms and weights must be finite")
+        scale = float(self.scale)
+        if not np.isfinite(scale):
+            raise ValueError(f"scale {scale} is not finite")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def empty(cls, n: int) -> "AtomicMeasure":

@@ -47,8 +47,8 @@ from .errors import ConvergenceFailure, Unsolvable
 from .lattice import MomentSpec, MultiIndex
 from .measures import AtomicMeasure
 from .operators import contraction_scale
-from .verify import (_BLOCK_ENTRIES, Report, SolverConfig, _exp_text, answer_refusal, report,
-                     solvability, torus_refusal)
+from .verify import (Report, SolverConfig, _exp_text, answer_refusal, report, solvability,
+                     torus_refusal)
 
 
 # candidate angles per variable of the two-variable grid fit
@@ -535,7 +535,7 @@ def _own_disc(spec: MomentSpec) -> _Disc:
     values = np.asarray(spec.values[1:], dtype=complex)
     moduli = np.abs(values)
     live = moduli > 0.0
-    exponents = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, spec.n)[live]
+    exponents = spec.exponents[1:][live]
     degrees = exponents.sum(axis=1)
     log_ratios = np.log(moduli[live]) - math.log(spec.mass.real)
     t_lo = float((log_ratios / degrees).max()) if degrees.size else -math.inf
@@ -575,7 +575,7 @@ def lattice_quadrature(spec: MomentSpec, disc: _Disc) -> tuple[AtomicMeasure, fl
     every weight is s0 / N.
     """
     n = spec.n
-    karr = np.array(spec.indices[1:], dtype=np.int64).reshape(-1, n)
+    karr = spec.exponents[1:]
     size, z = _rank1_lattice(np.concatenate([np.zeros((1, n), dtype=np.int64), karr, -karr]))
     s0 = spec.mass.real
     t, weights = 0.0, np.full(size, s0 / size)
@@ -729,16 +729,11 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     overflow, NaN or LAPACK failure in the older attempt, its radius
     included, ends the attempt with that error as its reason.  Otherwise
     the raised ConvergenceFailure lists every attempt in order, the
-    pencil's as "pencil, m atoms", each with its reason.  Beside it and
-    Unsolvable, only ValueError is raised, before the gate, for an exponent
-    above 65,535: the cap of the moment sums that accept every answer.
+    pencil's as "pencil, m atoms", each with its reason.  Nothing else is raised.
 
     The returned measure's moments match the spec within the config's
     `allowance(spec)`.
     """
-    largest = max(map(max, spec.indices))
-    if largest >= _BLOCK_ENTRIES:
-        raise ValueError(f"exponent {largest} exceeds the limit {_BLOCK_ENTRIES - 1}")
     cfg = config if config is not None else SolverConfig()
     verdict = solvability(spec)
     if verdict.is_zero:
@@ -751,7 +746,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     tol = cfg.resolved_tol(n)
     allowance = cfg.allowance(spec)
     magnitudes = np.abs(np.asarray(spec.values))
-    degrees = np.array([sum(k) for k in spec.indices], dtype=float)
+    degrees = spec.exponents.sum(axis=1).astype(float)
 
     def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, Report]:
         """The unit measure on the torus of atom_radius, and its report."""
@@ -762,7 +757,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     attempts: list[tuple[str, str]] = []  # (attempt, reason)
     # whether the spec fills its exponent box {0..D}**n, D = max(1, largest
     # exponent): only such a spec reaches the pencil and the older attempt
-    side = max(1, largest) + 1
+    side = max(1, int(spec.exponents.max())) + 1
     full = len(spec.indices) == side**n
     pencil = _pencil(spec, disc) if n == 1 and full else None
     if pencil is not None:
@@ -781,7 +776,7 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
             with np.errstate(over="raise", invalid="raise"):
                 if n == 2:
                     factor = _prescale_factor(spec)
-                karr = np.array(spec.indices)
+                karr = spec.exponents
                 # the mass is real up to the solvability gate's rounding
                 scaled = np.array((spec.mass.real,) + spec.values[1:]) / factor**degrees
                 box = np.empty((side,) * n, dtype=complex)

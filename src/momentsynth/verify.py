@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import MomentSpec, MultiIndex, box
+from .lattice import MAX_EXPONENT, MomentSpec, MultiIndex, box, exponent_rows
 from .measures import AtomicMeasure
 
 
@@ -97,9 +97,8 @@ class SolverConfig:
 # double, 80-bit on x86-64 Linux, plain double under MSVC and on macOS arm64
 _SUM = np.clongdouble
 _LOG_SUM_EPS = math.log(float(np.finfo(_SUM).eps))
-# entries in each per-block work array of measure_moments (2 MB in _SUM),
-# and one more than the largest exponent, so one atom's power table fits a block
-_BLOCK_ENTRIES = 1 << 16
+# entries in each per-block work array of measure_moments (2 MB in _SUM)
+_BLOCK_ENTRIES = MAX_EXPONENT + 1
 
 
 def _log_rounding_level(log_weight: float, log_radius: float, top: int) -> float:
@@ -123,9 +122,10 @@ def _cpus() -> int:
 
 
 def measure_moments(
-    measure: AtomicMeasure, indices: Sequence[MultiIndex]
+    measure: AtomicMeasure, indices: Sequence[MultiIndex] | np.ndarray
 ) -> tuple[complex, ...]:
-    """Monomial moments of an atomic measure at the given exponents.
+    """Monomial moments of an atomic measure at a spec's `exponents`, or at
+    any indices that `lattice.exponent_rows` accepts (ValueError otherwise).
 
     The sums run in extended precision (`_SUM`) and each moment
     is rounded once to complex: in double precision a degree-d moment of
@@ -137,8 +137,7 @@ def measure_moments(
     over a table 1, z, z, ... of coordinate-major atoms.  Each distinct
     exponent of all but the last coordinate (a head) is coded as one
     integer and gives one row of weight times head powers; the powers of
-    the last coordinate enter through one matrix product.  An exponent
-    above 65,535 raises ValueError.
+    the last coordinate enter through one matrix product.
 
     The blocks' products run in a thread pool with one worker per CPU in
     the process's affinity mask (`os.cpu_count()` where there is no mask),
@@ -155,24 +154,9 @@ def measure_moments(
     bit-identical to that loop's.
     """
     n = measure.n
-    for k in indices:
-        if len(k) != n:
-            raise ValueError(
-                f"index length {len(k)} does not match measure dimension {n}"
-            )
-    if not len(indices):
-        return ()
-    try:
-        exps = np.array(indices, dtype=np.intp).reshape(-1, n)
-    except OverflowError:
-        big = max((e for k in indices for e in k), key=abs)
-        raise ValueError(f"exponent {big} does not fit an array index") from None
-    if exps.min() < 0:
-        raise ValueError(f"negative exponent {exps.min()} in the indices")
-    if exps.max() >= _BLOCK_ENTRIES:
-        raise ValueError(f"exponent {exps.max()} exceeds the limit {_BLOCK_ENTRIES - 1}")
-    if not len(measure):
-        return (0j,) * len(indices)
+    exps = exponent_rows(indices, n)
+    if not len(exps) or not len(measure):
+        return (0j,) * len(exps)
     top = exps.max(axis=0)
     # Row of each index: its head, numbered one coordinate at a time so
     # that the code stays below len(indices) * (top + 1); one code over all
@@ -272,7 +256,7 @@ class Report:
 def report(spec: MomentSpec, measure: AtomicMeasure, config: SolverConfig | None = None) -> Report:
     """Per-index residuals |moment - s_k|, bit for bit Python's abs() by
     `np.hypot`, and inf beyond a double even where abs() would raise."""
-    moments = measure_moments(measure, spec.indices)
+    moments = measure_moments(measure, spec.exponents)
     with np.errstate(over="ignore"):
         gaps = np.subtract(moments, spec.values)
         residuals = tuple(np.hypot(gaps.real, gaps.imag).tolist())

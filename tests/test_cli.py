@@ -91,13 +91,14 @@ def test_every_solver_error_exits_3(tmp_path, capsys, monkeypatch, error):
 
 
 def test_solve_exponent_beyond_the_limit_exit_1(tmp_path, capsys):
-    # the same limit as verify's, checked before any attempt
+    # the same limit as verify's: no spec holds the exponent, so no attempt runs
     problem, out = tmp_path / "prob.json", tmp_path / "out.json"
-    _write_problem(problem, MomentSpec(1, ((0,), (70000,)), (1, 0.5)))
+    write_doc(problem, {"n": 1, "moments": [{"k": [0], "re": 1.0, "im": 0.0},
+                                            {"k": [70000], "re": 0.5, "im": 0.0}]})
     assert main(["solve", str(problem), str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: exponent 70000 exceeds the limit 65535\n"
+    assert captured.err == "error: malformed problem document: exponent 70000 exceeds the limit 65535\n"
     assert not out.exists()
 
 
@@ -363,8 +364,7 @@ def test_verify_boolean_integer_exit_1(tmp_path, capsys, document, field):
 
 
 def test_verify_exponent_beyond_an_array_index_exit_1(tmp_path, capsys):
-    # an integral float parses, but no array index holds it; the document
-    # is only verified, since solving it would embed a box of degree 1e20
+    # an integral float passes as an integer, but not beyond the limit
     problem = tmp_path / "prob.json"
     main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "5"])
     doc = read_doc(problem)
@@ -374,11 +374,11 @@ def test_verify_exponent_beyond_an_array_index_exit_1(tmp_path, capsys):
     assert main(["verify", str(problem), str(tmp_path / "prob.measure.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: exponent {10**20} does not fit an array index")
+    assert captured.err == f"error: malformed problem document: exponent {10**20} exceeds the limit 65535\n"
 
 
 def test_verify_exponent_beyond_the_limit_exit_1(tmp_path, capsys):
-    # an exponent that fits an array index but not one block's power table
+    # an exponent whose power table would not fit one block of the moment sums
     problem = tmp_path / "prob.json"
     main(["random", str(problem), "--n", "1", "--d", "2", "--atoms", "2", "--seed", "5"])
     doc = read_doc(problem)
@@ -388,7 +388,7 @@ def test_verify_exponent_beyond_the_limit_exit_1(tmp_path, capsys):
     assert main(["verify", str(problem), str(tmp_path / "prob.measure.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: exponent 100000 exceeds the limit 65535")
+    assert captured.err == "error: malformed problem document: exponent 100000 exceeds the limit 65535\n"
 
 
 def test_verify_report_is_machine_readable(tmp_path, capsys):

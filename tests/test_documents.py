@@ -395,15 +395,89 @@ def test_written_report_reads_a_moment_beyond_a_double_as_null(tmp_path):
         _read_back(tmp_path, doc)
 
 
+def _problem_doc(exponent: int) -> dict:
+    """A problem document as a plain dict: no spec holds an exponent this large."""
+    return {"n": 1, "moments": [{"k": [0], "re": 1.0, "im": 0.0}, {"k": [exponent], "re": 0.5, "im": 0.0}]}
+
+
 def test_write_doc_refuses_an_integer_beyond_64_bits(tmp_path):
     path = tmp_path / "doc.json"
     for exponent in (2**64, 10**30):
-        doc = problem_to_doc(MomentSpec(1, ((0,), (exponent,)), (1, 0.5)))
         with pytest.raises(ValueError, match=r"integers must lie in -2\*\*63\.\.2\*\*64-1\)$"):
-            write_doc(path, doc)
+            write_doc(path, _problem_doc(exponent))
         assert not path.exists()
     # the largest integer that is written reads back as that integer
-    _read_back(tmp_path, problem_to_doc(MomentSpec(1, ((0,), (2**64 - 1,)), (1, 0.5))))
+    _read_back(tmp_path, _problem_doc(2**64 - 1))
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_measure_refuses_a_scale_that_is_not_finite(scale):
+    # JSON holds no such number: the writer would spell it null, which the
+    # reader refuses
+    with pytest.raises(ValueError, match="^scale .* is not finite$"):
+        AtomicMeasure(1, [[0.5]], [1.0], scale=scale)
+
+
+# the first two within the cap of 65,535
+_EDGE_EXPONENTS = (0, 65_535, 65_536, 2**63 - 1, 2**64 + 1)
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _refused_or_read_back(tmp_path, build, refused, doc, to_doc, reader):
+    """Build from `doc`'s fields.  A refused build raises ValueError, and
+    the document that the standard library's json writes is refused too,
+    as invalid JSON (a scale of inf) or by `reader`.  Otherwise the built
+    object's document (`to_doc`), written by write_doc, reads back to
+    `doc`'s bits by read_doc and json, and `reader` rebuilds the same bits
+    from either."""
+    path = tmp_path / "std.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if refused:
+        with pytest.raises(ValueError):
+            build()
+        with pytest.raises(ValueError, match="^malformed |: invalid JSON: "):
+            reader(read_doc(path))
+        return
+    written = to_doc(build())
+    assert _exact(written) == _exact(doc)
+    _read_back(tmp_path, written)
+    for tree in (read_doc(path), read_doc(tmp_path / "doc.json")):
+        assert _exact(to_doc(reader(tree))) == _exact(doc)
+
+
+@pytest.mark.parametrize("seed", range(40), ids="seed{}".format)
+def test_edge_specs_and_measures_are_refused_or_read_back_bit_for_bit(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n, count = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    # entries within the cap, and in half the specs one beyond it
+    within = (1, 2) + _EDGE_EXPONENTS[:2]
+    indices = [(0,) * n] + [tuple(within[j] for j in rng.integers(0, 4, size=n)) for _ in range(count)]
+    if rng.random() < 0.5:
+        row, column = int(rng.integers(1, count + 1)), int(rng.integers(0, n))
+        indices[row] = indices[row][:column] + (_EDGE_EXPONENTS[int(rng.integers(2, 5))],) + indices[row][column + 1:]
+    values = [complex(*rng.choice(_EDGE_VALUES, size=2).tolist()) for _ in indices]
+    doc = {"n": n, "moments": [{"k": list(k), "re": v.real, "im": v.imag} for k, v in zip(indices, values)]}
+    beyond = max(map(max, indices)) > 65_535
+    refused = (beyond or len(set(indices)) < len(indices)
+               or any(math.hypot(v.real, v.imag) == math.inf for v in values))
+    _refused_or_read_back(tmp_path, lambda: MomentSpec(n, tuple(indices), tuple(values)), refused,
+                          doc, problem_to_doc, problem_from_doc)
+    if beyond:
+        with pytest.raises(ValueError, match="exceeds the limit 65535$"):
+            MomentSpec(n, tuple(indices), tuple(values))
+
+    coords = rng.choice(_EDGE_VALUES, size=(count, n, 2)).tolist()
+    weights = rng.choice(_EDGE_VALUES, size=count).tolist()
+    scale = float(rng.choice((0.0, math.inf) + _EDGE_VALUES))
+    doc = {"n": n, "scale": scale, "atoms": [
+        {"z": [{"re": re, "im": im} for re, im in row], "w": w} for row, w in zip(coords, weights)
+    ]}
+    atoms = [[complex(re, im) for re, im in row] for row in coords]
+    _refused_or_read_back(tmp_path, lambda: AtomicMeasure(n, atoms, weights, scale=scale),
+                          min(weights) < 0 or math.isinf(scale), doc, measure_to_doc, measure_from_doc)
+    if math.isinf(scale) and min(weights) >= 0:
+        with pytest.raises(ValueError, match="^scale inf is not finite$"):
+            AtomicMeasure(n, atoms, weights, scale=scale)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
+import momentsynth
+from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed, exponent_rows
+from momentsynth.measures import AtomicMeasure
+from momentsynth.verify import measure_moments
 
 
 def test_box_1d():
@@ -139,3 +145,74 @@ def test_embedded_spec_shape_checks():
         EmbeddedSpec(1, 1, np.zeros(3))
     with pytest.raises(ValueError):
         EmbeddedSpec(2, 1, np.zeros(3))
+
+
+# exponents that no spec and no moment sum takes, each with its one message
+REFUSED_EXPONENTS = {
+    "2.5": (2.5, "2.5 is not an integer"),
+    "True": (True, "True is not an integer"),
+    "string": ("3", "'3' is not an integer"),
+    "-1": (-1, "negative exponent -1"),
+    "65536": (65536, "exponent 65536 exceeds the limit 65535"),
+    "2**64+1": (2**64 + 1, "exponent 18446744073709551617 exceeds the limit 65535"),
+}
+
+
+@pytest.mark.parametrize("exponent, message", list(REFUSED_EXPONENTS.values()), ids=list(REFUSED_EXPONENTS))
+def test_spec_and_moment_sums_refuse_an_exponent_alike(exponent, message):
+    refusals = (
+        lambda: MomentSpec(1, ((0,), (exponent,)), (1, 0.5)),
+        lambda: MomentSpec.from_items(1, [((exponent,), 0.5), ((0,), 1)]),
+        lambda: measure_moments(AtomicMeasure(1, [[0.5]], [1.0]), [(0,), (exponent,)]),
+        lambda: measure_moments(AtomicMeasure.empty(1), [(0,), (exponent,)]),
+    )
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refuse()
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "numpy True"])
+def test_a_boolean_inside_an_integer_row_is_refused(flag):
+    # np.asarray([[flag, 2]]) is an int64 array that reads flag as 1
+    message = f"^{re.escape(repr(flag))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        MomentSpec(2, ((0, 0), (flag, 2)), (1, 0.5))
+    with pytest.raises(ValueError, match=message):
+        measure_moments(AtomicMeasure(2, [[0.5, 0.5]], [1.0]), [(0, 0), (flag, 2)])
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(np.False_))} is not an integer$"):
+        exponent_rows(np.array([[False, False], [True, True]]), 2)
+
+
+def test_an_integer_array_is_checked_whole():
+    assert exponent_rows(np.array([[0], [65535]], dtype=np.uint16), 1).tolist() == [[0], [65535]]
+    with pytest.raises(ValueError, match="^exponent 70000 exceeds the limit 65535$"):
+        exponent_rows(np.array([[0], [70000]]), 1)
+    # a uint64 beyond int64 is not wrapped to a negative exponent
+    with pytest.raises(ValueError, match=f"^exponent {2**64 - 1} exceeds the limit 65535$"):
+        exponent_rows(np.array([[0], [2**64 - 1]], dtype=np.uint64), 1)
+    with pytest.raises(ValueError, match="^negative exponent -3$"):
+        exponent_rows(np.array([[0, 0], [1, -3]]), 2)
+    with pytest.raises(ValueError, match="^an index has length 2, expected 1$"):
+        exponent_rows(np.zeros((2, 2), dtype=np.int64), 1)
+    with pytest.raises(ValueError, match="^an index has length 2, expected 1$"):
+        exponent_rows([(0,), (1, 0)], 1)
+
+
+def test_spec_keeps_its_exponents_as_one_read_only_array():
+    rows = np.array([[0, 0], [2, 1], [65535, 3]])
+    spec = MomentSpec(2, rows, (1, 2, 3))
+    rows[1, 0] = 5  # the spec holds its own copy
+    assert spec.exponents.dtype == np.int64 and spec.exponents.shape == (3, 2)
+    assert not spec.exponents.flags.writeable
+    assert spec.exponents.tolist() == [list(k) for k in spec.indices] == [[0, 0], [2, 1], [65535, 3]]
+    # equality, hashing and repr read the indices alone
+    twin = MomentSpec(2, ((0.0, 0), (2, np.int64(1)), (65535, 3)), (1, 2, 3))
+    assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert "exponents" not in repr(spec)
+    assert spec.exponents is not twin.exponents
+
+
+def test_one_module_decides_the_exponent_domain():
+    src = Path(momentsynth.__file__).parent
+    deciding = [path.name for path in sorted(src.glob("*.py")) if "exceeds the limit" in path.read_text()]
+    assert deciding == ["lattice.py"]

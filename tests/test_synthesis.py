@@ -1078,21 +1078,22 @@ def test_sparse_rows_of_high_degree_never_build_the_box(n, d, monkeypatch):
     assert extended_residual(spec, measure) <= SolverConfig().allowance(spec)
 
 
-# the moment sums that accept every answer take exponents up to 65,535;
-# the zero spec too, whose zero measure `momentsynth solve` reports
+# the moment sums that accept every answer take exponents up to 65,535, so
+# no spec holds a larger one; the zero spec neither, whose zero measure
+# `momentsynth solve` would report. Each entry builds its spec.
 BEYOND_THE_CAP = {
-    "n1": MomentSpec(1, ((0,), (70000,)), (1, 0.5)),
-    "n2": MomentSpec.from_items(2, [((0, 0), 1.0), ((1, 0), 0.1), ((70000, 1), 0.3 + 0.2j)]),
-    "zero": MomentSpec(1, ((0,), (70000,)), (0, 0)),
+    "n1": lambda: MomentSpec(1, ((0,), (70000,)), (1, 0.5)),
+    "n2": lambda: MomentSpec.from_items(2, [((0, 0), 1.0), ((1, 0), 0.1), ((70000, 1), 0.3 + 0.2j)]),
+    "zero": lambda: MomentSpec(1, ((0,), (70000,)), (0, 0)),
 }
 
 
-@pytest.mark.parametrize("spec", list(BEYOND_THE_CAP.values()), ids=list(BEYOND_THE_CAP))
-def test_exponent_beyond_the_cap_raises_before_any_attempt(spec, monkeypatch):
+@pytest.mark.parametrize("build", list(BEYOND_THE_CAP.values()), ids=list(BEYOND_THE_CAP))
+def test_exponent_beyond_the_cap_raises_before_any_attempt(build, monkeypatch):
     calls = {name: spy(monkeypatch, name)
              for name in ("_pencil", "contraction_scale", "lattice_quadrature", "report")}
     with pytest.raises(ValueError, match="^exponent 70000 exceeds the limit 65535$"):
-        synthesize(spec)
+        synthesize(build())
     assert all(made == [] for made in calls.values())
 
 

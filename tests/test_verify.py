@@ -110,7 +110,7 @@ def test_moments_reject_negative_exponent(measure):
     AtomicMeasure.empty(1),
 ])
 def test_moments_reject_exponent_beyond_an_array_index(measure):
-    with pytest.raises(ValueError, match=f"exponent {10**20} does not fit"):
+    with pytest.raises(ValueError, match=f"^exponent {10**20} exceeds the limit 65535$"):
         measure_moments(measure, [(0,), (3,), (10**20,)])
 
 
@@ -123,6 +123,16 @@ def test_moments_reject_exponent_beyond_the_block(measure):
     assert len(measure_moments(measure, [(0,), (65535,)])) == 2
     with pytest.raises(ValueError, match="exponent 65536 exceeds the limit 65535"):
         measure_moments(measure, [(0,), (3,), (65536,)])
+
+
+def test_report_hands_the_moment_sums_the_spec_exponents(monkeypatch):
+    # the spec's own array, checked once when the spec was built
+    spec, truth = random_instance(2, 3, 4, seed=1)
+    seen, sums = [], verify.measure_moments
+    monkeypatch.setattr(verify, "measure_moments",
+                        lambda measure, indices: seen.append(indices) or sums(measure, indices))
+    report(spec, truth)
+    assert len(seen) == 1 and seen[0] is spec.exponents
 
 
 def _exact_moments(measure, indices):
