@@ -52,8 +52,8 @@ def problem_to_doc(spec: MomentSpec) -> dict:
     return {
         "n": spec.n,
         "moments": [
-            {"k": list(k), "re": v.real, "im": v.imag}
-            for k, v in zip(spec.indices, spec.values)
+            {"k": k, "re": re, "im": im} for k, re, im in zip(
+                spec.exponents.tolist(), spec.moments.real.tolist(), spec.moments.imag.tolist())
         ],
     }
 

@@ -45,16 +45,17 @@ def exponent_rows(indices, n: int) -> np.ndarray:
         lo, hi = int(indices.min(initial=0)), int(indices.max(initial=0))
     else:
         rows = list(map(tuple, indices))
-        lengths, entries = set(map(len, rows)), list(itertools.chain.from_iterable(rows))
-        if not set(map(type, entries)) <= {int}:  # `_integer` only where it can refuse
-            entries = list(map(_integer, entries))
+        lengths, read = set(map(len, rows)), list(itertools.chain.from_iterable(rows))
+        # `_integer` only where it can refuse
+        entries = read if set(map(type, read)) <= {int} else list(map(_integer, read))
         lo, hi = min(entries, default=0), max(entries, default=0)
     if lengths - {n}:
         raise ValueError(f"an index has length {min(lengths - {n})}, expected {n}")
     if lo < 0:
         raise ValueError(f"negative exponent {lo}")
-    if hi > MAX_EXPONENT:
-        raise ValueError(f"exponent {hi} exceeds the limit {MAX_EXPONENT}")
+    if hi > MAX_EXPONENT:  # named as read: a document's 2**64 + 1 as the double 2.0**64
+        top = hi if entries is indices else read[entries.index(hi)]
+        raise ValueError(f"exponent {top} exceeds the limit {MAX_EXPONENT}")
     array = np.array(entries, dtype=np.int64).reshape(-1, n)
     array.setflags(write=False)
     return array
@@ -77,14 +78,17 @@ class MomentSpec:
     """A truncated moment problem: prescribed complex values per exponent.
 
     `indices` are distinct multi-indices with the all-zero exponent first;
-    `values` align with them, the first the total mass.  `exponents` is
-    `exponent_rows(indices, n)`, which equality, hashing and repr skip.
+    `values` align with them, the first the total mass.  Equality, hashing
+    and repr skip three read-only arrays: `exponents`, `exponent_rows(indices,
+    n)`; `moments`, the values as complex128; `degrees`, |k| per row, int64.
     """
 
     n: int
     indices: tuple[MultiIndex, ...]
     values: tuple[complex, ...]
     exponents: np.ndarray = field(init=False, compare=False, repr=False)
+    moments: np.ndarray = field(init=False, compare=False, repr=False)
+    degrees: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = _integer(self.n)
@@ -92,22 +96,25 @@ class MomentSpec:
             raise ValueError("dimension must be at least 1")
         exponents = exponent_rows(self.indices, n)
         indices = tuple(map(tuple, exponents.tolist()))
-        values = tuple(complex(v) for v in self.values)
-        if len(indices) != len(values):
+        moments = np.array(list(map(complex, self.values)), dtype=complex)
+        if len(indices) != len(moments):
             raise ValueError("indices and values must have equal length")
         if not indices or indices[0] != (0,) * n:
             raise ValueError("the zero multi-index must be present and first")
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate multi-index in spec")
-        for v in values:
+        # a modulus below 2**1023 is finite however rounded; math.hypot decides the rest in order
+        for v in moments[~(np.abs(moments) < 2.0**1023)].tolist():
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError("moment values must be finite")
             if math.hypot(v.real, v.imag) == math.inf:
                 raise ValueError(f"moment value {v} has a modulus beyond the range of a double")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "exponents", exponents)
+        degrees = exponents.sum(axis=1)
+        moments.setflags(write=False)
+        degrees.setflags(write=False)
+        for name, value in dict(n=n, indices=indices, values=tuple(moments.tolist()),
+                                exponents=exponents, moments=moments, degrees=degrees).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_items(cls, n: int, items) -> "MomentSpec":
@@ -124,10 +131,10 @@ class MomentSpec:
 
     @property
     def mass(self) -> complex:
-        return self.values[0]
+        return complex(self.moments[0])
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not self.moments.any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,5 +169,5 @@ def embed(spec: MomentSpec) -> EmbeddedSpec:
     """
     degree = max(1, int(spec.exponents.max()))
     values = np.zeros((degree + 1) ** spec.n, dtype=complex)
-    values[np.ravel_multi_index(spec.exponents.T, (degree + 1,) * spec.n)] = spec.values
+    values[np.ravel_multi_index(spec.exponents.T, (degree + 1,) * spec.n)] = spec.moments
     return EmbeddedSpec(spec.n, degree, values)

@@ -532,14 +532,13 @@ def _own_disc(spec: MomentSpec) -> _Disc:
     t = t_lo = max_k log(|s_k| / s0) / |k| on (-inf when no moment after the
     mass is nonzero).  `synthesize` computes it once, past the gate, and the
     pencil, the lattice screen and the lattice stage read it."""
-    values = np.asarray(spec.values[1:], dtype=complex)
-    moduli = np.abs(values)
+    moduli = np.abs(spec.moments[1:])
     live = moduli > 0.0
-    exponents = spec.exponents[1:][live]
-    degrees = exponents.sum(axis=1)
+    degrees = spec.degrees[1:][live]
     log_ratios = np.log(moduli[live]) - math.log(spec.mass.real)
     t_lo = float((log_ratios / degrees).max()) if degrees.size else -math.inf
-    return _Disc(t_lo, exponents, degrees, log_ratios, np.angle(values[live]))
+    return _Disc(t_lo, spec.exponents[1:][live], degrees, log_ratios,
+                 np.angle(spec.moments[1:][live]))
 
 
 def lattice_quadrature(spec: MomentSpec, disc: _Disc) -> tuple[AtomicMeasure, float]:
@@ -594,7 +593,7 @@ def lattice_quadrature(spec: MomentSpec, disc: _Disc) -> tuple[AtomicMeasure, fl
         # past _STEP_ROUNDS steps the search goes on until the bracket is
         # at most 0.1 / top wide, so r**top is within e**0.1 of its least
         below, t = disc.t_lo, disc.t_lo + math.log(2.0 * len(disc.degrees) / (1.0 - NODE_FLOOR))
-        top = int(karr.sum(axis=1).max())
+        top = int(spec.degrees.max())
         rounds = max(_STEP_ROUNDS, math.ceil(math.log(10.0 * top * (t - below), len(_STEPS))))
         for _ in range(rounds):
             shifts = below + (t - below) * _STEPS
@@ -745,8 +744,8 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     disc = _own_disc(spec)
     tol = cfg.resolved_tol(n)
     allowance = cfg.allowance(spec)
-    magnitudes = np.abs(np.asarray(spec.values))
-    degrees = spec.exponents.sum(axis=1).astype(float)
+    magnitudes = np.abs(spec.moments)
+    degrees = spec.degrees
 
     def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, Report]:
         """The unit measure on the torus of atom_radius, and its report."""

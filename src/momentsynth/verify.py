@@ -90,7 +90,7 @@ class SolverConfig:
     def allowance(self, spec: MomentSpec) -> float:
         """The largest residual an answer to `spec` may have: the resolved
         tol times max(1, largest prescribed magnitude)."""
-        return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.values))))
+        return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.moments))))
 
 
 # the type of the moment sums, and the log of its unit roundoff: the long
@@ -258,7 +258,7 @@ def report(spec: MomentSpec, measure: AtomicMeasure, config: SolverConfig | None
     `np.hypot`, and inf beyond a double even where abs() would raise."""
     moments = measure_moments(measure, spec.exponents)
     with np.errstate(over="ignore"):
-        gaps = np.subtract(moments, spec.values)
+        gaps = np.subtract(moments, spec.moments)
         residuals = tuple(np.hypot(gaps.real, gaps.imag).tolist())
     return Report(
         indices=spec.indices,

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -84,9 +86,31 @@ def test_spec_rejects_duplicates_and_negatives():
         MomentSpec(2, ((0, 0), (0, -1)), (1, 2))
 
 
+def bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
 def test_spec_rejects_nonfinite_values():
+    nan, inf = float("nan"), float("inf")
     with pytest.raises(ValueError):
-        MomentSpec(1, ((0,), (1,)), (1, float("nan")))
+        MomentSpec(1, ((0,), (1,)), (1, nan))
+    # complex() is the one rule for what a value is, as the mass and after it
+    for bad in (nan, complex(0, nan), inf, -inf, complex(1, inf), complex(1, -inf), complex(nan, inf)):
+        for values in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="^moment values must be finite$"):
+                MomentSpec(1, ((0,), (1,)), values)
+    for bad in (None, "abc", [1, 2], object(), 10**400):
+        with pytest.raises(Exception) as refused:
+            complex(bad)
+        for values in ((bad, 1), (1, bad)):
+            with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+                MomentSpec(1, ((0,), (1,)), values)
+    # accepted as complex() reads them, to the same bits
+    for good in (np.float32(0.1), np.clongdouble("0.1+0.3j"), "1+2j", True):
+        for at in (0, 1):
+            spec = MomentSpec(1, ((0,), (1,)), (good, 1) if at == 0 else (1, good))
+            assert type(spec.values[at]) is complex
+            assert bits(spec.values[at]) == bits(complex(good)) == bits(complex(spec.moments[at]))
 
 
 def test_spec_rejects_a_modulus_beyond_a_double():
@@ -95,6 +119,23 @@ def test_spec_rejects_a_modulus_beyond_a_double():
         with pytest.raises(ValueError, match="has a modulus beyond the range of a double"):
             MomentSpec(1, ((0,), (1,)), values)
     assert MomentSpec(1, ((0,), (1,)), (1, 1e308 + 1e308j)).values[1] == 1e308 + 1e308j
+    # the first refused value in order names the refusal
+    message = re.escape("moment value (1.7e+308+1.7e+308j) has a modulus beyond the range of a double")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MomentSpec(1, ((0,), (1,), (2,)), (1, 1.7e308 + 1.7e308j, float("nan")))
+    with pytest.raises(ValueError, match="^moment values must be finite$"):
+        MomentSpec(1, ((0,), (1,), (2,)), (1, float("nan"), 1.7e308 + 1.7e308j))
+    # moduli within rounding of the largest double, which np.abs may round
+    # either way apart from math.hypot: math.hypot decides, as it always has
+    for v in (7.40663182194873e307 + 1.638022789118657e308j, 7.878585364351698e305 + 1.7976758704014905e308j,
+              1.271215268948481e308 + 1.2711067410423648e308j, 8.442332608174992e305 + 1.7976733112974766e308j,
+              1.3091510602183845e308 + 1.2320000440990983e308j):
+        for values in ((v, 1), (1, v)):
+            if math.hypot(v.real, v.imag) == math.inf:
+                with pytest.raises(ValueError, match="has a modulus beyond the range of a double"):
+                    MomentSpec(1, ((0,), (1,)), values)
+            else:
+                assert MomentSpec(1, ((0,), (1,)), values).values == tuple(map(complex, values))
 
 
 def test_spec_from_items_reorders():
@@ -200,16 +241,28 @@ def test_an_integer_array_is_checked_whole():
 
 def test_spec_keeps_its_exponents_as_one_read_only_array():
     rows = np.array([[0, 0], [2, 1], [65535, 3]])
-    spec = MomentSpec(2, rows, (1, 2, 3))
-    rows[1, 0] = 5  # the spec holds its own copy
+    values = np.array([1, 2j, -3.5 + 0.25j])
+    spec = MomentSpec(2, rows, values)
+    rows[1, 0] = 5  # the spec holds its own copies
+    values[1] = 7
     assert spec.exponents.dtype == np.int64 and spec.exponents.shape == (3, 2)
-    assert not spec.exponents.flags.writeable
+    assert spec.moments.dtype == np.complex128 and spec.moments.shape == (3,)
+    assert spec.degrees.dtype == np.int64 and spec.degrees.shape == (3,)
+    for array in (spec.exponents, spec.moments, spec.degrees):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
     assert spec.exponents.tolist() == [list(k) for k in spec.indices] == [[0, 0], [2, 1], [65535, 3]]
-    # equality, hashing and repr read the indices alone
-    twin = MomentSpec(2, ((0.0, 0), (2, np.int64(1)), (65535, 3)), (1, 2, 3))
+    assert spec.moments.tolist() == list(spec.values) == [1, 2j, -3.5 + 0.25j]
+    assert spec.degrees.tolist() == [sum(k) for k in spec.indices] == [0, 3, 65538]
+    # equality, hashing and repr read the indices and values alone
+    twin = MomentSpec(2, ((0.0, 0), (2, np.int64(1)), (65535, 3)), (1.0, 2j, "-3.5+0.25j"))
     assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
-    assert "exponents" not in repr(spec)
-    assert spec.exponents is not twin.exponents
+    for name in ("exponents", "moments", "degrees"):
+        assert f"{name}=" not in repr(spec)
+        assert getattr(spec, name) is not getattr(twin, name)
+    skipped = [f.name for f in dataclasses.fields(MomentSpec) if not (f.init or f.compare or f.repr)]
+    assert skipped == ["exponents", "moments", "degrees"]
 
 
 def test_one_module_decides_the_exponent_domain():

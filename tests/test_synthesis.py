@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import bounded, extended_relative_residual, extended_residual, ran
 from test_contract import draw_full_range_spec, draw_spec
 from momentsynth.cli import main
 from momentsynth.dilation import fourier_table
-from momentsynth.documents import problem_to_doc, write_doc
+from momentsynth.documents import doc_bytes, measure_to_doc, problem_to_doc, report_to_doc, write_doc
 from momentsynth.errors import ConvergenceFailure, Unsolvable
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed
 from momentsynth.measures import AtomicMeasure
@@ -1435,6 +1436,46 @@ def test_one_front_end_call_per_gated_solve(spec, fronts, pencils, lattices, mon
     # is synthesize's own: they compute none
     assert all(args[0] is spec and args[1] is discs[0]
                for calls in readers.values() for args in calls)
+
+
+# (spec, lattice_quadrature calls): a sparse three-variable spec that the
+# lattice answers, and a one-variable spec that the pencil answers
+PAST_THE_OLDER_ATTEMPT = {
+    "lattice": (MomentSpec(3, ((0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 0), (0, 0, 4)),
+                           (1.0, 0.3 + 0.1j, -0.2j, 0.1, 0.05 - 0.02j)), 1),
+    "pencil": (random_instance(1, 12, 4, 3)[0], 0),
+}
+
+
+@pytest.mark.parametrize("spec, lattices", list(PAST_THE_OLDER_ATTEMPT.values()),
+                         ids=list(PAST_THE_OLDER_ATTEMPT))
+def test_a_solve_past_the_older_attempt_reads_no_values_tuple(spec, lattices, monkeypatch):
+    # every layer reads the spec's arrays; only the older attempt still
+    # reads the tuple, and neither solve reaches it
+    reads = []
+
+    class Unread(Sequence):
+        def __getitem__(self, i):
+            reads.append(i)
+            raise AssertionError("spec.values was read")
+
+        def __len__(self):
+            reads.append(len)
+            raise AssertionError("spec.values was read")
+
+    def outputs(spec):
+        measure = synthesize(spec)
+        return (doc_bytes(measure_to_doc(measure)), doc_bytes(report_to_doc(report(spec, measure))),
+                SolverConfig().allowance(spec).hex())
+
+    expected = outputs(spec)
+    blind = MomentSpec(spec.n, spec.indices, spec.values)
+    object.__setattr__(blind, "values", Unread())
+    stages = {name: spy(monkeypatch, name) for name in OLDER + ("lattice_quadrature",)}
+    assert outputs(blind) == expected
+    assert reads == []
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        **dict.fromkeys(OLDER, 0), "lattice_quadrature": lattices}
 
 
 # ---------------------------------------------------------------------------
