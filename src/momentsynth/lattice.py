@@ -12,7 +12,6 @@ the paper's construction reads it; no solve builds it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +78,9 @@ class MomentSpec:
 
     `indices` are distinct multi-indices with the all-zero exponent first;
     `values` align with them, the first the total mass.  Equality, hashing
-    and repr skip three read-only arrays: `exponents`, `exponent_rows(indices,
-    n)`; `moments`, the values as complex128; `degrees`, |k| per row, int64.
+    and repr skip four read-only arrays: `exponents`, `exponent_rows(indices,
+    n)`; `moments`, the values as complex128; `magnitudes`, their finite
+    moduli |s_k| by `np.abs`, float64; `degrees`, |k| per row, int64.
     """
 
     n: int
@@ -88,6 +88,7 @@ class MomentSpec:
     values: tuple[complex, ...]
     exponents: np.ndarray = field(init=False, compare=False, repr=False)
     moments: np.ndarray = field(init=False, compare=False, repr=False)
+    magnitudes: np.ndarray = field(init=False, compare=False, repr=False)
     degrees: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -96,24 +97,26 @@ class MomentSpec:
             raise ValueError("dimension must be at least 1")
         exponents = exponent_rows(self.indices, n)
         indices = tuple(map(tuple, exponents.tolist()))
-        moments = np.array(list(map(complex, self.values)), dtype=complex)
+        values = list(self.values)  # what complex() reads, but not "1" or True, as in the documents
+        for v in values if not set(map(type, values)) <= {complex, float, int} else ():
+            if isinstance(v, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"{v!r} is not a number")
+        moments = np.array(list(map(complex, values)), dtype=complex)
         if len(indices) != len(moments):
             raise ValueError("indices and values must have equal length")
         if not indices or indices[0] != (0,) * n:
             raise ValueError("the zero multi-index must be present and first")
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate multi-index in spec")
-        # a modulus below 2**1023 is finite however rounded; math.hypot decides the rest in order
-        for v in moments[~(np.abs(moments) < 2.0**1023)].tolist():
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError("moment values must be finite")
-            if math.hypot(v.real, v.imag) == math.inf:
-                raise ValueError(f"moment value {v} has a modulus beyond the range of a double")
+        magnitudes = np.abs(moments)  # the one modulus rule; the first refused value names the refusal
+        for v in moments[~np.isfinite(magnitudes)][:1].tolist():
+            raise ValueError(f"moment value {v} has a modulus beyond the range of a double"
+                             if np.isfinite(v) else "moment values must be finite")
         degrees = exponents.sum(axis=1)
-        moments.setflags(write=False)
-        degrees.setflags(write=False)
-        for name, value in dict(n=n, indices=indices, values=tuple(moments.tolist()),
-                                exponents=exponents, moments=moments, degrees=degrees).items():
+        for array in (moments, magnitudes, degrees):
+            array.setflags(write=False)
+        for name, value in dict(n=n, indices=indices, values=tuple(moments.tolist()), exponents=exponents,
+                                moments=moments, magnitudes=magnitudes, degrees=degrees).items():
             object.__setattr__(self, name, value)
 
     @classmethod

@@ -532,10 +532,9 @@ def _own_disc(spec: MomentSpec) -> _Disc:
     t = t_lo = max_k log(|s_k| / s0) / |k| on (-inf when no moment after the
     mass is nonzero).  `synthesize` computes it once, past the gate, and the
     pencil, the lattice screen and the lattice stage read it."""
-    moduli = np.abs(spec.moments[1:])
-    live = moduli > 0.0
+    live = spec.magnitudes[1:] > 0.0
     degrees = spec.degrees[1:][live]
-    log_ratios = np.log(moduli[live]) - math.log(spec.mass.real)
+    log_ratios = np.log(spec.magnitudes[1:][live]) - math.log(spec.mass.real)
     t_lo = float((log_ratios / degrees).max()) if degrees.size else -math.inf
     return _Disc(t_lo, spec.exponents[1:][live], degrees, log_ratios,
                  np.angle(spec.moments[1:][live]))
@@ -744,8 +743,6 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
     disc = _own_disc(spec)
     tol = cfg.resolved_tol(n)
     allowance = cfg.allowance(spec)
-    magnitudes = np.abs(spec.moments)
-    degrees = spec.degrees
 
     def finish(unit: AtomicMeasure, atom_radius: float) -> tuple[AtomicMeasure, Report]:
         """The unit measure on the torus of atom_radius, and its report."""
@@ -777,18 +774,18 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                     factor = _prescale_factor(spec)
                 karr = spec.exponents
                 # the mass is real up to the solvability gate's rounding
-                scaled = np.array((spec.mass.real,) + spec.values[1:]) / factor**degrees
+                scaled = np.array((spec.mass.real,) + spec.values[1:]) / factor**spec.degrees
                 box = np.empty((side,) * n, dtype=complex)
                 box[tuple(karr.T)] = scaled
                 scale = contraction_scale(box)[1]
                 atom_radius = scale * factor
-                reason = torus_refusal(magnitudes, degrees, allowance, math.log(atom_radius))
+                reason = torus_refusal(spec.magnitudes, spec.degrees, allowance, math.log(atom_radius))
                 if reason is not None:
                     stage = "radius"
                 else:
                     # the construction's Fourier data at the prescribed k,
                     # s_k / atom_radius**|k|
-                    targets = scaled / scale**degrees
+                    targets = scaled / scale**spec.degrees
                     if n == 1:
                         unit = cf_atoms_1d(targets[np.argsort(karr[:, 0])],
                                            tol=1e-8 * max(1.0, spec.mass.real))
@@ -809,16 +806,16 @@ def synthesize(spec: MomentSpec, config: SolverConfig | None = None) -> AtomicMe
                         reason = answer_refusal(result, allowance)
                         if reason is None:
                             return candidate
-        except (ConvergenceFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
+        except (ConvergenceFailure, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
             reason = str(exc)
         attempts.append((f"prescale {factor:.6g}, {stage}", reason))
 
-    reason = torus_refusal(magnitudes, degrees, allowance, max(disc.t_lo, 0.0))
+    reason = torus_refusal(spec.magnitudes, spec.degrees, allowance, max(disc.t_lo, 0.0))
     if reason is not None:
         attempts.append((f"lattice screen, radius above {_exp_text(disc.t_lo)}", reason))
     else:
         unit, log_radius = lattice_quadrature(spec, disc)
-        reason = torus_refusal(magnitudes, degrees, allowance, log_radius)
+        reason = torus_refusal(spec.magnitudes, spec.degrees, allowance, log_radius)
         if reason is None:
             candidate, result = finish(unit, math.exp(log_radius))
             reason = answer_refusal(result, allowance)

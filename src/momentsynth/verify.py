@@ -53,7 +53,7 @@ def solvability(spec: MomentSpec) -> Verdict:
         return Verdict("zero")
     s0 = spec.mass
     # an imaginary part within 1e-12 * max(1, |s0|) is read as rounding
-    if abs(s0.imag) > 1e-12 * max(1.0, abs(s0)):
+    if abs(s0.imag) > 1e-12 * max(1.0, spec.magnitudes[0]):
         return Verdict("unsolvable", reason=f"mass {s0} is not real")
     if s0.real <= 0.0:
         if s0.real == 0.0:
@@ -90,7 +90,7 @@ class SolverConfig:
     def allowance(self, spec: MomentSpec) -> float:
         """The largest residual an answer to `spec` may have: the resolved
         tol times max(1, largest prescribed magnitude)."""
-        return self.resolved_tol(spec.n) * max(1.0, float(np.max(np.abs(spec.moments))))
+        return self.resolved_tol(spec.n) * max(1.0, float(np.max(spec.magnitudes)))
 
 
 # the type of the moment sums, and the log of its unit roundoff: the long

@@ -327,16 +327,18 @@ def test_verify_repeated_moment_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_moment_with_a_modulus_beyond_a_double_exit_1(tmp_path, capsys, command):
-    # verify printed PASS against an allowance of inf; solve ended in a traceback
+    # np.abs takes both moduli to inf, so the allowance would be inf and verify
+    # would pass any measure; math.hypot keeps the second one finite
     problem, measure = tmp_path / "prob.json", tmp_path / "prob.measure.json"
-    write_doc(problem, {"n": 1, "moments": [{"k": [0], "re": 1.0, "im": 0.0},
-                                            {"k": [1], "re": 1.7e308, "im": 1.7e308}]})
     write_doc(measure, measure_to_doc(AtomicMeasure(1, [[1.0]], [7.0], scale=1.0)))
-    assert main([command, str(problem), str(measure)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: malformed problem document: moment value")
-    assert captured.err.endswith("has a modulus beyond the range of a double\n")
+    for value in (1.7e308 + 1.7e308j, 7.40663182194873e307 + 1.638022789118657e308j):
+        write_doc(problem, {"n": 1, "moments": [{"k": [0], "re": 1.0, "im": 0.0},
+                                                {"k": [1], "re": value.real, "im": value.imag}]})
+        assert main([command, str(problem), str(measure)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: malformed problem document: moment value {value}"
+                                " has a modulus beyond the range of a double\n")
 
 
 @pytest.mark.parametrize("document, field", [

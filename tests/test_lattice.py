@@ -9,7 +9,7 @@ import pytest
 import momentsynth
 from momentsynth.lattice import EmbeddedSpec, MomentSpec, box, embed, exponent_rows
 from momentsynth.measures import AtomicMeasure
-from momentsynth.verify import measure_moments
+from momentsynth.verify import SolverConfig, measure_moments
 
 
 def test_box_1d():
@@ -99,14 +99,19 @@ def test_spec_rejects_nonfinite_values():
         for values in ((bad, 1), (1, bad)):
             with pytest.raises(ValueError, match="^moment values must be finite$"):
                 MomentSpec(1, ((0,), (1,)), values)
-    for bad in (None, "abc", [1, 2], object(), 10**400):
+    for bad in (None, [1, 2], object(), 10**400):
         with pytest.raises(Exception) as refused:
             complex(bad)
         for values in ((bad, 1), (1, bad)):
             with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
                 MomentSpec(1, ((0,), (1,)), values)
+    # complex() reads "1+2j" and True; a spec refuses strings and booleans, as the documents do
+    for bad in ("abc", "1+2j", True, False, np.True_, np.str_("1"), b"1"):
+        for values in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a number$"):
+                MomentSpec(1, ((0,), (1,)), values)
     # accepted as complex() reads them, to the same bits
-    for good in (np.float32(0.1), np.clongdouble("0.1+0.3j"), "1+2j", True):
+    for good in (np.float32(0.1), np.clongdouble("0.1+0.3j")):
         for at in (0, 1):
             spec = MomentSpec(1, ((0,), (1,)), (good, 1) if at == 0 else (1, good))
             assert type(spec.values[at]) is complex
@@ -125,17 +130,25 @@ def test_spec_rejects_a_modulus_beyond_a_double():
         MomentSpec(1, ((0,), (1,), (2,)), (1, 1.7e308 + 1.7e308j, float("nan")))
     with pytest.raises(ValueError, match="^moment values must be finite$"):
         MomentSpec(1, ((0,), (1,), (2,)), (1, float("nan"), 1.7e308 + 1.7e308j))
-    # moduli within rounding of the largest double, which np.abs may round
-    # either way apart from math.hypot: math.hypot decides, as it always has
+    # moduli within rounding of the largest double, which np.abs and
+    # math.hypot may round apart: np.abs, the rule of the allowance, decides
     for v in (7.40663182194873e307 + 1.638022789118657e308j, 7.878585364351698e305 + 1.7976758704014905e308j,
               1.271215268948481e308 + 1.2711067410423648e308j, 8.442332608174992e305 + 1.7976733112974766e308j,
               1.3091510602183845e308 + 1.2320000440990983e308j):
         for values in ((v, 1), (1, v)):
-            if math.hypot(v.real, v.imag) == math.inf:
+            if np.abs(v) == np.inf:
                 with pytest.raises(ValueError, match="has a modulus beyond the range of a double"):
                     MomentSpec(1, ((0,), (1,)), values)
             else:
-                assert MomentSpec(1, ((0,), (1,)), values).values == tuple(map(complex, values))
+                spec = MomentSpec(1, ((0,), (1,)), values)
+                assert spec.values == tuple(map(complex, values))
+                assert math.isfinite(SolverConfig().allowance(spec))
+    # the rules disagree both ways on these values: refused where math.hypot
+    # is finite, accepted where it is inf
+    refused = 7.40663182194873e307 + 1.638022789118657e308j
+    accepted = 1.271215268948481e308 + 1.2711067410423648e308j
+    assert math.hypot(refused.real, refused.imag) < np.abs(refused) == np.inf
+    assert math.hypot(accepted.real, accepted.imag) == np.inf > np.abs(accepted)
 
 
 def test_spec_from_items_reorders():
@@ -163,7 +176,7 @@ def test_spec_rejects_boolean_indices_and_dimension():
 def test_spec_from_items_checks_in_the_spec():
     # the zero index moves first, the rest keep their order, and only
     # __post_init__ checks and converts
-    spec = MomentSpec.from_items(np.int64(1), [((2.0,), 2), ((1,), 3j), ((0.0,), "1")])
+    spec = MomentSpec.from_items(np.int64(1), [((2.0,), 2), ((1,), 3j), ((0.0,), np.float32(1))])
     assert spec.n == 1 and type(spec.n) is int
     assert spec.indices == ((0,), (2,), (1,))
     assert spec.values == (1, 2, 3j)
@@ -247,25 +260,39 @@ def test_spec_keeps_its_exponents_as_one_read_only_array():
     values[1] = 7
     assert spec.exponents.dtype == np.int64 and spec.exponents.shape == (3, 2)
     assert spec.moments.dtype == np.complex128 and spec.moments.shape == (3,)
+    assert spec.magnitudes.dtype == np.float64 and spec.magnitudes.shape == (3,)
     assert spec.degrees.dtype == np.int64 and spec.degrees.shape == (3,)
-    for array in (spec.exponents, spec.moments, spec.degrees):
+    for array in (spec.exponents, spec.moments, spec.magnitudes, spec.degrees):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert spec.exponents.tolist() == [list(k) for k in spec.indices] == [[0, 0], [2, 1], [65535, 3]]
     assert spec.moments.tolist() == list(spec.values) == [1, 2j, -3.5 + 0.25j]
     assert spec.degrees.tolist() == [sum(k) for k in spec.indices] == [0, 3, 65538]
+    # np.abs of the values as given, bit for bit, in an array of the spec's own
+    given = np.abs([1, 2j, -3.5 + 0.25j])
+    assert spec.magnitudes.tobytes() == np.abs(spec.moments).tobytes() == given.tobytes()
+    assert not np.shares_memory(spec.magnitudes, values)
+    assert not np.shares_memory(spec.magnitudes, spec.moments)
     # equality, hashing and repr read the indices and values alone
-    twin = MomentSpec(2, ((0.0, 0), (2, np.int64(1)), (65535, 3)), (1.0, 2j, "-3.5+0.25j"))
+    twin = MomentSpec(2, ((0.0, 0), (2, np.int64(1)), (65535, 3)), (1.0, 2j, np.complex64(-3.5 + 0.25j)))
     assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
-    for name in ("exponents", "moments", "degrees"):
+    for name in ("exponents", "moments", "magnitudes", "degrees"):
         assert f"{name}=" not in repr(spec)
         assert getattr(spec, name) is not getattr(twin, name)
     skipped = [f.name for f in dataclasses.fields(MomentSpec) if not (f.init or f.compare or f.repr)]
-    assert skipped == ["exponents", "moments", "degrees"]
+    assert skipped == ["exponents", "moments", "magnitudes", "degrees"]
 
 
 def test_one_module_decides_the_exponent_domain():
     src = Path(momentsynth.__file__).parent
     deciding = [path.name for path in sorted(src.glob("*.py")) if "exceeds the limit" in path.read_text()]
     assert deciding == ["lattice.py"]
+
+
+def test_one_module_takes_the_moduli_by_np_abs():
+    # the allowance, the own-disc front end and the torus screen read spec.magnitudes
+    src = Path(momentsynth.__file__).parent
+    taking = [path.name for path in sorted(src.glob("*.py"))
+              if re.search(r"np\.abs\((spec\.)?moments|math\.hypot", path.read_text())]
+    assert taking == ["lattice.py"]

@@ -1798,6 +1798,20 @@ def test_older_radius_overflows_where_the_dense_tuple_did(monkeypatch):
     assert re.fullmatch(r"overflow encountered in \w+", reason)
 
 
+def test_older_prescale_overflows_on_a_modulus_that_abs_cannot_take():
+    # np.abs keeps this modulus within a double, so the spec holds it;
+    # Python's abs(), which the two-variable prescale factor takes, raises
+    # OverflowError.  The older attempt ends on that overflow, and the
+    # solve raises ConvergenceFailure and nothing else
+    v = 1.271215268948481e308 + 1.2711067410423648e308j
+    with pytest.raises(OverflowError):
+        abs(v)
+    spec = MomentSpec(2, box(2, 1), (1, v, 0, 0))
+    with pytest.raises(ConvergenceFailure) as failure:
+        synthesize(spec)
+    assert attempts_of(failure.value)[0] == ("prescale 1, grid", "absolute value too large")
+
+
 def test_full_range_961_keeps_the_split_answer(monkeypatch):
     # mass 1.9e-239 on (0), (1), (2): the split answers with 3 atoms; the
     # sum of |s_q|**2 / s0**2 taken as one quotient underflows and gives a

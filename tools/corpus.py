@@ -141,9 +141,9 @@ def main(argv=None) -> int:
                 counts["raised"] += 1
                 lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-\t-")
                 continue
-            residual = report(spec, measure).max_residual
-            counts["solved" if residual <= allowance(spec) else "over"] += 1
-            ratio = residual / allowance(spec)
+            residual, bound = report(spec, measure).max_residual, allowance(spec)
+            counts["solved" if residual <= bound else "over"] += 1
+            ratio = residual / bound
             atoms.append(len(measure))
             digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
             lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}\t{ratio:.3g}")
