@@ -58,7 +58,9 @@ class AtomicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        """The sum of the weights; inf, without a warning, beyond a double."""
+        with np.errstate(over="ignore"):
+            return float(self.weights.sum())
 
     @property
     def support_radius(self) -> float:

@@ -434,6 +434,22 @@ def test_verify_report_writes_a_moment_beyond_a_double_as_null(tmp_path, capsys)
     assert captured.err == ""
 
 
+def test_verify_report_writes_a_total_mass_beyond_a_double_as_null(tmp_path, capsys):
+    # two weights of 1.7e308 sum past a double: the total mass reads as inf
+    # without a warning
+    problem, measure = tmp_path / "prob.json", tmp_path / "heavy.json"
+    _write_problem(problem, MomentSpec(1, ((0,), (1,)), (1.7976931348623157e308, 0)))
+    write_doc(measure, measure_to_doc(AtomicMeasure(1, [[0.5], [0.5]], [1.7e308, 1.7e308], scale=0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(problem), str(measure)]) == 4
+    captured = capsys.readouterr()
+    assert '"total_mass": null' in captured.out
+    doc = json.loads(captured.out[captured.out.index("{"):], parse_constant=_strict_json)
+    assert (doc["total_mass"], doc["atom_count"]) == (None, 2)
+    assert captured.err == ""
+
+
 def test_random_rejects_dimension_zero(tmp_path, capsys):
     assert main(["random", str(tmp_path / "x.json"), "--n", "0"]) == 1
     assert capsys.readouterr().err == "error: dimension must be at least 1\n"

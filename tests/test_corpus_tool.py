@@ -1,12 +1,17 @@
 """Exit status of tools/corpus.py, which lets the corpus gate a change."""
 
+import hashlib
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import momentsynth.synthesis as synthesis
+import momentsynth.verify as verify
 from momentsynth.errors import ConvergenceFailure
 from momentsynth.lattice import MomentSpec
 from momentsynth.measures import AtomicMeasure
@@ -15,6 +20,7 @@ from test_contract import SWEEP, draw_full_range_spec
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "corpus.py"
 SPEC = MomentSpec.from_items(1, [((0,), 1.0), ((1,), 0.5)])
+original_synthesize = synthesis.synthesize
 
 
 def load_tool():
@@ -66,10 +72,9 @@ def test_exit_0_when_nothing_regresses(tool, tmp_path, monkeypatch):
     solved, raised = tmp_path / "solved", tmp_path / "raised"
     assert tool.main(["--dump", str(solved)]) == 0
     assert tool.main(["--against", str(solved)]) == 0
-    original = synthesis.synthesize
     monkeypatch.setattr(synthesis, "synthesize", raises)
     assert tool.main(["--dump", str(raised)]) == 0
-    monkeypatch.setattr(synthesis, "synthesize", original)
+    monkeypatch.setattr(synthesis, "synthesize", original_synthesize)
     # a spec that raised in the dump and solves now is a gain
     assert tool.main(["--against", str(raised)]) == 0
 
@@ -87,37 +92,78 @@ def test_exit_1_when_a_solved_spec_now_raises(tool, tmp_path, monkeypatch, capsy
     assert "1 of them solved in the dump and raise now" in capsys.readouterr().out
 
 
-def dumped(path):
-    """The fields of every line of a dump, past the group and the index."""
-    return [line.split("\t")[2:] for line in path.read_text().splitlines()]
+def records(path):
+    """The records of a dump, read with the standard library's json."""
+    with open(path) as f:
+        return json.load(f)
 
 
 def test_dump_records_residual_over_allowance(tool, tmp_path, monkeypatch):
-    solved, raised = tmp_path / "solved", tmp_path / "raised"
+    solved, raised = tmp_path / "solved.json", tmp_path / "raised.json"
     assert tool.main(["--dump", str(solved)]) == 0
-    (outcome, _, count, ratio), = dumped(solved)
+    record, = records(solved)
     measure = synthesis.synthesize(SPEC)
+    digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes()).hexdigest()
+    assert {key: record[key] for key in ("group", "index", "outcome", "sha256", "atoms")} == {
+        "group": "one spec", "index": 0, "outcome": "ok", "sha256": digest, "atoms": len(measure)}
+    # the ratio at full precision, bit for bit
     wanted = report(SPEC, measure).max_residual / synthesis.SolverConfig().allowance(SPEC)
-    assert (outcome, count, ratio) == ("ok", str(len(measure)), f"{wanted:.3g}")
+    assert (list(record), record["ratio"].hex()) == (list(tool.FIELDS), wanted.hex())
     monkeypatch.setattr(synthesis, "synthesize", raises)
     assert tool.main(["--dump", str(raised)]) == 0
-    assert dumped(raised) == [["ConvergenceFailure", "-", "-", "-"]]
+    assert records(raised) == [{"group": "one spec", "index": 0, "outcome": "ConvergenceFailure",
+                                "sha256": None, "atoms": None, "ratio": None}]
+
+
+def heavy(spec):
+    """Two weights of 1.7e308: the mass residual, and the ratio, are inf."""
+    return AtomicMeasure(1, [[0.5], [0.5]], [1.7e308, 1.7e308], scale=0.5)
+
+
+def test_dump_writes_an_infinite_ratio_as_null(tool, tmp_path, monkeypatch, capsys):
+    dump = tmp_path / "heavy.json"
+    monkeypatch.setattr(synthesis, "synthesize", heavy)
+    assert tool.main(["--dump", str(dump)]) == 1
+    (record,) = records(dump)
+    assert (record["outcome"], record["atoms"], record["ratio"]) == ("ok", 2, None)
+    capsys.readouterr()
+    # the same answer: nothing differs, and the answer is still over
+    assert tool.main(["--against", str(dump)]) == 1
+    assert "one spec: 0 differing answer(s)" in capsys.readouterr().out
+    # a null ratio of an ok record reads back as inf
+    monkeypatch.setattr(synthesis, "synthesize", original_synthesize)
+    assert tool.main(["--against", str(dump)]) == 0
+    out = capsys.readouterr().out
+    assert "atom count differs: one spec #0: 2 -> 3" in out
+    assert ("one spec: 1 differing answer(s), 1 in atom count, 0 in bytes only;"
+            " largest residual / allowance among them inf in the dump,") in out
+
+
+def test_exit_1_on_an_answer_one_ulp_over_the_contract(tool, tmp_path, monkeypatch, capsys):
+    # over is decided by residual <= allowance, whatever the ratio rounds to
+    bound = synthesis.SolverConfig().allowance(SPEC)
+    residual = math.nextafter(bound, math.inf)
+    monkeypatch.setattr(verify, "report", lambda spec, measure: SimpleNamespace(max_residual=residual))
+    dump = tmp_path / "over.json"
+    assert tool.main(["--dump", str(dump)]) == 1
+    assert "one spec: 0 / 1 / 0 (solved / over / raised)" in capsys.readouterr().out
+    (record,) = records(dump)
+    assert record["ratio"] == residual / bound > 1.0
+    assert f"{record['ratio']:.3g}" == "1"
 
 
 def test_against_prints_the_largest_ratio_of_changed_answers(tool, tmp_path, monkeypatch, capsys):
-    solved = tmp_path / "solved"
+    solved = tmp_path / "solved.json"
     assert tool.main(["--dump", str(solved)]) == 0
-    (_, _, _, was), = dumped(solved)
+    was = records(solved)[0]["ratio"]
     assert tool.main(["--against", str(solved)]) == 0
     # no answer changed: no ratio to report
     assert ("one spec: 0 differing answer(s), 0 in atom count, 0 in bytes only;"
             " largest residual / allowance among them 0 in the dump, 0 now") in capsys.readouterr().out
     # an answer that moves one weight by half the allowance changes its bytes
     # only, and stays within the contract
-    original = synthesis.synthesize
-
     def moved(spec):
-        measure = original(spec)
+        measure = original_synthesize(spec)
         weights = measure.weights.copy()
         weights[0] += 0.5 * synthesis.SolverConfig().allowance(spec)
         return AtomicMeasure(measure.n, measure.atoms, weights, measure.scale)
@@ -127,7 +173,7 @@ def test_against_prints_the_largest_ratio_of_changed_answers(tool, tmp_path, mon
     now = report(SPEC, moved(SPEC)).max_residual / synthesis.SolverConfig().allowance(SPEC)
     assert 0.4 < now < 1.0
     assert (f"one spec: 1 differing answer(s), 0 in atom count, 1 in bytes only;"
-            f" largest residual / allowance among them {float(was):.3g} in the dump,"
+            f" largest residual / allowance among them {was:.3g} in the dump,"
             f" {now:.3g} now") in capsys.readouterr().out
 
 

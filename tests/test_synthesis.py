@@ -1812,6 +1812,18 @@ def test_older_prescale_overflows_on_a_modulus_that_abs_cannot_take():
     assert attempts_of(failure.value)[0] == ("prescale 1, grid", "absolute value too large")
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_synthesize_mass_at_the_largest_double_fails_cleanly(n):
+    # the weights of a candidate answer sum past a double: its total mass
+    # reads as inf without a warning, the answer rule refuses it, and the
+    # solve raises ConvergenceFailure and nothing else
+    spec = MomentSpec(n, ((0,) * n, (1,) + (0,) * (n - 1)), (np.finfo(float).max, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure):
+            synthesize(spec)
+
+
 def test_full_range_961_keeps_the_split_answer(monkeypatch):
     # mass 1.9e-239 on (0), (1), (2): the split answers with 3 atoms; the
     # sum of |s_q|**2 / s0**2 taken as one quotient underflows and gives a

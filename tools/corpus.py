@@ -4,10 +4,10 @@
 
 Prints, per group, how many specs solved within the residual contract,
 returned an answer over it, or raised, the median atom count of its
-answers and the group's seconds.  The specs
-are drawn from numpy.random.default_rng(11..14) in the order listed in
-`corpus`, with `random_box_spec` from tests/conftest.py of this checkout,
-then come the 200 specs of the high-degree group:
+answers and the group's seconds.  The specs are drawn from
+numpy.random.default_rng(11..14) in the order listed in `corpus`, with
+`random_box_spec` from tests/conftest.py of this checkout, then come the
+200 specs of the high-degree group:
 `random_instance(n, d, 4, s)` for s = 0..19 at n=1 d=24, 32, 48, 64, 96,
 n=2 d=8, 10, 12 and n=3 d=5, 6, and the 240 specs
 `random_instance(2, 5, m, s)` for m = 1..6 atoms and s = 0..39, on which
@@ -22,21 +22,25 @@ sweep answer fails `--against`.
 `--src` imports momentsynth from another source tree (default: this
 checkout's src/), so two trees run on the same specs.  An answer is within
 the contract when its residual is at most `SolverConfig().allowance(spec)`.
-`--dump FILE` writes one line per spec: group, index, the outcome (`ok` or
-the exception class), the SHA-256 of the answer's atom and weight bytes,
-the answer's atom count and its residual divided by the allowance (`-` for
-the last three when it raised).  Two dumps are equal exactly when the
+`--dump FILE` writes a JSON array of one record per spec, in run order,
+with `momentsynth.documents.doc_bytes` of the tree under test: `group`,
+`index`, the `outcome` (`ok` or the exception class), the `sha256` of the
+answer's atom and weight bytes, its `atoms` count and its `ratio`, the
+residual / allowance at full precision; the last three are null when the
+solve raised.  JSON has no inf: a `ratio` of inf is written as null, which
+an `ok` record reads back as inf.  Two dumps are equal exactly when the
 trees return bit-identical measures and raise the same exception classes.
-`--against FILE` compares this run with such a dump: it prints every spec
-whose outcome differs, then per group the specs absent from the dump
-(new specs, counted apart from changed outcomes) and how many of them
-solve now, every answer whose atom count differs and how many specs
-solved on both sides with different answers, how many of those differ in
-their bytes only, and the largest residual / allowance among them in the
-dump and now, which shows how near the changed answers come to the
-contract.
+`--against FILE` reads such a dump with `read_doc` and matches its records
+to this run's by group and index: it prints every spec whose outcome
+differs, then per group the specs absent from the dump (new specs, counted
+apart from changed outcomes) and how many of them solve now, every answer
+whose atom count differs and how many specs solved on both sides with
+different answers, how many of those differ in their bytes only, and the
+largest residual / allowance among them in the dump and now, which shows
+how near the changed answers come to the contract.
 
-The exit status is 1 when any answer is over the contract, or when
+The exit status is 1 when any answer is over the contract, which the
+residual and the allowance decide, not their stored ratio, or when
 `--against` finds a spec that solved in the dump and now raises; otherwise
 it is 0, also when specs that raised in the dump now solve.  So the script
 can gate a change: dump the parent tree with `--src`, then run the change
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -54,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+FIELDS = ("group", "index", "outcome", "sha256", "atoms", "ratio")
 
 
 def anisotropic():
@@ -123,12 +129,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests")]
 
+    from momentsynth.documents import doc_bytes, read_doc
     from momentsynth.errors import SolverError
     from momentsynth.synthesis import SolverConfig, synthesize
     from momentsynth.verify import report
 
     allowance = SolverConfig().allowance
-    lines = []
+    records = []
     over = 0
     for name, specs in corpus():
         counts = {"solved": 0, "over": 0, "raised": 0}
@@ -139,60 +146,53 @@ def main(argv=None) -> int:
                 measure = synthesize(spec)
             except SolverError as exc:
                 counts["raised"] += 1
-                lines.append(f"{name}\t{index}\t{type(exc).__name__}\t-\t-\t-")
-                continue
-            residual, bound = report(spec, measure).max_residual, allowance(spec)
-            counts["solved" if residual <= bound else "over"] += 1
-            ratio = residual / bound
-            atoms.append(len(measure))
-            digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
-            lines.append(f"{name}\t{index}\tok\t{digest.hexdigest()}\t{len(measure)}\t{ratio:.3g}")
+                answer = (type(exc).__name__, None, None, None)
+            else:
+                residual, bound = report(spec, measure).max_residual, allowance(spec)
+                counts["solved" if residual <= bound else "over"] += 1
+                atoms.append(len(measure))
+                digest = hashlib.sha256(measure.atoms.tobytes() + measure.weights.tobytes())
+                answer = ("ok", digest.hexdigest(), len(measure), residual / bound)
+            records.append(dict(zip(FIELDS, (name, index, *answer))))
         seconds = time.perf_counter() - start
         over += counts["over"]
         median = f"{np.median(atoms):g}" if atoms else "-"
         print(f"{name}: {counts['solved']} / {counts['over']} / {counts['raised']}"
               f" (solved / over / raised), median {median} atoms, {seconds:.2f} s")
     if args.dump is not None:
-        args.dump.write_text("\n".join(lines) + "\n")
-    lost = 0
-    if args.against is not None:
-        lost = compare(lines, args.against.read_text().splitlines())
+        args.dump.write_bytes(doc_bytes(records))
+    lost = 0 if args.against is None else compare(records, read_doc(args.against))
     return 1 if over or lost else 0
 
 
-def compare(lines: list[str], reference: list[str]) -> int:
-    """Print the specs whose outcome differs from a dump, then per group the
-    specs absent from the dump, the answers whose atom count differs, the
-    number of differing answers among specs solved on both sides, and their
-    largest residual / allowance at the dump and now.  Returns the number of
-    specs that solved in the dump and raise now."""
-    before = {}
-    for line in reference:
-        name, index, outcome, digest, count, ratio = line.split("\t")
-        before[name, index] = (outcome, digest, count, ratio)
-    groups = {line.split("\t")[0]: {"new": 0, "new_ok": 0, "answers": 0, "bytes": 0,
-                                    "was": 0.0, "now": 0.0}
-              for line in lines}
+def compare(records: list[dict], reference: list[dict]) -> int:
+    """Print how this run's records differ from a dump's, as the module's
+    docstring lists, and return the number of specs that solved in the dump
+    and raise now."""
+    before = {(old["group"], old["index"]): old for old in reference}
+    groups = {record["group"]: dict.fromkeys(("new", "new_ok", "answers", "bytes", "was", "now"), 0)
+              for record in records}
     outcomes = lost = 0
-    for line in lines:
-        name, index, outcome, digest, count, ratio = line.split("\t")
+    for record in records:
+        name, index, outcome = record["group"], record["index"], record["outcome"]
         old = before.get((name, index))
         tally = groups[name]
         if old is None:
             tally["new"] += 1
             tally["new_ok"] += outcome == "ok"
-        elif old[0] != outcome:
+        elif old["outcome"] != outcome:
             outcomes += 1
-            lost += old[0] == "ok"
-            print(f"outcome differs: {name} #{index}: {old[0]} -> {outcome}")
-        elif old[1] != digest:
+            lost += old["outcome"] == "ok"
+            print(f"outcome differs: {name} #{index}: {old['outcome']} -> {outcome}")
+        elif old["sha256"] != record["sha256"]:
             tally["answers"] += 1
-            tally["was"] = max(tally["was"], float(old[3]))
-            tally["now"] = max(tally["now"], float(ratio))
-            if old[2] == count:
+            # the dump holds an infinite ratio as null
+            tally["was"] = max(tally["was"], math.inf if old["ratio"] is None else old["ratio"])
+            tally["now"] = max(tally["now"], record["ratio"])
+            if old["atoms"] == record["atoms"]:
                 tally["bytes"] += 1
             else:
-                print(f"atom count differs: {name} #{index}: {old[2]} -> {count}")
+                print(f"atom count differs: {name} #{index}: {old['atoms']} -> {record['atoms']}")
     print(f"{outcomes} outcome(s) differ, {lost} of them solved in the dump and raise now")
     for name, tally in groups.items():
         if tally["new"]:
